@@ -7,8 +7,8 @@ from .estimation import (LearnConfig, LearnReport, constrained_two_normal_mle,
                          update_observations, update_relations_additive,
                          update_relations_antisym, update_transitions)
 from .evalkl import KlEstimate, kl_exact_small, kl_sampled
-from .inference import (Posteriors, Trellis, forward_backward, obs_prob,
-                        posteriors)
+from .inference import (Posteriors, Trellis, forward_backward, loglik,
+                        obs_prob, posteriors)
 from .initialization import (BucketConfig, bucketize, init_model,
                              perturb_model, random_model, tag_states)
 from .io import load_experience, load_model, save_experience, save_model
@@ -17,7 +17,8 @@ from .model import (VAR_FLOOR, ConsistencyReport, ConstraintLevel,
                     ImpossibleSequenceError, ModelFormatError, RelationEntry,
                     RelationMatrix, check_consistency, embed_relations,
                     relation_density, transform_point)
-from .pipeline import RunResult, best_run, default_bucket_config, learn_runs
+from .pipeline import (RunResult, best_index, best_run, default_bucket_config,
+                       learn_runs)
 from .render import embed_model_positions, render_svg
 from .simgen import LoopSpec, make_loop_model, sample_path, sample_sequence
 
@@ -29,11 +30,11 @@ __all__ = [
     "GeoHmmError", "ImpossibleSequenceError", "KlEstimate", "LearnConfig",
     "LearnReport", "LoopSpec", "ModelFormatError", "Posteriors",
     "RelationEntry", "RelationMatrix", "RunResult", "Trellis", "bessel_i0",
-    "bessel_ratio", "best_run", "bucketize", "check_consistency",
+    "bessel_ratio", "best_index", "best_run", "bucketize", "check_consistency",
     "constrained_two_normal_mle", "default_bucket_config", "em_learn",
     "embed_model_positions", "embed_relations", "forward_backward",
     "init_model", "kl_exact_small", "kl_sampled", "learn_runs",
-    "load_experience", "load_model", "make_loop_model", "obs_prob",
+    "load_experience", "load_model", "loglik", "make_loop_model", "obs_prob",
     "perturb_model", "posteriors", "project_headings", "random_model",
     "relation_density", "render_svg", "resultant_to_kappa", "sample_path",
     "sample_sequence", "save_experience", "save_model", "solve_positions",

@@ -28,7 +28,7 @@ from .io import atomic_write_text, load_experience, load_model, save_experience,
 from .model import (ConstraintLevel, CoordinateMode, GeoHmmError,
                     ImpossibleSequenceError, ModelFormatError,
                     check_consistency)
-from .pipeline import best_run, default_bucket_config, learn_runs
+from .pipeline import best_index, default_bucket_config, learn_runs
 from .render import render_svg
 from .simgen import LoopSpec, make_loop_model, sample_sequence
 
@@ -183,7 +183,7 @@ def cmd_learn(args, argv):
             results = learn_runs(sub, n_states, cfg, restarts=args.restarts,
                                  seed=seed, initial=initial,
                                  bucket_cfg=bucket_cfg, obs_dims=obs_dims)
-            chosen = results.index(best_run(results))
+            chosen = best_index(results)
             model_path = "%s.p%d.model.json" % (base, length)
             save_model(results[chosen].model, model_path)
             outputs.append(model_path)
@@ -196,7 +196,7 @@ def cmd_learn(args, argv):
         results = learn_runs(seq, n_states, cfg, restarts=args.restarts,
                              seed=seed, initial=initial,
                              bucket_cfg=bucket_cfg, obs_dims=obs_dims)
-        chosen = results.index(best_run(results))
+        chosen = best_index(results)
         save_model(results[chosen].model, args.output)
         outputs.append(args.output)
         report_path = args.report or args.output + ".report.json"

@@ -136,6 +136,41 @@ def forward_backward(model: GeoHmm, e: ExperienceSequence,
                    use_odometry=use_odometry, _emit=emit, _pairf=pairf)
 
 
+def loglik(model: GeoHmm, seqs) -> np.ndarray:
+    """(S,) observation-only log-likelihoods of equal-length sequences.
+
+    One scaled forward recursion over an (S, N) alpha block; readings are
+    ignored, as in forward_backward(..., use_odometry=False). A sequence
+    the model rejects scores -inf without disturbing the other rows.
+    """
+    seqs = list(seqs)
+    if not seqs:
+        return np.zeros(0)
+    T = len(seqs[0])
+    if any(len(e) != T for e in seqs):
+        raise ValueError("loglik needs sequences of equal length")
+    emit = np.stack([emission_probs(model, e) for e in seqs])   # (S, T, N)
+    S, N = len(seqs), model.n_states
+    alpha = np.zeros((S, N))
+    alpha[:, model.start_state] = emit[:, 0, model.start_state]
+    log_scales = np.zeros((S, T))
+    dead = np.zeros(S, dtype=bool)
+    for t in range(T):
+        if t:
+            alpha = alpha @ model.A * emit[:, t]
+        scales = alpha.sum(axis=1)
+        bad = ~(np.isfinite(scales) & (scales > 0.0))
+        if bad.any():
+            dead |= bad
+            alpha[bad] = 0.0
+            scales[bad] = 1.0
+        alpha /= scales[:, None]
+        log_scales[:, t] = np.log(scales)
+    out = log_scales.sum(axis=1)
+    out[dead] = -np.inf
+    return out
+
+
 def posteriors(trellis: Trellis, model: GeoHmm, e: ExperienceSequence,
                use_odometry: bool = True) -> Posteriors:
     """Gamma and xi tables from a trellis computed for the same inputs."""

@@ -88,5 +88,10 @@ def learn_runs(e: ExperienceSequence, n_states: int, cfg: LearnConfig,
     return results
 
 
+def best_index(results) -> int:
+    """Index of the run with the highest final loglik (first on ties)."""
+    return max(range(len(results)), key=lambda k: results[k].final_loglik)
+
+
 def best_run(results) -> RunResult:
-    return max(results, key=lambda r: r.final_loglik)
+    return results[best_index(results)]

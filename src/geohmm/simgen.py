@@ -10,11 +10,12 @@ are exactly additive.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circstats import vm_sample, wrap_angle
+from .circstats import KAPPA_MAX, wrap_angle
 from .model import (CoordinateMode, ExperienceSequence, GeoHmm,
                     RelationMatrix, embed_relations)
 
@@ -139,41 +140,64 @@ def make_loop_model(spec: LoopSpec) -> GeoHmm:
                   mode=spec.mode)
 
 
-def sample_observation(model: GeoHmm, state: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    return np.array([rng.choice(size, p=b[:, state])
-                     for size, b in zip(model.obs_dims, model.B)], dtype=int)
+def _cdf_rows(P: np.ndarray, what: str) -> list:
+    """Cumulative table of each row of P, as `Generator.choice` builds it.
+
+    Raises ValueError where `choice` would: on a NaN or negative entry, or
+    on a row that does not sum to 1 within sqrt(machine epsilon).
+    """
+    if np.isnan(P).any():
+        raise ValueError("%s probabilities contain NaN" % what)
+    if (P < 0).any():
+        raise ValueError("%s probabilities are not non-negative" % what)
+    if np.any(np.abs(P.sum(axis=1) - 1.0) > np.sqrt(np.finfo(float).eps)):
+        raise ValueError("%s probabilities do not sum to 1" % what)
+    cdf = np.cumsum(P, axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf.tolist()
 
 
 def sample_path(model: GeoHmm, length: int,
                 rng: np.random.Generator) -> tuple:
     """Monte Carlo rollout; returns (hidden state path, experience).
 
-    Per step: the successor state is drawn from the A row, the reading
-    from the traversed pair's relation entry (normal in dx, dy; von Mises
-    in dtheta), and the observation vector dimension-wise from B.
+    Draw order, which fixes the RNG stream: the observation vector of the
+    start state (one draw per dimension, in order), then per step the
+    successor state from its A row, the reading dx, dy (normal) and
+    dtheta (von Mises) from the traversed pair's relation entry, then the
+    observation dimensions from B. Discrete draws are `choice`'s
+    inverse-CDF on one uniform each, so paths are identical to drawing
+    every step with `rng.choice(n, p=row)`.
     """
     if length < 1:
         raise ValueError("length must be at least 1")
     R = model.relations
-    states = np.zeros(length, dtype=int)
-    states[0] = model.start_state
-    observations = np.zeros((length, model.n_obs_dims), dtype=int)
-    observations[0] = sample_observation(model, states[0], rng)
-    readings = np.zeros((length - 1, 3))
-    for t in range(1, length):
-        prev = states[t - 1]
-        nxt = int(rng.choice(model.n_states, p=model.A[prev]))
-        states[t] = nxt
-        readings[t - 1, 0] = rng.normal(R.mu_x[prev, nxt],
-                                        np.sqrt(R.var_x[prev, nxt]))
-        readings[t - 1, 1] = rng.normal(R.mu_y[prev, nxt],
-                                        np.sqrt(R.var_y[prev, nxt]))
-        readings[t - 1, 2] = vm_sample(R.mu_theta[prev, nxt],
-                                       R.kappa_theta[prev, nxt], rng)
-        observations[t] = sample_observation(model, nxt, rng)
-    seq = ExperienceSequence(observations=observations, readings=readings)
-    return states, seq
+    trans_cdf = _cdf_rows(model.A, "transition")
+    obs_cdf = [_cdf_rows(b.T, "observation") for b in model.B]
+    mu_x, mu_y, mu_theta = (R.mu_x.tolist(), R.mu_y.tolist(),
+                            R.mu_theta.tolist())
+    sd_x, sd_y = np.sqrt(R.var_x).tolist(), np.sqrt(R.var_y).tolist()
+    kappa = np.clip(R.kappa_theta, 0.0, KAPPA_MAX).tolist()
+    random, normal, vonmises = rng.random, rng.normal, rng.vonmises
+
+    state = model.start_state
+    states = [state]
+    observations = [[bisect_right(cdf[state], random()) for cdf in obs_cdf]]
+    readings = []
+    for _ in range(1, length):
+        prev, state = state, bisect_right(trans_cdf[state], random())
+        states.append(state)
+        readings.append((normal(mu_x[prev][state], sd_x[prev][state]),
+                         normal(mu_y[prev][state], sd_y[prev][state]),
+                         vonmises(mu_theta[prev][state], kappa[prev][state])))
+        observations.append([bisect_right(cdf[state], random())
+                             for cdf in obs_cdf])
+    readings = np.array(readings, dtype=float).reshape(length - 1, 3)
+    readings[:, 2] = wrap_angle(readings[:, 2])
+    seq = ExperienceSequence(
+        observations=np.array(observations, dtype=int),
+        readings=readings)
+    return np.array(states, dtype=int), seq
 
 
 def sample_sequence(model: GeoHmm, length: int,

@@ -9,6 +9,7 @@ import itertools
 
 import numpy as np
 
+from geohmm.circstats import KAPPA_MAX, TWO_PI
 from geohmm.model import (CoordinateMode, ExperienceSequence, GeoHmm,
                           RelationMatrix)
 
@@ -129,3 +130,33 @@ def random_experience(model, T, rng):
         rng.uniform(-np.pi, np.pi, size=T - 1),
     ]) if T > 1 else np.zeros((0, 3))
     return ExperienceSequence(observations=obs, readings=readings)
+
+
+def reference_sample_path(model: GeoHmm, length: int, rng):
+    """Per-step `rng.choice` rollout, written longhand.
+
+    Draw order: each observation dimension of the start state, then per
+    step the successor state, dx, dy, dtheta and the observation
+    dimensions. Returns (states, observations, readings).
+    """
+    R = model.relations
+    states = np.zeros(length, dtype=int)
+    states[0] = model.start_state
+    observations = np.zeros((length, model.n_obs_dims), dtype=int)
+    readings = np.zeros((length - 1, 3))
+    for i, b in enumerate(model.B):
+        observations[0, i] = rng.choice(b.shape[0], p=b[:, states[0]])
+    for t in range(1, length):
+        prev = states[t - 1]
+        nxt = int(rng.choice(model.n_states, p=model.A[prev]))
+        states[t] = nxt
+        readings[t - 1, 0] = rng.normal(R.mu_x[prev, nxt],
+                                        np.sqrt(R.var_x[prev, nxt]))
+        readings[t - 1, 1] = rng.normal(R.mu_y[prev, nxt],
+                                        np.sqrt(R.var_y[prev, nxt]))
+        kappa = min(max(R.kappa_theta[prev, nxt], 0.0), KAPPA_MAX)
+        theta = float(rng.vonmises(R.mu_theta[prev, nxt], kappa)) % TWO_PI
+        readings[t - 1, 2] = theta - TWO_PI if theta > np.pi else theta
+        for i, b in enumerate(model.B):
+            observations[t, i] = rng.choice(b.shape[0], p=b[:, nxt])
+    return states, observations, readings

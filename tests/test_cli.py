@@ -115,6 +115,29 @@ class TestLearn:
         report = json.loads((tmp_path / "sweep.report.json").read_text())
         assert set(report["prefix_sweep"]) == {"100", "200"}
 
+    def test_multi_restart_later_best_run(self, tmp_path):
+        # Restart 0 is not the best here: choosing the best run used to
+        # compare runs by value and exit 2.
+        true, exp = tmp_path / "true.json", tmp_path / "exp.txt"
+        assert main(["make-loop", "-o", str(true)]) == EXIT_OK
+        assert main(["simulate", str(true), "-o", str(exp), "-T", "800",
+                     "--seed", "1"]) == EXIT_OK
+        argv = ["learn", str(exp), "-n", "16", "--constraints", "additive",
+                "--smoothing", "0.005", "--restarts", "3", "--seed", "101"]
+        assert main(argv + ["-o", str(tmp_path / "m.json")]) == EXIT_OK
+        assert main(argv + ["-o", str(tmp_path / "sweep.json"),
+                            "--prefix-lengths", "200,800"]) == EXIT_OK
+        single = json.loads((tmp_path / "m.json.report.json").read_text())
+        sweep = json.loads((tmp_path / "sweep.report.json").read_text())
+        reports = [single] + [sweep["prefix_sweep"][k] for k in ("200", "800")]
+        for report in reports:
+            finals = [run["final_loglik"] for run in report["runs"]]
+            assert len(finals) == 3
+            assert report["best_index"] == int(np.argmax(finals))
+        assert all(report["best_index"] != 0 for report in reports)
+        chosen = load_model(str(tmp_path / "sweep.p800.model.json"))
+        assert np.array_equal(chosen.A, load_model(str(tmp_path / "m.json")).A)
+
     def test_missing_n_states_is_input_error(self, tmp_path,
                                              experience_path):
         assert main(["learn", str(experience_path), "-o",
@@ -209,6 +232,24 @@ class TestRenderAndReplay:
         main(["simulate", str(loop_model_path), "-o", str(b), "-T", "40",
               "--seed", "77"])
         assert sha(a) == sha(b)
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-m", "geohmm", "make-loop",
+                               "-o", str(tmp_path / "loop.json")],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert load_model(str(tmp_path / "loop.json")).n_states == 16
 
 
 class TestEndToEndScript:

@@ -83,6 +83,20 @@ class TestKlSampled:
         assert 1.2 < small.std_error / big.std_error < 3.5
 
 
+    def test_value_pinned(self):
+        # Pinned from the per-sequence forward_backward implementation.
+        true = make_loop_model(LoopSpec())
+        B = [b.copy() for b in true.B]
+        B[0][:, 0] = [0.25, 0.25, 0.25, 0.25]
+        A = true.A.copy()
+        A[3] = 0.0
+        A[3, [3, 4, 9]] = [0.5, 0.3, 0.2]
+        worse = true.replace(A=A, B=tuple(B))
+        est = kl_sampled(true, worse, 400, 6, np.random.default_rng(2013))
+        assert est.value == pytest.approx(0.09701664716375204, rel=1e-12)
+        assert est.std_error == pytest.approx(0.005878562794919219, rel=1e-9)
+
+
 class TestKlExactSmall:
     def test_identical_models_zero(self):
         model = bernoulli_hmm(0.3)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from geohmm.inference import (forward_backward, obs_prob, posteriors,
-                              relation_density_tensor)
+from geohmm.inference import (forward_backward, loglik, obs_prob,
+                              posteriors, relation_density_tensor)
 from geohmm.model import (ExperienceSequence, GeoHmm, ImpossibleSequenceError,
                           RelationMatrix)
+from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
 from oracles import (brute_force_posteriors, path_density, random_experience,
                      random_geohmm)
 
@@ -112,6 +113,56 @@ class TestForwardBackward:
         trellis = forward_backward(model, bad, use_odometry=True,
                                    density_floor=1e-30)
         assert np.isfinite(trellis.loglik)
+
+
+class TestLoglik:
+    @staticmethod
+    def _reference(model, seqs):
+        return np.array([forward_backward(model, e, use_odometry=False).loglik
+                         for e in seqs])
+
+    @pytest.mark.parametrize("n,T", [(1, 1), (2, 2), (3, 40), (5, 120)])
+    def test_matches_forward_backward(self, n, T):
+        rng = np.random.default_rng(100 + n)
+        model = random_geohmm(n, rng, obs_dims=(3, 2))
+        seqs = [random_experience(model, T, rng) for _ in range(6)]
+        np.testing.assert_allclose(loglik(model, seqs),
+                                   self._reference(model, seqs),
+                                   rtol=1e-12, atol=0)
+
+    def test_matches_forward_backward_on_loop(self):
+        model = make_loop_model(LoopSpec())
+        rng = np.random.default_rng(3)
+        seqs = [sample_sequence(model, 1000, rng) for _ in range(4)]
+        got = loglik(model, seqs)
+        assert got.shape == (4,)
+        np.testing.assert_allclose(got, self._reference(model, seqs),
+                                   rtol=1e-12, atol=0)
+
+    def test_impossible_row_is_minus_inf_and_isolated(self):
+        B = (np.array([[1.0, 1.0], [0.0, 0.0]]),)
+        model = GeoHmm(n_states=2, obs_dims=(2,), A=np.full((2, 2), 0.5),
+                       B=B, start_state=0, relations=RelationMatrix.zero(2))
+        readings = np.zeros((3, 3))
+        good = ExperienceSequence(observations=np.zeros((4, 1), dtype=int),
+                                  readings=readings)
+        bad = ExperienceSequence(observations=np.array([[0], [0], [1], [0]]),
+                                 readings=readings)
+        first = ExperienceSequence(observations=np.array([[1], [0], [0], [0]]),
+                                   readings=readings)
+        got = loglik(model, [good, bad, first, good])
+        want = loglik(model, [good, good, good, good])
+        assert got[1] == -np.inf and got[2] == -np.inf
+        assert got[0] == want[0] and got[3] == want[3]
+        assert got[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_empty_and_unequal_batches(self):
+        model = random_geohmm(2, np.random.default_rng(0))
+        assert loglik(model, []).shape == (0,)
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError):
+            loglik(model, [random_experience(model, 3, rng),
+                           random_experience(model, 4, rng)])
 
 
 class TestPosteriors:

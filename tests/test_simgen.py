@@ -9,6 +9,7 @@ from geohmm.model import (ConstraintLevel, CoordinateMode, GeoHmm,
                           RelationMatrix, check_consistency, embed_relations)
 from geohmm.simgen import (LoopSpec, make_loop_model, sample_path,
                            sample_sequence)
+from oracles import random_geohmm, reference_sample_path
 
 
 class TestMakeLoopModel:
@@ -138,3 +139,65 @@ class TestSampleSequence:
         assert len(seq) == 1 and seq.readings.shape == (0, 3)
         with pytest.raises(ValueError):
             sample_sequence(model, 0, np.random.default_rng(4))
+
+
+def _edge_model():
+    """4 states with a zero A entry mid-row, and kappa_theta both 0 and
+    above KAPPA_MAX (set after validation, which would refuse it)."""
+    model = random_geohmm(4, np.random.default_rng(5), obs_dims=(3, 2))
+    A = model.A.copy()
+    A[:, 1] = 0.0
+    A /= A.sum(axis=1, keepdims=True)
+    model = model.replace(A=A, start_state=0)
+    model.relations.kappa_theta[0, 2] = 0.0
+    model.relations.kappa_theta[2, 0] = 0.0
+    model.relations.kappa_theta[0, 3] = 2.0 * KAPPA_MAX
+    model.relations.kappa_theta[3, 3] = np.inf
+    return model
+
+
+class TestSamplePathStream:
+    """The inverse-CDF sampler makes the draws of per-step rng.choice."""
+
+    @pytest.mark.parametrize("length", [1, 2, 800])
+    @pytest.mark.parametrize("make", [lambda: make_loop_model(LoopSpec()),
+                                      _edge_model], ids=["loop", "edge"])
+    def test_byte_identical_to_choice(self, make, length):
+        model = make()
+        for seed in range(10):
+            states, seq = sample_path(model, length,
+                                      np.random.default_rng(seed))
+            ref = reference_sample_path(model, length,
+                                        np.random.default_rng(seed))
+            assert states.tobytes() == ref[0].tobytes()
+            assert seq.observations.tobytes() == ref[1].tobytes()
+            assert seq.readings.tobytes() == ref[2].tobytes()
+
+    def test_edge_model_visits_its_edges(self):
+        model = _edge_model()
+        states, seq = sample_path(model, 800, np.random.default_rng(0))
+        pairs = set(zip(states[:-1].tolist(), states[1:].tolist()))
+        assert 1 not in states
+        assert {(0, 2), (0, 3), (3, 3)} <= pairs
+        assert np.all(np.abs(seq.readings[:, 2]) <= np.pi)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-10])
+    def test_bad_transition_row_rejected(self, bad):
+        A = np.array([[0.5 - bad, 0.5, bad], [0.0, 0.0, 1.0],
+                      [1.0, 0.0, 0.0]])
+        if np.isnan(bad):
+            A[0] = np.nan
+        model = GeoHmm(n_states=3, obs_dims=(2,), A=A,
+                       B=(np.full((2, 3), 0.5),), start_state=1,
+                       relations=RelationMatrix.zero(3))
+        for sampler in (sample_path, reference_sample_path):
+            with pytest.raises(ValueError):
+                sampler(model, 5, np.random.default_rng(0))
+
+    def test_bad_observation_column_rejected(self):
+        B = np.array([[1.0 + 1e-10, 0.5], [-1e-10, 0.5]])
+        model = GeoHmm(n_states=2, obs_dims=(2,), A=np.full((2, 2), 0.5),
+                       B=(B,), start_state=0, relations=RelationMatrix.zero(2))
+        for sampler in (sample_path, reference_sample_path):
+            with pytest.raises(ValueError):
+                sampler(model, 1, np.random.default_rng(0))
