@@ -13,19 +13,13 @@ distribution is numerically a point mass.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import i0e, i1e
 
 TWO_PI = 2.0 * np.pi
 LOG_TWO_PI = np.log(TWO_PI)
 
-# Clamp ceiling for concentrations. exp(kappa) overflows float64 near 709,
-# so raw I0 values above the seam are computed in log space.
+# Clamp ceiling for concentrations.
 KAPPA_MAX = 1e4
-
-# Power series below, asymptotic expansion above. Both agree to better
-# than 1e-9 at the seam (the asymptotic tail at 15 bottoms out near 4e-12).
-_BESSEL_SERIES_CUTOFF = 15.0
-_ASYMPTOTIC_TERMS = 15
 
 
 def wrap_angle(theta):
@@ -37,135 +31,70 @@ def wrap_angle(theta):
     return np.where(wrapped > np.pi, wrapped - TWO_PI, wrapped)
 
 
-def _i0_series(kappa: float) -> float:
-    """I0 by its power series: sum_k (kappa/2)^(2k) / (k!)^2."""
-    half_sq = 0.25 * kappa * kappa
-    total = term = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= half_sq / (k * k)
-        total += term
-        if term <= 1e-17 * total:
-            return total
+# The Bessel functions below take a scalar (and return a float) or an
+# array (and return an array of the same shape). They are built on the
+# exponentially scaled i0e(k) = exp(-k) I0(k) and i1e(k) = exp(-k) I1(k),
+# which stay finite for every finite k.
+
+def _nonnegative(kappa) -> np.ndarray:
+    k = np.asarray(kappa, dtype=float)
+    if np.any(k < 0):
+        raise ValueError("kappa must be nonnegative, got %r" % (kappa,))
+    return k
 
 
-def _i1_series(kappa: float) -> float:
-    """I1 by its power series: sum_k (kappa/2)^(2k+1) / (k! (k+1)!)."""
-    half = 0.5 * kappa
-    half_sq = half * half
-    total = term = half
-    k = 0
-    while True:
-        k += 1
-        term *= half_sq / (k * (k + 1))
-        total += term
-        if term <= 1e-17 * total:
-            return total
+def _like(value, arg):
+    return float(value) if np.ndim(arg) == 0 else value
 
 
-def _i0_asymptotic_factor(kappa: float) -> float:
-    """Correction series of I0(kappa) ~ e^kappa / sqrt(2 pi kappa) * factor."""
-    total = term = 1.0
-    for k in range(1, _ASYMPTOTIC_TERMS):
-        term *= (2 * k - 1) ** 2 / (8.0 * kappa * k)
-        total += term
-    return total
-
-
-def _i1_asymptotic_factor(kappa: float) -> float:
-    """Correction series of I1(kappa), same normalization as for I0."""
-    mu = 4.0
-    total = term = 1.0
-    for k in range(1, _ASYMPTOTIC_TERMS):
-        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * kappa * k)
-        total += term
-    return total
-
-
-def log_bessel_i0(kappa: float) -> float:
+def log_bessel_i0(kappa):
     """log I0(kappa), stable for any kappa in [0, KAPPA_MAX] and beyond."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative, got %r" % (kappa,))
-    if kappa < _BESSEL_SERIES_CUTOFF:
-        return float(np.log(_i0_series(kappa)))
-    return kappa - 0.5 * np.log(TWO_PI * kappa) + np.log(_i0_asymptotic_factor(kappa))
+    k = _nonnegative(kappa)
+    return _like(k + np.log(i0e(k)), kappa)
 
 
-def bessel_i0(kappa: float) -> float:
+def bessel_i0(kappa):
     """Modified Bessel function I0. Overflows to inf for kappa > ~709."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative, got %r" % (kappa,))
-    if kappa < _BESSEL_SERIES_CUTOFF:
-        return _i0_series(kappa)
-    return float(np.exp(log_bessel_i0(kappa)))
+    k = _nonnegative(kappa)
+    return _like(i0e(k) * np.exp(k), kappa)
 
 
-def bessel_ratio(kappa: float) -> float:
+def bessel_ratio(kappa):
     """A(kappa) = I1(kappa) / I0(kappa), the mean resultant length."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative, got %r" % (kappa,))
-    if kappa == 0.0:
-        return 0.0
-    if kappa < 500.0:
-        return _i1_series(kappa) / _i0_series(kappa)
-    return _i1_asymptotic_factor(kappa) / _i0_asymptotic_factor(kappa)
+    k = _nonnegative(kappa)
+    return _like(i1e(k) / i0e(k), kappa)
 
 
-def resultant_to_kappa(r: float) -> float:
+def resultant_to_kappa(r):
     """Invert A(kappa) = I1/I0 to the concentration producing resultant r.
 
     Negative inputs map to 0 (the update rule floors the resultant at 0)
-    and inputs at or above 1 - 1e-9 clamp to KAPPA_MAX. The returned
-    kappa satisfies |A(kappa) - r| < 1e-8 away from the clamp.
+    and inputs at or above A(KAPPA_MAX) clamp to KAPPA_MAX. Newton
+    iteration on A(kappa) - r with the identity
+    A'(k) = 1 - A(k)^2 - A(k)/k, seeded by the rational approximation
+    r(2 - r^2)/(1 - r^2); the residual |A(kappa) - r| stays near machine
+    precision for r <= 0.995.
     """
-    if r <= 0.0:
-        return 0.0
-    if r >= 1.0 - 1e-9 or r >= bessel_ratio(KAPPA_MAX):
-        return KAPPA_MAX
-    return float(brentq(lambda k: bessel_ratio(k) - r, 0.0, KAPPA_MAX,
-                        xtol=1e-12, rtol=8.9e-16))
-
-
-def bessel_ratio_array(kappa) -> np.ndarray:
-    """Vectorized A(kappa) via the exponentially scaled Bessel functions."""
-    from scipy.special import i0e, i1e
-
-    kappa = np.asarray(kappa, dtype=float)
-    return np.where(kappa > 0, i1e(kappa) / i0e(kappa), 0.0)
-
-
-def resultant_to_kappa_array(r) -> np.ndarray:
-    """Vectorized inverse of A(kappa) for arrays of resultant lengths.
-
-    Newton iteration on A(kappa) - r with the scaled Bessel ratio
-    i1e/i0e and the identity A'(k) = 1 - A(k)^2 - A(k)/k, seeded by the
-    rational approximation r(2 - r^2)/(1 - r^2). Matches the scalar
-    root-solving route to ~1e-10; cross-checked in the test suite.
-    """
-    from scipy.special import i0e, i1e
-
-    r = np.clip(np.asarray(r, dtype=float), 0.0, 1.0 - 1e-9)
-    top = bessel_ratio(KAPPA_MAX)
-    kappa = r * (2.0 - r * r) / np.maximum(1.0 - r * r, 1e-12)
+    rr = np.clip(np.asarray(r, dtype=float), 0.0, 1.0 - 1e-9)
+    kappa = rr * (2.0 - rr * rr) / np.maximum(1.0 - rr * rr, 1e-12)
     kappa = np.clip(kappa, 0.0, KAPPA_MAX)
     for _ in range(8):
-        a = np.where(kappa > 0, i1e(kappa) / i0e(kappa), 0.0)
+        a = i1e(kappa) / i0e(kappa)
         slope = np.where(kappa > 1e-12,
                          1.0 - a * a - np.divide(a, kappa,
                                                  out=np.full_like(a, 0.5),
                                                  where=kappa > 1e-12),
                          0.5)
-        kappa = np.clip(kappa - (a - r) / np.maximum(slope, 1e-12),
+        kappa = np.clip(kappa - (a - rr) / np.maximum(slope, 1e-12),
                         0.0, KAPPA_MAX)
-    return np.where(r >= top, KAPPA_MAX, kappa)
+    return _like(np.where(rr >= bessel_ratio(KAPPA_MAX), KAPPA_MAX, kappa), r)
 
 
 def vm_log_density(theta, mu, kappa):
     """Log of the von Mises density; broadcasts over array arguments."""
     kappa = np.clip(kappa, 0.0, KAPPA_MAX)
-    log_i0 = np.vectorize(log_bessel_i0, otypes=[float])(kappa)
-    return kappa * np.cos(np.asarray(theta) - mu) - LOG_TWO_PI - log_i0
+    return (kappa * np.cos(np.asarray(theta) - mu) - LOG_TWO_PI
+            - log_bessel_i0(kappa))
 
 
 def vm_density(theta, mu, kappa):

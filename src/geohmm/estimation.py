@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circstats import (KAPPA_MAX, bessel_ratio_array,
-                        resultant_to_kappa_array, wrap_angle)
+from .circstats import (KAPPA_MAX, bessel_ratio, resultant_to_kappa,
+                        wrap_angle)
 from .inference import Posteriors, forward_backward, posteriors
 from .model import (VAR_FLOOR, ConstraintLevel, CoordinateMode,
-                    ExperienceSequence, GeoHmm, RelationMatrix,
+                    ExperienceSequence, GeoHmm, RelationMatrix, _rotate_xy,
                     embed_relations)
 
 
@@ -168,13 +168,13 @@ def _spread_updates(post: Posteriors, e: ExperienceSequence, R_old,
     resultant[live] = (np.cos(mu_theta[live]) * scos[live]
                        + np.sin(mu_theta[live]) * ssin[live]) / s0[live]
     if damping > 0.0:
-        old_resultant = bessel_ratio_array(
+        old_resultant = bessel_ratio(
             np.clip(R_old.kappa_theta, 0.0, KAPPA_MAX))
         resultant[live] = ((s0[live] * resultant[live]
                             + damping * old_resultant[live]) / denom[live])
     kappa = np.array(R_old.kappa_theta, copy=True)
     kappa[live] = np.minimum(
-        resultant_to_kappa_array(np.clip(resultant[live], 0.0, 1.0)),
+        resultant_to_kappa(np.clip(resultant[live], 0.0, 1.0)),
         kappa_max)
     # Diagonals are pinned, not reestimated.
     n = s0.shape[0]
@@ -455,6 +455,27 @@ def project_headings(raw_mu_theta, weights, tau: float,
     return wrap_angle(theta), mu_theta
 
 
+def embed_positions(dx, dy, weight_x, weight_y, theta,
+                    mode: CoordinateMode) -> tuple:
+    """Per-state (x, y) from weighted pair displacements.
+
+    dx[i, j], dy[i, j] estimate the displacement from state i to state j;
+    in relative mode they are in state i's frame and are first rotated
+    into the global frame by the per-state headings theta. Every
+    off-diagonal pair with positive weight is one least-squares target
+    of solve_positions, with state 0 at the origin.
+    """
+    if mode is CoordinateMode.RELATIVE:
+        dx, dy = _rotate_xy(np.asarray(theta)[:, None], dx, dy)
+    n = len(theta)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    x = solve_positions([(i, j, dx[i, j], weight_x[i, j]) for i, j in pairs],
+                        n)
+    y = solve_positions([(i, j, dy[i, j], weight_y[i, j]) for i, j in pairs],
+                        n)
+    return x, y
+
+
 def update_relations_additive(post: Posteriors, e: ExperienceSequence,
                               R_old: RelationMatrix, mode: CoordinateMode,
                               cfg: LearnConfig,
@@ -471,8 +492,6 @@ def update_relations_additive(post: Posteriors, e: ExperienceSequence,
     projection reference.
     """
     s0, sx, sy, ssin, scos = _pair_sums(post, e)
-    n = R_old.n_states
-
     raw_theta = _lagged_theta_means(s0, ssin, scos, R_old.kappa_theta,
                                     R_old.mu_theta)
     theta, mu_theta = project_headings(raw_theta, s0,
@@ -481,23 +500,9 @@ def update_relations_additive(post: Posteriors, e: ExperienceSequence,
     live = s0 > 0.0
     vbar_x = np.divide(sx, s0, out=np.zeros_like(sx), where=live)
     vbar_y = np.divide(sy, s0, out=np.zeros_like(sy), where=live)
-    if mode is CoordinateMode.RELATIVE:
-        c = np.cos(theta)[:, None]
-        s = np.sin(theta)[:, None]
-        gx = vbar_x * c - vbar_y * s
-        gy = vbar_x * s + vbar_y * c
-    else:
-        gx, gy = vbar_x, vbar_y
-
-    targets_x, targets_y = [], []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not live[i, j]:
-                continue
-            targets_x.append((i, j, gx[i, j], s0[i, j] / R_old.var_x[i, j]))
-            targets_y.append((i, j, gy[i, j], s0[i, j] / R_old.var_y[i, j]))
-    pos_x = solve_positions(targets_x, n, anchor=0)
-    pos_y = solve_positions(targets_y, n, anchor=0)
+    pos_x, pos_y = embed_positions(
+        vbar_x, vbar_y, np.where(live, s0 / R_old.var_x, 0.0),
+        np.where(live, s0 / R_old.var_y, 0.0), theta, mode)
 
     mu_x, mu_y, mu_theta_embed = embed_relations(pos_x, pos_y, theta, mode)
 

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circstats import LOG_TWO_PI, log_bessel_i0
-from .model import (ExperienceSequence, GeoHmm, ImpossibleSequenceError)
+from .circstats import vm_log_density
+from .model import (ExperienceSequence, GeoHmm, ImpossibleSequenceError,
+                    normal_log_density)
 
 
 @dataclass
@@ -81,17 +82,13 @@ def emission_probs(model: GeoHmm, e: ExperienceSequence) -> np.ndarray:
 def relation_density_tensor(model: GeoHmm, e: ExperienceSequence) -> np.ndarray:
     """(T-1, N, N) tensor of reading densities f(r_{t+1} | R[i,j])."""
     R = model.relations
-    rd = e.readings
-    dx = rd[:, 0, None, None]
-    dy = rd[:, 1, None, None]
-    dt = rd[:, 2, None, None]
-    log_norm_x = -0.5 * np.log(2.0 * np.pi * R.var_x)
-    log_norm_y = -0.5 * np.log(2.0 * np.pi * R.var_y)
-    log_i0 = np.vectorize(log_bessel_i0, otypes=[float])(R.kappa_theta)
-    logf = (log_norm_x - 0.5 * (dx - R.mu_x) ** 2 / R.var_x
-            + log_norm_y - 0.5 * (dy - R.mu_y) ** 2 / R.var_y
-            + R.kappa_theta * np.cos(dt - R.mu_theta) - LOG_TWO_PI - log_i0)
-    return np.exp(logf)
+    rd = e.readings[:, :, None, None]
+    # Accumulated in place: fresh (T-1, N, N) temporaries cost more than
+    # the arithmetic.
+    logf = normal_log_density(rd[:, 0], R.mu_x, R.var_x)
+    logf += normal_log_density(rd[:, 1], R.mu_y, R.var_y)
+    logf += vm_log_density(rd[:, 2], R.mu_theta, R.kappa_theta)
+    return np.exp(logf, out=logf)
 
 
 def forward_backward(model: GeoHmm, e: ExperienceSequence,

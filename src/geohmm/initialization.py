@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circstats import (mean_resultant_length, resultant_to_kappa_array,
+from .circstats import (mean_resultant_length, resultant_to_kappa,
                         wrap_angle)
 from .model import (CoordinateMode, ExperienceSequence, GeoHmm,
                     RelationMatrix, embed_relations)
@@ -277,7 +277,7 @@ def init_model(e: ExperienceSequence, n: int, cfg: BucketConfig,
     resultants = np.array([
         mean_resultant_length(e.readings[buckets[b].members][:, 2])
         for _, b in supported])
-    pair_kappas = np.minimum(resultant_to_kappa_array(resultants),
+    pair_kappas = np.minimum(resultant_to_kappa(resultants),
                              kappa_prior) if supported else []
     for ((i, j), bucket_id), k_val in zip(supported, pair_kappas):
         vals = e.readings[buckets[bucket_id].members]

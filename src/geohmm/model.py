@@ -119,10 +119,11 @@ class RelationMatrix:
     def validate(self):
         n = self.n_states
         diag = np.arange(n)
+        for name in self.__slots__:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError("non-finite values in relation %s" % name)
         for name, arr in (("mu_x", self.mu_x), ("mu_y", self.mu_y),
                           ("mu_theta", self.mu_theta)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite values in relation %s" % name)
             if np.any(np.abs(arr[diag, diag]) > 0):
                 raise ValueError("relation diagonal of %s must be zero" % name)
         if np.any(self.var_x <= 0) or np.any(self.var_y <= 0):
@@ -161,6 +162,8 @@ class GeoHmm:
             raise ValueError("n_states must be positive")
         if self.A.shape != (n, n):
             raise ValueError("A must be (N, N), got %r" % (self.A.shape,))
+        if not np.all(np.isfinite(self.A)):
+            raise ValueError("A has non-finite entries")
         if np.any(self.A < -STOCHASTIC_TOL):
             raise ValueError("A has negative entries")
         if np.max(np.abs(self.A.sum(axis=1) - 1.0)) > STOCHASTIC_TOL:
@@ -171,6 +174,8 @@ class GeoHmm:
             if b.shape != (self.obs_dims[i], n):
                 raise ValueError("B[%d] must be (%d, %d), got %r"
                                  % (i, self.obs_dims[i], n, b.shape))
+            if not np.all(np.isfinite(b)):
+                raise ValueError("B[%d] has non-finite entries" % i)
             if np.any(b < -STOCHASTIC_TOL):
                 raise ValueError("B[%d] has negative entries" % i)
             if np.max(np.abs(b.sum(axis=0) - 1.0)) > STOCHASTIC_TOL:
@@ -330,61 +335,62 @@ def check_consistency(model: GeoHmm, level: ConstraintLevel,
     """List every constraint violation beyond tol at the given level.
 
     Angular residuals are wrapped before comparison. An empty report means
-    the model's mean relations are consistent at that level.
+    the model's mean relations are consistent at that level. Diagonal
+    violations come first, per component; then antisymmetry and
+    additivity ones, each by index tuple in lexicographic order, then by
+    component.
     """
     rep = ConsistencyReport(level=level, tol=tol)
     R = model.relations
     n = model.n_states
-    diag = np.arange(n)
 
-    def record(kind, component, indices, mag):
-        if mag > tol:
-            rep.violations.append(
-                ConsistencyViolation(kind, component, indices, float(mag)))
+    def record(kind, components, residuals, mask):
+        # residuals: index grid with the components stacked last; mask
+        # selects the index tuples that carry a constraint.
+        residuals = np.stack(residuals, axis=-1)
+        hits = np.argwhere(mask[..., None] & (residuals > tol))
+        rep.violations.extend(
+            ConsistencyViolation(kind, components[hit[-1]],
+                                 tuple(int(i) for i in hit[:-1]),
+                                 float(residuals[tuple(hit)]))
+            for hit in hits)
 
+    every = np.ones(n, dtype=bool)
     for comp, arr in (("x", R.mu_x), ("y", R.mu_y), ("theta", R.mu_theta)):
-        for i in diag:
-            record("diagonal", comp, (int(i),), abs(arr[i, i]))
+        record("diagonal", (comp,), [np.abs(np.diagonal(arr))], every)
     if level is ConstraintLevel.UNCONSTRAINED:
         return rep
 
     relative = model.mode is CoordinateMode.RELATIVE
+    components = ("theta", "xy") if relative else ("theta", "x", "y")
     mu_x, mu_y, mu_t = R.mu_x, R.mu_y, R.mu_theta
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            t_res = abs(wrap_angle(mu_t[i, j] + mu_t[j, i]))
-            record("antisymmetry", "theta", (i, j), t_res)
-            if relative:
-                bx, by = _transport_to_origin_frame(mu_t[i, j],
-                                                    mu_x[j, i], mu_y[j, i])
-                xy_res = np.hypot(mu_x[i, j] + bx, mu_y[i, j] + by)
-                record("antisymmetry", "xy", (i, j), xy_res)
-            else:
-                record("antisymmetry", "x", (i, j), abs(mu_x[i, j] + mu_x[j, i]))
-                record("antisymmetry", "y", (i, j), abs(mu_y[i, j] + mu_y[j, i]))
+    # Pairs i < j: mu[i, j] against mu[j, i].
+    t_res = np.abs(wrap_angle(mu_t + mu_t.T))
+    if relative:
+        bx, by = _transport_to_origin_frame(mu_t, mu_x.T, mu_y.T)
+        xy_res = [np.hypot(mu_x + bx, mu_y + by)]
+    else:
+        xy_res = [np.abs(mu_x + mu_x.T), np.abs(mu_y + mu_y.T)]
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    record("antisymmetry", components, [t_res] + xy_res, upper)
 
     if level is ConstraintLevel.ANTISYMMETRIC:
         return rep
 
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                t_res = abs(wrap_angle(mu_t[i, j] + mu_t[j, k] - mu_t[i, k]))
-                record("additivity", "theta", (i, j, k), t_res)
-                if relative:
-                    bx, by = _transport_to_origin_frame(
-                        mu_t[i, j], mu_x[j, k], mu_y[j, k])
-                    xy_res = np.hypot(mu_x[i, j] + bx - mu_x[i, k],
-                                      mu_y[i, j] + by - mu_y[i, k])
-                    record("additivity", "xy", (i, j, k), xy_res)
-                else:
-                    record("additivity", "x", (i, j, k),
-                           abs(mu_x[i, j] + mu_x[j, k] - mu_x[i, k]))
-                    record("additivity", "y", (i, j, k),
-                           abs(mu_y[i, j] + mu_y[j, k] - mu_y[i, k]))
+    # Triples (i, j, k) of distinct states, indexed [i, j, k]:
+    # mu[i, j] + mu[j, k] against mu[i, k].
+    t_res = np.abs(wrap_angle(mu_t[:, :, None] + mu_t[None, :, :]
+                              - mu_t[:, None, :]))
+    if relative:
+        bx, by = _transport_to_origin_frame(mu_t[:, :, None],
+                                            mu_x[None, :, :], mu_y[None, :, :])
+        xy_res = [np.hypot(mu_x[:, :, None] + bx - mu_x[:, None, :],
+                           mu_y[:, :, None] + by - mu_y[:, None, :])]
+    else:
+        xy_res = [np.abs(a[:, :, None] + a[None, :, :] - a[:, None, :])
+                  for a in (mu_x, mu_y)]
+    off = ~np.eye(n, dtype=bool)
+    distinct = off[:, :, None] & off[None, :, :] & off[:, None, :]
+    record("additivity", components, [t_res] + xy_res, distinct)
     return rep

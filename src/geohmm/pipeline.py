@@ -16,7 +16,7 @@ import numpy as np
 from .estimation import LearnConfig, LearnReport, em_learn
 from .initialization import (BucketConfig, init_model, perturb_model,
                              random_model)
-from .model import ExperienceSequence, GeoHmm
+from .model import CoordinateMode, ExperienceSequence, GeoHmm
 
 
 @dataclass
@@ -64,14 +64,11 @@ def learn_runs(e: ExperienceSequence, n_states: int, cfg: LearnConfig,
         obs_dims = tuple(int(e.observations[:, i].max()) + 1
                          for i in range(e.n_dims))
 
+    mode = cfg.mode or CoordinateMode.GLOBAL
     base = initial
     if base is None and cfg.use_odometry:
-        if bucket_cfg is None:
-            bucket_cfg = default_bucket_config(e)
-        mode = cfg.mode if cfg.mode is not None else None
-        base = init_model(e, n_states, bucket_cfg, obs_dims=obs_dims,
-                          mode=mode) if mode is not None else init_model(
-                              e, n_states, bucket_cfg, obs_dims=obs_dims)
+        base = init_model(e, n_states, bucket_cfg or default_bucket_config(e),
+                          obs_dims=obs_dims, mode=mode)
 
     results = []
     for k, ss in enumerate(seeds):
@@ -79,11 +76,8 @@ def learn_runs(e: ExperienceSequence, n_states: int, cfg: LearnConfig,
         if base is not None:
             start = base if k == 0 else perturb_model(base, rng, scale=0.1)
         else:
-            mode = cfg.mode if cfg.mode is not None else None
-            kwargs = {"mode": mode} if mode is not None else {}
-            start = random_model(n_states, obs_dims, rng, **kwargs)
-        run_cfg = cfg
-        model, report = em_learn(e, start, run_cfg)
+            start = random_model(n_states, obs_dims, rng, mode=mode)
+        model, report = em_learn(e, start, cfg)
         results.append(RunResult(model=model, report=report, seed=seed + k))
     return results
 

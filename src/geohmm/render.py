@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimation import project_headings, solve_positions
-from .model import CoordinateMode, GeoHmm
+from .estimation import embed_positions, project_headings
+from .model import GeoHmm
 
 DASHED_THRESHOLD = 0.2
 
@@ -21,28 +21,9 @@ DASHED_THRESHOLD = 0.2
 def embed_model_positions(model: GeoHmm) -> tuple:
     """Least-squares (x, y, theta) per state from the relation means."""
     R = model.relations
-    n = model.n_states
-    info_x = 1.0 / R.var_x
-    info_y = 1.0 / R.var_y
     theta, _ = project_headings(R.mu_theta, R.kappa_theta, tau=np.inf)
-
-    if model.mode is CoordinateMode.RELATIVE:
-        c = np.cos(theta)[:, None]
-        s = np.sin(theta)[:, None]
-        gx = R.mu_x * c - R.mu_y * s
-        gy = R.mu_x * s + R.mu_y * c
-    else:
-        gx, gy = R.mu_x, R.mu_y
-
-    targets_x, targets_y = [], []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            targets_x.append((i, j, gx[i, j], info_x[i, j]))
-            targets_y.append((i, j, gy[i, j], info_y[i, j]))
-    x = solve_positions(targets_x, n, anchor=0)
-    y = solve_positions(targets_y, n, anchor=0)
+    x, y = embed_positions(R.mu_x, R.mu_y, 1.0 / R.var_x, 1.0 / R.var_y,
+                           theta, model.mode)
     return x, y, theta
 
 

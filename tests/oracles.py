@@ -9,9 +9,10 @@ import itertools
 
 import numpy as np
 
-from geohmm.circstats import KAPPA_MAX, TWO_PI
-from geohmm.model import (CoordinateMode, ExperienceSequence, GeoHmm,
-                          RelationMatrix)
+from geohmm.circstats import KAPPA_MAX, TWO_PI, wrap_angle
+from geohmm.model import (ConsistencyReport, ConsistencyViolation,
+                          ConstraintLevel, CoordinateMode, ExperienceSequence,
+                          GeoHmm, RelationMatrix, transform_point)
 
 
 def normal_pdf(x, mu, var):
@@ -160,3 +161,66 @@ def reference_sample_path(model: GeoHmm, length: int, rng):
         for i, b in enumerate(model.B):
             observations[t, i] = rng.choice(b.shape[0], p=b[:, nxt])
     return states, observations, readings
+
+
+def reference_check_consistency(model: GeoHmm, level: ConstraintLevel,
+                                tol: float = 1e-9) -> ConsistencyReport:
+    """check_consistency as explicit loops over index pairs and triples.
+
+    In relative mode a frame-j vector is carried into frame i by rotating
+    it through mu_theta[i, j].
+    """
+    rep = ConsistencyReport(level=level, tol=tol)
+    R = model.relations
+    n = model.n_states
+
+    def record(kind, component, indices, mag):
+        if mag > tol:
+            rep.violations.append(
+                ConsistencyViolation(kind, component, indices, float(mag)))
+
+    for comp, arr in (("x", R.mu_x), ("y", R.mu_y), ("theta", R.mu_theta)):
+        for i in range(n):
+            record("diagonal", comp, (i,), abs(arr[i, i]))
+    if level is ConstraintLevel.UNCONSTRAINED:
+        return rep
+
+    relative = model.mode is CoordinateMode.RELATIVE
+    mu_x, mu_y, mu_t = R.mu_x, R.mu_y, R.mu_theta
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            t_res = abs(wrap_angle(mu_t[i, j] + mu_t[j, i]))
+            record("antisymmetry", "theta", (i, j), t_res)
+            if relative:
+                bx, by = transform_point(mu_t[i, j], (mu_x[j, i], mu_y[j, i]))
+                xy_res = np.hypot(mu_x[i, j] + bx, mu_y[i, j] + by)
+                record("antisymmetry", "xy", (i, j), xy_res)
+            else:
+                record("antisymmetry", "x", (i, j), abs(mu_x[i, j] + mu_x[j, i]))
+                record("antisymmetry", "y", (i, j), abs(mu_y[i, j] + mu_y[j, i]))
+
+    if level is ConstraintLevel.ANTISYMMETRIC:
+        return rep
+
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                t_res = abs(wrap_angle(mu_t[i, j] + mu_t[j, k] - mu_t[i, k]))
+                record("additivity", "theta", (i, j, k), t_res)
+                if relative:
+                    bx, by = transform_point(mu_t[i, j],
+                                             (mu_x[j, k], mu_y[j, k]))
+                    xy_res = np.hypot(mu_x[i, j] + bx - mu_x[i, k],
+                                      mu_y[i, j] + by - mu_y[i, k])
+                    record("additivity", "xy", (i, j, k), xy_res)
+                else:
+                    record("additivity", "x", (i, j, k),
+                           abs(mu_x[i, j] + mu_x[j, k] - mu_x[i, k]))
+                    record("additivity", "y", (i, j, k),
+                           abs(mu_y[i, j] + mu_y[j, k] - mu_y[i, k]))
+    return rep

@@ -1,16 +1,18 @@
 """Von Mises primitives against independent oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import special
 from scipy.integrate import quad
 
 from geohmm.circstats import (KAPPA_MAX, bessel_i0, bessel_ratio,
-                              bessel_ratio_array, circular_mean,
-                              log_bessel_i0, mean_resultant_length,
-                              resultant_to_kappa, resultant_to_kappa_array,
-                              vm_density, vm_sample, wrap_angle,
-                              _i0_series, _i0_asymptotic_factor)
+                              circular_mean, log_bessel_i0,
+                              mean_resultant_length, resultant_to_kappa,
+                              vm_density, vm_sample, wrap_angle)
 
 
 def i0_power_series_oracle(kappa, tol=1e-18):
@@ -39,11 +41,6 @@ class TestBesselI0:
             assert bessel_i0(kappa) == pytest.approx(special.i0(kappa),
                                                      rel=1e-10)
 
-    def test_series_asymptotic_seam(self):
-        k = 15.0
-        asym = np.exp(k) * _i0_asymptotic_factor(k) / np.sqrt(2 * np.pi * k)
-        assert abs(_i0_series(k) - asym) / _i0_series(k) < 1e-9
-
     def test_log_variant_large_kappa(self):
         # log I0(k) ~ k - 0.5 log(2 pi k) for large k; exact vs scipy's
         # scaled function: log I0 = k + log(i0e(k)).
@@ -52,8 +49,10 @@ class TestBesselI0:
                 k + np.log(special.i0e(k)), rel=1e-12)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bessel_i0(-1.0)
+        for fn in (bessel_i0, log_bessel_i0, bessel_ratio):
+            for kappa in (-1.0, np.array([1.0, -1.0])):
+                with pytest.raises(ValueError):
+                    fn(kappa)
 
 
 class TestVmDensity:
@@ -111,14 +110,18 @@ class TestResultantToKappa:
 
     def test_array_variant_matches_scalar(self):
         grid = np.linspace(0.0, 0.995, 60)
-        kappas = resultant_to_kappa_array(grid)
+        kappas = resultant_to_kappa(grid)
+        assert isinstance(kappas, np.ndarray) and kappas.shape == grid.shape
         for r, k in zip(grid, kappas):
-            assert k == pytest.approx(resultant_to_kappa(float(r)), abs=1e-6)
+            scalar = resultant_to_kappa(float(r))
+            assert isinstance(scalar, float)
+            assert k == pytest.approx(scalar, abs=1e-6)
 
     def test_ratio_array_matches_scalar(self):
         grid = [0.0, 0.3, 2.0, 40.0, 800.0]
-        np.testing.assert_allclose(bessel_ratio_array(grid),
-                                   [bessel_ratio(k) for k in grid], rtol=1e-10)
+        scalars = [bessel_ratio(k) for k in grid]
+        assert all(isinstance(a, float) for a in scalars)
+        np.testing.assert_allclose(bessel_ratio(grid), scalars, rtol=1e-10)
 
 
 class TestVmSample:
@@ -166,3 +169,18 @@ class TestWrapAngle:
         rng = np.random.default_rng(3)
         vals = wrap_angle(rng.uniform(-50, 50, size=10_000))
         assert np.all(vals > -np.pi) and np.all(vals <= np.pi)
+
+
+def test_import_leaves_scipy_optimize_out():
+    # The Bessel functions need scipy.special only; a root finder would
+    # pull in scipy.optimize and its start-up cost.
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, geohmm; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -10,6 +10,8 @@ from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
                           transform_point)
 from geohmm.circstats import wrap_angle
 
+from oracles import random_geohmm, reference_check_consistency
+
 
 def simple_model(n=2, mode=CoordinateMode.GLOBAL, relations=None):
     A = np.full((n, n), 1.0 / n)
@@ -161,6 +163,24 @@ class TestCheckConsistency:
         report = check_consistency(model, ConstraintLevel.ANTISYMMETRIC, 1e-9)
         assert not report.consistent
 
+    @pytest.mark.parametrize("mode", list(CoordinateMode))
+    @pytest.mark.parametrize("level", list(ConstraintLevel))
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_matches_loop_reference(self, mode, level, tol):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 3, 6):
+            model = random_geohmm(n, rng, mode=mode)
+            # a consistent model nudged in one entry, so both tolerances
+            # see residuals near zero as well as large ones
+            near = random_geohmm(n, rng, mode=mode, consistent=True)
+            if n > 1:
+                near.relations.mu_x[0, 1] += 1e-10
+            for m in (model, near):
+                got = check_consistency(m, level, tol)
+                want = reference_check_consistency(m, level, tol)
+                assert got.violations == want.violations
+                assert (got.level, got.tol) == (want.level, want.tol)
+
 
 class TestValidation:
     def test_bad_transition_rows(self):
@@ -175,6 +195,30 @@ class TestValidation:
             GeoHmm(n_states=2, obs_dims=(2,), A=np.full((2, 2), 0.5),
                    B=(np.array([[0.9, 0.2], [0.2, 0.8]]),), start_state=0,
                    relations=RelationMatrix.zero(2))
+
+    @pytest.mark.parametrize("where", ["A", "B"])
+    def test_nan_transition_row_or_observation_column_rejected(self, where):
+        A = np.full((2, 2), 0.5)
+        B = np.full((2, 2), 0.5)
+        if where == "A":
+            A[0] = np.nan
+        else:
+            B[:, 1] = np.nan
+        with pytest.raises(ValueError):
+            GeoHmm(n_states=2, obs_dims=(2,), A=A, B=(B,), start_state=0,
+                   relations=RelationMatrix.zero(2))
+
+    @pytest.mark.parametrize("name,bad", [
+        ("var_x", np.nan), ("var_x", np.inf),
+        ("var_y", np.nan), ("var_y", np.inf),
+        ("kappa_theta", np.nan)])
+    def test_non_finite_spread_rejected(self, name, bad):
+        rel = RelationMatrix.zero(2)
+        getattr(rel, name)[0, 1] = bad
+        with pytest.raises(ValueError):
+            rel.validate()
+        with pytest.raises(ValueError):
+            simple_model(2, relations=rel)
 
     def test_nonzero_diagonal_rejected(self):
         rel = RelationMatrix.zero(2)

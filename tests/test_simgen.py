@@ -183,13 +183,14 @@ class TestSamplePathStream:
 
     @pytest.mark.parametrize("bad", [np.nan, -1e-10])
     def test_bad_transition_row_rejected(self, bad):
-        A = np.array([[0.5 - bad, 0.5, bad], [0.0, 0.0, 1.0],
-                      [1.0, 0.0, 0.0]])
-        if np.isnan(bad):
-            A[0] = np.nan
+        nan_row = np.isnan(bad)
+        A = np.array([[0.5, 0.5, 0.0] if nan_row else [0.5 - bad, 0.5, bad],
+                      [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         model = GeoHmm(n_states=3, obs_dims=(2,), A=A,
                        B=(np.full((2, 3), 0.5),), start_state=1,
                        relations=RelationMatrix.zero(3))
+        if nan_row:
+            model.A[0] = np.nan  # set after validation, which would refuse it
         for sampler in (sample_path, reference_sample_path):
             with pytest.raises(ValueError):
                 sampler(model, 5, np.random.default_rng(0))
