@@ -37,8 +37,12 @@ print("  decoded", decoded[:20])
 print("  agreement over the whole run: %.1f%%"
       % (100.0 * (decoded == states).mean()))
 
-print("\nPosterior sanity: gamma rows and xi slabs sum to one")
-print("  max |sum(gamma) - 1| = %.2e"
+print("\nPosterior sanity: gamma rows sum to one; the expected transition")
+print("counts pair[0] sum to T - 1 and their rows to gamma[:-1]")
+counts = post.pair[0]
+print("  max |sum(gamma) - 1|             = %.2e"
       % np.abs(post.gamma.sum(axis=1) - 1).max())
-print("  max |sum(xi) - 1|    = %.2e"
-      % np.abs(post.xi.sum(axis=(1, 2)) - 1).max())
+print("  |sum(counts) - (T - 1)|          = %.2e"
+      % abs(counts.sum() - (len(seq) - 1)))
+print("  max |row sums - sum(gamma[:-1])| = %.2e"
+      % np.abs(counts.sum(axis=1) - post.gamma[:-1].sum(axis=0)).max())

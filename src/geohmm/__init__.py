@@ -8,7 +8,7 @@ from .estimation import (LearnConfig, LearnReport, constrained_two_normal_mle,
                          update_relations_antisym, update_transitions)
 from .evalkl import KlEstimate, kl_exact_small, kl_sampled
 from .inference import (Posteriors, Trellis, forward_backward, loglik,
-                        obs_prob, posteriors)
+                        obs_prob, pair_statistics, posteriors)
 from .initialization import (BucketConfig, bucketize, init_model,
                              perturb_model, random_model, tag_states)
 from .io import load_experience, load_model, save_experience, save_model
@@ -35,10 +35,10 @@ __all__ = [
     "embed_model_positions", "embed_relations", "forward_backward",
     "init_model", "kl_exact_small", "kl_sampled", "learn_runs",
     "load_experience", "load_model", "loglik", "make_loop_model", "obs_prob",
-    "perturb_model", "posteriors", "project_headings", "random_model",
-    "relation_density", "render_svg", "resultant_to_kappa", "sample_path",
-    "sample_sequence", "save_experience", "save_model", "solve_positions",
-    "tag_states", "transform_point", "update_observations",
+    "pair_statistics", "perturb_model", "posteriors", "project_headings",
+    "random_model", "relation_density", "render_svg", "resultant_to_kappa",
+    "sample_path", "sample_sequence", "save_experience", "save_model",
+    "solve_positions", "tag_states", "transform_point", "update_observations",
     "update_relations_additive", "update_relations_antisym",
     "update_transitions", "vm_density", "vm_sample", "wrap_angle",
 ]

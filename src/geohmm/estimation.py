@@ -71,7 +71,7 @@ def update_transitions(post: Posteriors, prev_A: np.ndarray,
     positive pseudocount adds that much mass per cell before
     normalization (MAP smoothing; keeps rare transitions off exact 0).
     """
-    num = post.xi.sum(axis=0) + pseudocount
+    num = post.pair[0] + pseudocount
     den = post.gamma[:-1].sum(axis=0)
     A = np.array(prev_A, dtype=float, copy=True)
     live = den > 0.0 if pseudocount == 0.0 else np.ones_like(den, dtype=bool)
@@ -98,18 +98,6 @@ def update_observations(post: Posteriors, e: ExperienceSequence,
     return tuple(out)
 
 
-def _pair_sums(post: Posteriors, e: ExperienceSequence):
-    """Per-direction sums over time of xi-weighted reading statistics."""
-    xi = post.xi
-    rd = e.readings
-    s0 = xi.sum(axis=0)
-    sx = np.einsum("tij,t->ij", xi, rd[:, 0])
-    sy = np.einsum("tij,t->ij", xi, rd[:, 1])
-    ssin = np.einsum("tij,t->ij", xi, np.sin(rd[:, 2]))
-    scos = np.einsum("tij,t->ij", xi, np.cos(rd[:, 2]))
-    return s0, sx, sy, ssin, scos
-
-
 PAIR_WEIGHT_TINY = 1e-12
 
 
@@ -132,9 +120,8 @@ def _lagged_theta_means(s0, ssin, scos, kappa_old, mu_old):
     return mu
 
 
-def _spread_updates(post: Posteriors, e: ExperienceSequence, R_old,
-                    mu_x, mu_y, mu_theta, var_floor, kappa_max,
-                    damping: float = 0.0):
+def _spread_updates(post: Posteriors, R_old, mu_x, mu_y, mu_theta,
+                    var_floor, kappa_max, damping: float = 0.0):
     """Variances against the new means (normal dims) and concentrations
     against the new mean directions (heading), per direction.
 
@@ -145,25 +132,21 @@ def _spread_updates(post: Posteriors, e: ExperienceSequence, R_old,
     complete-data likelihood still ascends, while near-zero-weight pairs
     can no longer collapse onto razor-thin spreads.
     """
-    xi = post.xi
-    rd = e.readings
-    s0 = xi.sum(axis=0)
+    s0, sx, sy, sxx, syy, ssin, scos = post.pair
     live = s0 > 0.0
     denom = s0 + damping
 
-    def fit_var(values, mu, old):
-        resid = values[:, None, None] - mu[None, :, :]
-        num = np.einsum("tij,tij->ij", xi, resid * resid)
+    def fit_var(s1, s2, mu, old):
+        # sum_t xi (r - mu)^2, expanded over the pair statistics
+        num = s2 - 2.0 * mu * s1 + mu * mu * s0
         out = np.array(old, copy=True)
         out[live] = np.maximum(
             (num[live] + damping * old[live]) / denom[live], var_floor)
         return out
 
-    var_x = fit_var(rd[:, 0], mu_x, R_old.var_x)
-    var_y = fit_var(rd[:, 1], mu_y, R_old.var_y)
+    var_x = fit_var(sx, sxx, mu_x, R_old.var_x)
+    var_y = fit_var(sy, syy, mu_y, R_old.var_y)
 
-    ssin = np.einsum("tij,t->ij", xi, np.sin(rd[:, 2]))
-    scos = np.einsum("tij,t->ij", xi, np.cos(rd[:, 2]))
     resultant = np.zeros_like(s0)
     resultant[live] = (np.cos(mu_theta[live]) * scos[live]
                        + np.sin(mu_theta[live]) * ssin[live]) / s0[live]
@@ -190,8 +173,8 @@ def _rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
-def update_relations_antisym(post: Posteriors, e: ExperienceSequence,
-                             R_old: RelationMatrix, mode: CoordinateMode,
+def update_relations_antisym(post: Posteriors, R_old: RelationMatrix,
+                             mode: CoordinateMode,
                              var_floor: float = VAR_FLOOR,
                              kappa_max: float = KAPPA_MAX,
                              damping: float = 0.0) -> RelationMatrix:
@@ -202,7 +185,7 @@ def update_relations_antisym(post: Posteriors, e: ExperienceSequence,
     and concentrations are then refit against the new means. Pairs with
     no posterior weight in either direction keep their old entries.
     """
-    s0, sx, sy, ssin, scos = _pair_sums(post, e)
+    s0, sx, sy, _, _, ssin, scos = post.pair
     n = R_old.n_states
     dataless = (s0 + s0.T) <= PAIR_WEIGHT_TINY
 
@@ -245,17 +228,16 @@ def update_relations_antisym(post: Posteriors, e: ExperienceSequence,
                 mu_x[j, i], mu_y[j, i] = back
 
     var_x, var_y, kappa = _spread_updates(
-        post, e, R_old, mu_x, mu_y, mu_theta, var_floor, kappa_max, damping)
+        post, R_old, mu_x, mu_y, mu_theta, var_floor, kappa_max, damping)
     return RelationMatrix(mu_x, mu_y, mu_theta, var_x, var_y, kappa)
 
 
-def update_relations_unconstrained(post: Posteriors, e: ExperienceSequence,
-                                   R_old: RelationMatrix,
+def update_relations_unconstrained(post: Posteriors, R_old: RelationMatrix,
                                    var_floor: float = VAR_FLOOR,
                                    kappa_max: float = KAPPA_MAX,
                                    damping: float = 0.0) -> RelationMatrix:
     """Independent per-direction reestimation (diagonal still pinned)."""
-    s0, sx, sy, ssin, scos = _pair_sums(post, e)
+    s0, sx, sy, _, _, ssin, scos = post.pair
     live = s0 > 0.0
     mu_x = np.where(live, np.divide(sx, s0, out=np.zeros_like(sx),
                                     where=live), R_old.mu_x)
@@ -265,7 +247,7 @@ def update_relations_unconstrained(post: Posteriors, e: ExperienceSequence,
     for m in (mu_x, mu_y, mu_theta):
         np.fill_diagonal(m, 0.0)
     var_x, var_y, kappa = _spread_updates(
-        post, e, R_old, mu_x, mu_y, mu_theta, var_floor, kappa_max, damping)
+        post, R_old, mu_x, mu_y, mu_theta, var_floor, kappa_max, damping)
     return RelationMatrix(mu_x, mu_y, mu_theta, var_x, var_y, kappa)
 
 
@@ -476,9 +458,8 @@ def embed_positions(dx, dy, weight_x, weight_y, theta,
     return x, y
 
 
-def update_relations_additive(post: Posteriors, e: ExperienceSequence,
-                              R_old: RelationMatrix, mode: CoordinateMode,
-                              cfg: LearnConfig,
+def update_relations_additive(post: Posteriors, R_old: RelationMatrix,
+                              mode: CoordinateMode, cfg: LearnConfig,
                               theta_ref=None) -> tuple:
     """Fully additive reestimation via per-state coordinates.
 
@@ -491,7 +472,7 @@ def update_relations_additive(post: Posteriors, e: ExperienceSequence,
     additive. Returns (relations, theta) with theta reusable as the next
     projection reference.
     """
-    s0, sx, sy, ssin, scos = _pair_sums(post, e)
+    s0, sx, sy, _, _, ssin, scos = post.pair
     raw_theta = _lagged_theta_means(s0, ssin, scos, R_old.kappa_theta,
                                     R_old.mu_theta)
     theta, mu_theta = project_headings(raw_theta, s0,
@@ -507,7 +488,7 @@ def update_relations_additive(post: Posteriors, e: ExperienceSequence,
     mu_x, mu_y, mu_theta_embed = embed_relations(pos_x, pos_y, theta, mode)
 
     var_x, var_y, kappa = _spread_updates(
-        post, e, R_old, mu_x, mu_y, mu_theta_embed,
+        post, R_old, mu_x, mu_y, mu_theta_embed,
         cfg.var_floor, cfg.kappa_max, cfg.spread_damping)
     rel = RelationMatrix(mu_x, mu_y, mu_theta_embed, var_x, var_y, kappa)
     return rel, theta
@@ -539,9 +520,13 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
     if mode is not initial.mode:
         raise ValueError("config mode %s conflicts with model mode %s"
                          % (mode, initial.mode))
+
+    def e_step(m):
+        return forward_backward(m, e, use_odometry=cfg.use_odometry,
+                                density_floor=cfg.density_floor)
+
     model = initial
-    trellis = forward_backward(model, e, use_odometry=cfg.use_odometry,
-                               density_floor=cfg.density_floor)
+    trellis = e_step(model)
     trace = [trellis.loglik]
     violations = []
     converged = False
@@ -559,31 +544,22 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
                 level = ConstraintLevel.ANTISYMMETRIC
             if level is ConstraintLevel.UNCONSTRAINED:
                 relations = update_relations_unconstrained(
-                    post, e, model.relations, cfg.var_floor, cfg.kappa_max,
+                    post, model.relations, cfg.var_floor, cfg.kappa_max,
                     cfg.spread_damping)
             elif level is ConstraintLevel.ANTISYMMETRIC:
                 relations = update_relations_antisym(
-                    post, e, model.relations, mode, cfg.var_floor,
+                    post, model.relations, mode, cfg.var_floor,
                     cfg.kappa_max, cfg.spread_damping)
             else:
                 relations, theta_ref = update_relations_additive(
-                    post, e, model.relations, mode, cfg, theta_ref)
-        candidate = GeoHmm(n_states=model.n_states, obs_dims=model.obs_dims,
-                           A=new_A, B=new_B, start_state=model.start_state,
-                           relations=relations, mode=mode)
-        new_trellis = forward_backward(candidate, e,
-                                       use_odometry=cfg.use_odometry,
-                                       density_floor=cfg.density_floor)
+                    post, model.relations, mode, cfg, theta_ref)
+        candidate = model.replace(A=new_A, B=new_B, relations=relations)
+        new_trellis = e_step(candidate)
         previous = trace[-1]
         if new_trellis.loglik < previous:
             violations.append((it, float(previous - new_trellis.loglik)))
-            candidate = GeoHmm(n_states=model.n_states,
-                               obs_dims=model.obs_dims, A=new_A, B=new_B,
-                               start_state=model.start_state,
-                               relations=model.relations, mode=mode)
-            new_trellis = forward_backward(candidate, e,
-                                           use_odometry=cfg.use_odometry,
-                                           density_floor=cfg.density_floor)
+            candidate = candidate.replace(relations=model.relations)
+            new_trellis = e_step(candidate)
             if new_trellis.loglik < previous:
                 converged = True
                 break

@@ -13,7 +13,7 @@ beta; the log-likelihood is the sum of the log scale factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,27 +24,35 @@ from .model import (ExperienceSequence, GeoHmm, ImpossibleSequenceError,
 
 @dataclass
 class Trellis:
-    """Scaled forward/backward tables for one (model, sequence) pair."""
+    """Scaled forward/backward tables for one (model, sequence) pair.
+
+    step[t] is the operator of the transition t -> t+1: A times the
+    densities of the reading recorded on it (A itself, broadcast, without
+    odometry). emit[t] holds the per-state observation probabilities.
+    """
 
     alpha: np.ndarray          # (T, N), rows sum to 1
     beta: np.ndarray           # (T, N), scaled with the alpha scales
     scales: np.ndarray         # (T,) positive normalizers
     loglik: float
     use_odometry: bool
-    _emit: np.ndarray = field(repr=False, default=None)    # (T, N)
-    _pairf: np.ndarray = field(repr=False, default=None)   # (T-1, N, N)
+    emit: np.ndarray           # (T, N)
+    step: np.ndarray           # (T-1, N, N)
 
 
 @dataclass
 class Posteriors:
-    """State-occupation (gamma) and state-transition (xi) tables.
+    """State-occupation table and expected pair statistics.
 
-    gamma[t, i] = Pr(q_t = i | E). xi[t, i, j] = Pr(q_t = i, q_{t+1} = j | E);
-    slab t weighs the reading recorded on the transition t -> t+1.
+    gamma[t, i] = Pr(q_t = i | E). pair[k, i, j] = sum_t xi[t, i, j] w_k(r_t)
+    with xi[t, i, j] = Pr(q_t = i, q_{t+1} = j | E) and r_t the reading of
+    the transition t -> t+1, for the weights w_k, in order:
+    1, dx, dy, dx^2, dy^2, sin(dtheta), cos(dtheta). pair[0] holds the
+    expected transition counts.
     """
 
     gamma: np.ndarray          # (T, N)
-    xi: np.ndarray             # (T-1, N, N)
+    pair: np.ndarray           # (7, N, N): s0, sx, sy, sxx, syy, ssin, scos
 
 
 def obs_prob(model: GeoHmm, state: int, v) -> float:
@@ -103,11 +111,12 @@ def forward_backward(model: GeoHmm, e: ExperienceSequence,
     T, N = len(e), model.n_states
     emit = emission_probs(model, e)
     if use_odometry and T > 1:
-        pairf = relation_density_tensor(model, e)
+        step = relation_density_tensor(model, e)
         if density_floor is not None:
-            pairf = np.maximum(pairf, density_floor)
+            np.maximum(step, density_floor, out=step)
+        step *= model.A
     else:
-        pairf = np.ones((T - 1, N, N))
+        step = np.broadcast_to(model.A, (T - 1, N, N))
 
     alpha = np.zeros((T, N))
     scales = np.zeros(T)
@@ -117,20 +126,20 @@ def forward_backward(model: GeoHmm, e: ExperienceSequence,
         raise ImpossibleSequenceError(0)
     alpha[0] /= scales[0]
     for t in range(1, T):
-        step = alpha[t - 1] @ (model.A * pairf[t - 1]) * emit[t]
-        scales[t] = step.sum()
+        row = alpha[t - 1] @ step[t - 1] * emit[t]
+        scales[t] = row.sum()
         if scales[t] <= 0.0 or not np.isfinite(scales[t]):
             raise ImpossibleSequenceError(t)
-        alpha[t] = step / scales[t]
+        alpha[t] = row / scales[t]
 
     beta = np.zeros((T, N))
     beta[T - 1] = 1.0
     for t in range(T - 2, -1, -1):
-        beta[t] = (model.A * pairf[t]) @ (emit[t + 1] * beta[t + 1]) / scales[t + 1]
+        beta[t] = step[t] @ (emit[t + 1] * beta[t + 1]) / scales[t + 1]
 
     return Trellis(alpha=alpha, beta=beta, scales=scales,
                    loglik=float(np.sum(np.log(scales))),
-                   use_odometry=use_odometry, _emit=emit, _pairf=pairf)
+                   use_odometry=use_odometry, emit=emit, step=step)
 
 
 def loglik(model: GeoHmm, seqs) -> np.ndarray:
@@ -168,9 +177,24 @@ def loglik(model: GeoHmm, seqs) -> np.ndarray:
     return out
 
 
+def pair_statistics(xi: np.ndarray, readings: np.ndarray) -> np.ndarray:
+    """(7, N, N) xi-weighted sums over t of 1, dx, dy, dx^2, dy^2,
+    sin(dtheta) and cos(dtheta), the order of Posteriors.pair.
+
+    xi is (T-1, N, N) and readings (T-1, 3); the sums are one
+    (7, T-1) @ (T-1, N*N) product.
+    """
+    n = xi.shape[1]
+    dx, dy, dtheta = np.asarray(readings, dtype=float).T
+    weights = np.stack([np.ones_like(dx), dx, dy, dx * dx, dy * dy,
+                        np.sin(dtheta), np.cos(dtheta)])
+    return (weights @ xi.reshape(len(xi), n * n)).reshape(7, n, n)
+
+
 def posteriors(trellis: Trellis, model: GeoHmm, e: ExperienceSequence,
                use_odometry: bool = True) -> Posteriors:
-    """Gamma and xi tables from a trellis computed for the same inputs."""
+    """Gamma and expected pair statistics from a trellis computed for the
+    same inputs."""
     T, N = len(e), model.n_states
     if trellis.alpha.shape != (T, N) or trellis.use_odometry != use_odometry:
         raise ValueError("trellis does not match the given model/sequence/flag")
@@ -178,11 +202,8 @@ def posteriors(trellis: Trellis, model: GeoHmm, e: ExperienceSequence,
     ab = trellis.alpha * trellis.beta
     gamma = ab / ab.sum(axis=1, keepdims=True)
 
-    xi = np.zeros((T - 1, N, N))
-    if T > 1:
-        emit_beta = trellis._emit[1:] * trellis.beta[1:]       # (T-1, N)
-        xi = (trellis.alpha[:-1, :, None]
-              * (model.A[None, :, :] * trellis._pairf)
-              * emit_beta[:, None, :])
-        xi /= xi.sum(axis=(1, 2), keepdims=True)
-    return Posteriors(gamma=gamma, xi=xi)
+    emit_beta = trellis.emit[1:] * trellis.beta[1:]            # (T-1, N)
+    xi = (trellis.alpha[:-1, :, None] * trellis.step
+          * emit_beta[:, None, :])
+    xi /= xi.sum(axis=(1, 2), keepdims=True)
+    return Posteriors(gamma=gamma, pair=pair_statistics(xi, e.readings))

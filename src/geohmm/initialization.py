@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circstats import (mean_resultant_length, resultant_to_kappa,
+from .circstats import (TWO_PI, mean_resultant_length, resultant_to_kappa,
                         wrap_angle)
 from .model import (CoordinateMode, ExperienceSequence, GeoHmm,
                     RelationMatrix, embed_relations)
@@ -97,30 +97,31 @@ def bucketize(readings, cfg: BucketConfig) -> tuple:
     (buckets, assignment) with assignment[t] the bucket id of reading t.
     """
     readings = np.asarray(readings, dtype=float).reshape(-1, 3)
-    radius = cfg.bucket_factor * cfg.sigmas
+    rx, ry, rtheta = (cfg.bucket_factor * cfg.sigmas).tolist()
     buckets = [Bucket(id=ZERO_BUCKET, mean=np.zeros(3))]
-    cap = len(readings) + 1
-    means = np.zeros((cap, 3))          # row b mirrors buckets[b].mean
-    n_buckets = 1
+    means = [(0.0, 0.0, 0.0)]           # means[b] mirrors buckets[b].mean
     assignment = np.zeros(len(readings), dtype=int)
-    for t, reading in enumerate(readings):
-        dev = reading - means[:n_buckets]
-        dev[:, 2] = wrap_angle(dev[:, 2])
-        inside = np.all(np.abs(dev) <= radius, axis=1)
-        hit = int(np.argmax(inside)) if inside.any() else -1
+    for t, (x, y, theta) in enumerate(readings.tolist()):
+        hit = -1
+        for b, (mx, my, mtheta) in enumerate(means):
+            if abs(x - mx) <= rx and abs(y - my) <= ry:
+                d = (theta - mtheta) % TWO_PI
+                if abs(d - TWO_PI if d > np.pi else d) <= rtheta:
+                    hit = b
+                    break
+        reading = readings[t]
         if hit >= 0:
             buckets[hit].add(t, reading)
-            means[hit] = buckets[hit].mean
-            assignment[t] = hit
+            means[hit] = tuple(buckets[hit].mean.tolist())
         else:
-            bucket = Bucket(id=n_buckets, mean=reading.copy())
+            hit = len(buckets)
+            bucket = Bucket(id=hit, mean=reading.copy())
             bucket.members.append(t)
             bucket._sin = float(np.sin(reading[2]))
             bucket._cos = float(np.cos(reading[2]))
             buckets.append(bucket)
-            means[n_buckets] = reading
-            assignment[t] = n_buckets
-            n_buckets += 1
+            means.append((x, y, theta))
+        assignment[t] = hit
     return buckets, assignment
 
 
@@ -138,8 +139,9 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
                mode: CoordinateMode = CoordinateMode.GLOBAL) -> TaggingResult:
     """Walk the reading sequence from state 0, assigning destination states.
 
-    Order of resolution per reading: (1) follow an entry in the current
-    row already associated with the reading's bucket; (2) follow the
+    Order of resolution per reading: (1) follow the entry of the current
+    row already associated with the reading's bucket (steps 2-4 run only
+    without one, so each bucket links a row to one entry); (2) follow the
     closest populated entry in the current row within tag_factor * sigma
     on every dimension; (3) allocate the next unused state at the bucket
     mean, which closes the relation table under anti-symmetry and
@@ -157,6 +159,7 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
     current = 0
     sequence = [0]
     assoc: dict = {}
+    links: dict = {}                    # (bucket id, i) -> j
     pair_buckets: dict = {}
 
     row_cache: dict = {}
@@ -181,25 +184,22 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
         if bucket_id == ZERO_BUCKET or i == j:
             return
         assoc.setdefault(bucket_id, set()).add((i, j))
+        links[(bucket_id, i)] = j
         pair_buckets.setdefault((i, j), bucket_id)
 
-    for t, reading in enumerate(readings):
-        bucket_id = int(assignment[t])
+    for reading, bucket_id in zip(readings, assignment.tolist()):
+        nxt = links.get((bucket_id, current))
+        if nxt is not None:
+            sequence.append(nxt)
+            current = nxt
+            continue
         dev = reading - row_means()
         dev[:, 2] = wrap_angle(dev[:, 2])
         dist = np.sqrt(((dev / sigmas) ** 2).sum(axis=1))
-        nxt = None
-        if bucket_id != ZERO_BUCKET:
-            linked = [j for (i, j) in assoc.get(bucket_id, ()) if i == current]
-            if linked:
-                nxt = min(linked, key=lambda j: (dist[j], j))
-        if nxt is None:
-            inside = np.all(np.abs(dev) <= radius, axis=1)
-            if inside.any():
-                masked = np.where(inside, dist, np.inf)
-                nxt = int(masked.argmin())
-                associate(bucket_id, current, nxt)
-        if nxt is None and n_used < n_max:
+        inside = np.all(np.abs(dev) <= radius, axis=1)
+        if inside.any():
+            nxt = int(np.where(inside, dist, np.inf).argmin())
+        elif n_used < n_max:
             nxt = n_used
             n_used += 1
             mean = np.asarray(buckets[bucket_id].mean, dtype=float)
@@ -213,10 +213,9 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
             coords[nxt, 1] = coords[current, 1] + step[1]
             coords[nxt, 2] = wrap_angle(coords[current, 2] + step[2])
             row_cache.clear()
-            associate(bucket_id, current, nxt)
-        if nxt is None:
+        else:
             nxt = int(dist.argmin())
-            associate(bucket_id, current, nxt)
+        associate(bucket_id, current, nxt)
         sequence.append(nxt)
         current = nxt
 

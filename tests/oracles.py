@@ -10,6 +10,8 @@ import itertools
 import numpy as np
 
 from geohmm.circstats import KAPPA_MAX, TWO_PI, wrap_angle
+from geohmm.initialization import (ZERO_BUCKET, Bucket, BucketConfig,
+                                   TaggingResult, _pair_mean)
 from geohmm.model import (ConsistencyReport, ConsistencyViolation,
                           ConstraintLevel, CoordinateMode, ExperienceSequence,
                           GeoHmm, RelationMatrix, transform_point)
@@ -66,6 +68,23 @@ def brute_force_posteriors(model: GeoHmm, e: ExperienceSequence,
     if total <= 0:
         raise ZeroDivisionError("sequence impossible under model")
     return float(np.log(total)), gamma / total, xi / total
+
+
+def reference_pair_statistics(xi, readings):
+    """(7, N, N) sums over t of xi[t] times 1, dx, dy, dx^2, dy^2,
+    sin(dtheta) and cos(dtheta) of reading t, one term at a time."""
+    xi = np.asarray(xi, dtype=float)
+    n = xi.shape[1]
+    out = np.zeros((7, n, n))
+    for t in range(xi.shape[0]):
+        dx, dy, dtheta = readings[t]
+        weights = (1.0, dx, dy, dx * dx, dy * dy, np.sin(dtheta),
+                   np.cos(dtheta))
+        for k, w in enumerate(weights):
+            for i in range(n):
+                for j in range(n):
+                    out[k, i, j] += xi[t, i, j] * w
+    return out
 
 
 def path_count_model(true_model: GeoHmm, path, observations,
@@ -224,3 +243,141 @@ def reference_check_consistency(model: GeoHmm, level: ConstraintLevel,
                     record("additivity", "y", (i, j, k),
                            abs(mu_y[i, j] + mu_y[j, k] - mu_y[i, k]))
     return rep
+
+
+def reference_bucketize(readings, cfg: BucketConfig) -> tuple:
+    """bucketize with a numpy deviation block per reading.
+
+    Single-pass clustering of readings by per-dimension proximity.
+
+    A reading joins the first existing bucket whose running mean lies
+    within bucket_factor * sigma on every dimension (theta wrapped),
+    updating that mean; otherwise it opens a new bucket. Returns
+    (buckets, assignment) with assignment[t] the bucket id of reading t.
+    """
+    readings = np.asarray(readings, dtype=float).reshape(-1, 3)
+    radius = cfg.bucket_factor * cfg.sigmas
+    buckets = [Bucket(id=ZERO_BUCKET, mean=np.zeros(3))]
+    cap = len(readings) + 1
+    means = np.zeros((cap, 3))          # row b mirrors buckets[b].mean
+    n_buckets = 1
+    assignment = np.zeros(len(readings), dtype=int)
+    for t, reading in enumerate(readings):
+        dev = reading - means[:n_buckets]
+        dev[:, 2] = wrap_angle(dev[:, 2])
+        inside = np.all(np.abs(dev) <= radius, axis=1)
+        hit = int(np.argmax(inside)) if inside.any() else -1
+        if hit >= 0:
+            buckets[hit].add(t, reading)
+            means[hit] = buckets[hit].mean
+            assignment[t] = hit
+        else:
+            bucket = Bucket(id=n_buckets, mean=reading.copy())
+            bucket.members.append(t)
+            bucket._sin = float(np.sin(reading[2]))
+            bucket._cos = float(np.cos(reading[2]))
+            buckets.append(bucket)
+            means[n_buckets] = reading
+            assignment[t] = n_buckets
+            n_buckets += 1
+    return buckets, assignment
+
+
+def reference_tag_states(readings, buckets, assignment, n_max: int,
+                         cfg: BucketConfig,
+                         mode: CoordinateMode = CoordinateMode.GLOBAL
+                         ) -> TaggingResult:
+    """tag_states with a full deviation row for every reading.
+
+    Walk the reading sequence from state 0, assigning destination states.
+
+    Order of resolution per reading: (1) follow an entry in the current
+    row already associated with the reading's bucket; (2) follow the
+    closest populated entry in the current row within tag_factor * sigma
+    on every dimension; (3) allocate the next unused state at the bucket
+    mean, which closes the relation table under anti-symmetry and
+    additivity through the per-state coordinates; (4) with no states
+    left, follow the nearest populated entry outright.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    readings = np.asarray(readings, dtype=float).reshape(-1, 3)
+    radius = cfg.tag_factor * cfg.sigmas
+    sigmas = cfg.sigmas
+
+    coords = np.zeros((n_max, 3))
+    n_used = 1
+    current = 0
+    sequence = [0]
+    assoc: dict = {}
+    pair_buckets: dict = {}
+
+    row_cache: dict = {}
+
+    def row_means():
+        """Populated relation means of the current row, shape (n_used, 3).
+        Cached per state; allocation of a new state invalidates the cache."""
+        cached = row_cache.get(current)
+        if cached is not None:
+            return cached
+        dx = coords[:n_used, 0] - coords[current, 0]
+        dy = coords[:n_used, 1] - coords[current, 1]
+        if mode is CoordinateMode.RELATIVE:
+            c, s = np.cos(-coords[current, 2]), np.sin(-coords[current, 2])
+            dx, dy = dx * c - dy * s, dx * s + dy * c
+        dtheta = wrap_angle(coords[:n_used, 2] - coords[current, 2])
+        means = np.column_stack([dx, dy, dtheta])
+        row_cache[current] = means
+        return means
+
+    def associate(bucket_id, i, j):
+        if bucket_id == ZERO_BUCKET or i == j:
+            return
+        assoc.setdefault(bucket_id, set()).add((i, j))
+        pair_buckets.setdefault((i, j), bucket_id)
+
+    for t, reading in enumerate(readings):
+        bucket_id = int(assignment[t])
+        dev = reading - row_means()
+        dev[:, 2] = wrap_angle(dev[:, 2])
+        dist = np.sqrt(((dev / sigmas) ** 2).sum(axis=1))
+        nxt = None
+        if bucket_id != ZERO_BUCKET:
+            linked = [j for (i, j) in assoc.get(bucket_id, ()) if i == current]
+            if linked:
+                nxt = min(linked, key=lambda j: (dist[j], j))
+        if nxt is None:
+            inside = np.all(np.abs(dev) <= radius, axis=1)
+            if inside.any():
+                masked = np.where(inside, dist, np.inf)
+                nxt = int(masked.argmin())
+                associate(bucket_id, current, nxt)
+        if nxt is None and n_used < n_max:
+            nxt = n_used
+            n_used += 1
+            mean = np.asarray(buckets[bucket_id].mean, dtype=float)
+            if mode is CoordinateMode.RELATIVE:
+                c, s = np.cos(coords[current, 2]), np.sin(coords[current, 2])
+                step = np.array([mean[0] * c - mean[1] * s,
+                                 mean[0] * s + mean[1] * c, mean[2]])
+            else:
+                step = mean
+            coords[nxt, 0] = coords[current, 0] + step[0]
+            coords[nxt, 1] = coords[current, 1] + step[1]
+            coords[nxt, 2] = wrap_angle(coords[current, 2] + step[2])
+            row_cache.clear()
+            associate(bucket_id, current, nxt)
+        if nxt is None:
+            nxt = int(dist.argmin())
+            associate(bucket_id, current, nxt)
+        sequence.append(nxt)
+        current = nxt
+
+    means = {}
+    for i in range(n_used):
+        for j in range(n_used):
+            means[(i, j)] = _pair_mean(coords, i, j, mode)
+    return TaggingResult(state_sequence=np.asarray(sequence, dtype=int),
+                         coordinates=coords[:n_used].copy(), n_used=n_used,
+                         relation_means=means, bucket_assoc=assoc,
+                         pair_buckets=pair_buckets)

@@ -31,15 +31,16 @@ from geohmm.circstats import (bessel_ratio, resultant_to_kappa, vm_density,
 from geohmm.estimation import (LearnConfig, constrained_two_normal_mle,
                                em_learn, update_relations_antisym)
 from geohmm.evalkl import kl_sampled
-from geohmm.inference import Posteriors, forward_backward, posteriors
+from geohmm.inference import (Posteriors, forward_backward, pair_statistics,
+                              posteriors)
 from geohmm.initialization import BucketConfig, bucketize, tag_states
-from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
-                          GeoHmm, RelationMatrix, check_consistency)
+from geohmm.model import (ConstraintLevel, CoordinateMode, GeoHmm,
+                          RelationMatrix, check_consistency)
 from geohmm.pipeline import default_bucket_config, learn_runs
 from geohmm.simgen import (LoopSpec, make_loop_model, sample_path,
                            sample_sequence)
 from oracles import (brute_force_posteriors, path_count_model, random_geohmm,
-                     random_experience)
+                     random_experience, reference_pair_statistics)
 
 EXPERIMENT_SMOOTHING = 0.005
 KL_LENGTH = 1000
@@ -68,10 +69,11 @@ def test_criterion_1_oracle_equivalence():
                 model, e, use_odometry)
             trellis = forward_backward(model, e, use_odometry=use_odometry)
             post = posteriors(trellis, model, e, use_odometry=use_odometry)
+            want_pair = reference_pair_statistics(want_xi, e.readings)
             worst = max(worst,
                         abs(trellis.loglik - want_ll),
                         float(np.abs(post.gamma - want_gamma).max()),
-                        float(np.abs(post.xi - want_xi).max()))
+                        float(np.abs(post.pair - want_pair).max()))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-10 and elapsed < 10.0
     assert report(ok, "criterion 1 (oracle equivalence)",
@@ -204,13 +206,10 @@ def test_criterion_4_example1_oracle():
     gamma = np.zeros((len(P) + len(Q) + 1, 2))
     gamma[:-1] = xi.sum(axis=2)
     gamma[-1] = xi[-1].sum(axis=0)
-    post = Posteriors(gamma=gamma, xi=xi)
-    e = ExperienceSequence(
-        observations=np.zeros((len(P) + len(Q) + 1, 1), dtype=int),
-        readings=readings)
+    post = Posteriors(gamma=gamma, pair=pair_statistics(xi, readings))
     R = RelationMatrix.zero(2, var=4.0, kappa=1.0)
     for _ in range(400):
-        R = update_relations_antisym(post, e, R, CoordinateMode.GLOBAL)
+        R = update_relations_antisym(post, R, CoordinateMode.GLOBAL)
     mu, vp, vq = constrained_two_normal_mle(P, Q)
     worst_fp = max(abs(R.mu_x[0, 1] - mu), abs(R.var_x[0, 1] - vp),
                    abs(R.var_x[1, 0] - vq))

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from geohmm.inference import (forward_backward, loglik, obs_prob,
-                              posteriors, relation_density_tensor)
+                              pair_statistics, posteriors,
+                              relation_density_tensor)
 from geohmm.model import (ExperienceSequence, GeoHmm, ImpossibleSequenceError,
                           RelationMatrix)
 from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
 from oracles import (brute_force_posteriors, path_density, random_experience,
-                     random_geohmm)
+                     random_geohmm, reference_pair_statistics)
 
 
 class TestObsProb:
@@ -183,7 +184,9 @@ class TestPosteriors:
         trellis = forward_backward(model, e, use_odometry=use_odometry)
         post = posteriors(trellis, model, e, use_odometry=use_odometry)
         np.testing.assert_allclose(post.gamma, want_gamma, atol=1e-10)
-        np.testing.assert_allclose(post.xi, want_xi, atol=1e-10)
+        np.testing.assert_allclose(
+            post.pair, reference_pair_statistics(want_xi, e.readings),
+            atol=1e-10)
 
     def test_marginalization_identity(self):
         rng = np.random.default_rng(19)
@@ -193,10 +196,23 @@ class TestPosteriors:
             trellis = forward_backward(model, e)
             post = posteriors(trellis, model, e)
             np.testing.assert_allclose(post.gamma.sum(axis=1), 1.0, atol=1e-9)
-            np.testing.assert_allclose(post.xi.sum(axis=(1, 2)), 1.0,
-                                       atol=1e-9)
-            np.testing.assert_allclose(post.xi.sum(axis=2),
-                                       post.gamma[:-1], atol=1e-9)
+            # each xi slab sums to one, and its rows (columns) to gamma at
+            # t (t + 1)
+            assert post.pair[0].sum() == pytest.approx(len(e) - 1, abs=1e-9)
+            np.testing.assert_allclose(post.pair[0].sum(axis=1),
+                                       post.gamma[:-1].sum(axis=0), atol=1e-9)
+            np.testing.assert_allclose(post.pair[0].sum(axis=0),
+                                       post.gamma[1:].sum(axis=0), atol=1e-9)
+
+    @pytest.mark.parametrize("use_odometry", [True, False])
+    def test_single_step_sequence_has_zero_pair(self, use_odometry):
+        rng = np.random.default_rng(21)
+        model = random_geohmm(3, rng)
+        e = random_experience(model, 1, rng)
+        trellis = forward_backward(model, e, use_odometry=use_odometry)
+        post = posteriors(trellis, model, e, use_odometry=use_odometry)
+        assert post.pair.shape == (7, 3, 3)
+        assert not post.pair.any()
 
     def test_mismatched_trellis_rejected(self):
         rng = np.random.default_rng(23)
@@ -217,7 +233,7 @@ class TestPosteriors:
 
         def total_xi(m):
             trellis = forward_backward(m, e)
-            return posteriors(trellis, m, e).xi.sum(axis=0)
+            return posteriors(trellis, m, e).pair[0]
 
         base = total_xi(model)
         A = model.A.copy()
@@ -227,3 +243,46 @@ class TestPosteriors:
                                   B=model.B, start_state=model.start_state,
                                   relations=model.relations))
         assert boosted[0, 1] >= base[0, 1] - 1e-9
+
+
+class TestPairStatistics:
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(43)
+        for T1, n in ((0, 3), (1, 1), (5, 2), (9, 4), (30, 3)):
+            xi = rng.uniform(size=(T1, n, n))
+            xi /= xi.sum(axis=(1, 2), keepdims=True)
+            readings = np.column_stack([rng.normal(0, 3, T1),
+                                        rng.normal(0, 3, T1),
+                                        rng.uniform(-np.pi, np.pi, T1)])
+            np.testing.assert_allclose(pair_statistics(xi, readings),
+                                       reference_pair_statistics(xi, readings),
+                                       rtol=1e-12, atol=1e-12)
+
+
+class TestStepOperator:
+    def test_step_is_transition_times_relation_density(self):
+        rng = np.random.default_rng(47)
+        model = random_geohmm(3, rng)
+        e = random_experience(model, 8, rng)
+        want = model.A * relation_density_tensor(model, e)
+        trellis = forward_backward(model, e)
+        np.testing.assert_array_equal(trellis.step, want)
+
+    def test_density_floor_applied_before_product(self):
+        rng = np.random.default_rng(53)
+        model = random_geohmm(3, rng)
+        e = random_experience(model, 8, rng)
+        pairf = relation_density_tensor(model, e)
+        floor = float(np.median(pairf))
+        trellis = forward_backward(model, e, density_floor=floor)
+        np.testing.assert_array_equal(trellis.step,
+                                      model.A * np.maximum(pairf, floor))
+
+    def test_step_is_transition_matrix_without_odometry(self):
+        rng = np.random.default_rng(59)
+        model = random_geohmm(3, rng)
+        e = random_experience(model, 8, rng)
+        trellis = forward_backward(model, e, use_odometry=False)
+        assert trellis.step.shape == (7, 3, 3)
+        for slab in trellis.step:
+            np.testing.assert_array_equal(slab, model.A)

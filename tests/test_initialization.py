@@ -19,6 +19,7 @@ from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
                           GeoHmm, RelationMatrix, check_consistency)
 from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
 from geohmm.pipeline import default_bucket_config
+from oracles import reference_bucketize, reference_tag_states
 
 SQUARE_WALK_DEG = [
     (2.0, 94.0, 92.0),
@@ -163,6 +164,39 @@ class TestTagStates:
         assert len(result.state_sequence) == 4
         assert result.n_used == 2
         assert set(result.state_sequence) <= {0, 1}
+
+
+class TestMatchesReference:
+    """bucketize and tag_states give byte-identical results to the
+    per-reading numpy versions kept in the oracles."""
+
+    @pytest.mark.parametrize("mode", list(CoordinateMode))
+    def test_byte_identical_on_loop_sequences(self, mode):
+        true = make_loop_model(LoopSpec(mode=mode))
+        for seed in range(20):
+            seq = sample_sequence(true, 2000, np.random.default_rng(seed))
+            cfg = default_bucket_config(seq)
+            buckets, assignment = bucketize(seq.readings, cfg)
+            want_buckets, want_assignment = reference_bucketize(seq.readings,
+                                                                cfg)
+            assert assignment.tobytes() == want_assignment.tobytes()
+            assert len(buckets) == len(want_buckets)
+            for got, want in zip(buckets, want_buckets):
+                assert got.id == want.id and got.members == want.members
+                assert got.mean.tobytes() == want.mean.tobytes()
+                assert (got._sin, got._cos) == (want._sin, want._cos)
+            tags = tag_states(seq.readings, buckets, assignment, 16, cfg, mode)
+            want = reference_tag_states(seq.readings, want_buckets,
+                                        want_assignment, 16, cfg, mode)
+            assert tags.n_used == want.n_used
+            assert (tags.state_sequence.tobytes()
+                    == want.state_sequence.tobytes())
+            assert tags.coordinates.tobytes() == want.coordinates.tobytes()
+            assert tags.bucket_assoc == want.bucket_assoc
+            assert tags.pair_buckets == want.pair_buckets
+            assert tags.relation_means.keys() == want.relation_means.keys()
+            for key, value in want.relation_means.items():
+                assert tags.relation_means[key].tobytes() == value.tobytes()
 
 
 class TestInitModel:
