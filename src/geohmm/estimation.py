@@ -90,9 +90,9 @@ def update_observations(post: Posteriors, e: ExperienceSequence,
     live = den > 0.0 if pseudocount == 0.0 else np.ones_like(den, dtype=bool)
     out = []
     for i, b_prev in enumerate(prev_B):
-        counts = np.full_like(np.asarray(b_prev, dtype=float), pseudocount)
-        np.add.at(counts, e.observations[:, i], gamma)
         b = np.array(b_prev, dtype=float, copy=True)
+        one_hot = np.arange(len(b))[:, None] == e.observations[:, i]
+        counts = one_hot @ gamma + pseudocount
         b[:, live] = counts[:, live] / counts[:, live].sum(axis=0)
         out.append(b)
     return tuple(out)
@@ -499,19 +499,17 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
     """Generalized-EM loop: E-step posteriors, M-step constrained updates.
 
     Stops when the relative log-likelihood improvement falls below
-    cfg.rel_tol or after cfg.max_iters M-steps. The report records the
-    full trace and any decrease beyond 1e-8 relative (none are expected
-    below the additive level; the heading projection is monitored).
+    cfg.rel_tol or after cfg.max_iters M-steps; the report keeps the trace.
 
     An M-step that lowers the log-likelihood is rejected and retried
     with the relation matrix held at its previous (still consistent)
-    value; updating only A and B given fixed relations ascends the
-    likelihood exactly, so the trace never decreases. The attempted drop
-    is recorded in monotonicity_violations. Anti-symmetric and
-    unconstrained relation updates ascend the expected complete-data
-    likelihood exactly, so such rejections can only fire at the additive
-    level (where the heading projection carries no guarantee). If even
-    the relations-held step fails to improve, the run has converged.
+    value; the attempted drop is recorded in monotonicity_violations.
+    If even the relations-held step fails to improve, the run has
+    converged, so the trace never decreases. Without pseudocounts only
+    the additive level's heading projection can lower the likelihood.
+    With positive pseudocounts the A and B updates are MAP (Dirichlet-
+    smoothed) steps, which carry no ML-ascent guarantee: rejections can
+    then fire at any level, and a run can stop while still climbing.
 
     on_iteration, if given, is called as on_iteration(k, model) after
     every M-step.

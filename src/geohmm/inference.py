@@ -9,10 +9,23 @@ transition:
 Relation densities can be orders of magnitude above or below 1, so alpha
 rows are normalized at every step and the same scales are reused for
 beta; the log-likelihood is the sum of the log scale factors.
+
+Both passes run time-blocked (after Sarkka and Garcia-Fernandez 2021),
+about 3 sqrt(T) batched steps instead of T Python steps. The T-1 steps
+form blocks of L = round(sqrt(T-1)), which minimizes L block steps plus
+(T-1)/L block starts: T fixes L and there is nothing to tune. All block
+products are formed at once with each row's log scale kept apart
+(product = diag(exp(logr)) @ P), so no row under- or overflows. A short
+log-domain recursion (log alpha + logr, less its maximum) carries alpha
+across block starts, then all blocks fill in their steps at once, each
+scale c_t = sum(alpha_{t-1} @ step[t-1] * b_t) as in a sequential step.
+The products cost N^3 instead of N^2 per step, small beside the Python
+overhead saved at the state counts used here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +112,73 @@ def relation_density_tensor(model: GeoHmm, e: ExperienceSequence) -> np.ndarray:
     return np.exp(logf, out=logf)
 
 
+def _scaled_scan(first, step, emit, divisors=None):
+    """The time-blocked recursion v_t = (v_{t-1} @ step[t-1]) * emit[t] / c_t.
+
+    v_0 = first; c_t is the row's sum (v_t then sums to 1) or, when
+    given, divisors[t]. first (..., N) and emit (..., T, N) may carry
+    batch axes; step is (T-1, N, N). Returns v (..., T, N) and c (..., T)
+    with c_0 = 1. A row that dies shows a zero or non-finite c_t at its
+    first failing step.
+    """
+    T, N = emit.shape[-2:]
+    batch = emit.shape[:-2]
+    v, c = np.empty(emit.shape), np.ones(emit.shape[:-1])
+    v[..., 0, :] = first
+    if T == 1:
+        return v, c
+    L = round(math.sqrt(T - 1))
+    nb = -(-(T - 1) // L)
+    full = (nb - 1) * L                # steps in blocks with a successor
+    ones = np.ones(N)
+    P = np.broadcast_to(np.eye(N), batch + (nb - 1, N, N)).copy()
+    Q = np.empty_like(P)
+    rows = P.reshape(-1, N)            # a view: P is only written in place
+    E = np.zeros(len(rows), dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Block products as diag(2**E) @ P. A row is rescaled, by an exact
+        # power of two, only once its sum leaves 2**±64, so most steps
+        # skip that pass; at the end the rows are normalized once.
+        for k in range(L):
+            np.matmul(P, step[k:full:L], out=Q)
+            np.multiply(Q, emit[..., k + 1:full + 1:L, None, :], out=P)
+            s = rows @ ones
+            if (np.max(s, initial=0.0) > 2.0**64
+                    or np.min(s, where=s > 0.0, initial=1.0) < 2.0**-64):
+                e = np.maximum(np.frexp(s)[1], -1021)  # 2**-e stays finite
+                E += e
+                rows *= np.ldexp(1.0, -e)[:, None]
+        s = rows @ ones
+        logr = (E * math.log(2.0) + np.log(s)).reshape(P.shape[:-1])
+        s[s == 0.0] = 1.0
+        rows /= s[:, None]
+        starts = np.empty(batch + (nb, N))
+        starts[..., 0, :] = first
+        for b in range(nb - 1):
+            lw = np.log(starts[..., b, :]) + logr[..., b, :]
+            top = lw.max(axis=-1, keepdims=True)
+            y = (np.exp(lw - top)[..., None, :] @ P[..., b, :, :])[..., 0, :]
+            if divisors is None:
+                y /= y.sum(axis=-1, keepdims=True)
+            else:
+                block = divisors[..., b * L + 1:(b + 1) * L + 1]
+                y *= np.exp(top - np.log(block).sum(axis=-1, keepdims=True))
+            starts[..., b + 1, :] = y
+        # Fill in every block's steps from its start, all blocks at once;
+        # the last block may be short and drops out once it is done.
+        cur = starts
+        for k in range(L):
+            m = (T - 2 - k) // L + 1       # blocks that have a step k
+            row = (cur[..., :m, None, :] @ step[k::L])[..., 0, :]
+            row *= emit[..., k + 1::L, :]
+            ck = (row.sum(axis=-1) if divisors is None
+                  else divisors[..., k + 1::L])
+            cur = row / ck[..., None]
+            v[..., k + 1::L, :] = cur
+            c[..., k + 1::L] = ck
+    return v, c
+
+
 def forward_backward(model: GeoHmm, e: ExperienceSequence,
                      use_odometry: bool = True,
                      density_floor: float | None = None) -> Trellis:
@@ -118,24 +198,19 @@ def forward_backward(model: GeoHmm, e: ExperienceSequence,
     else:
         step = np.broadcast_to(model.A, (T - 1, N, N))
 
-    alpha = np.zeros((T, N))
-    scales = np.zeros(T)
-    alpha[0, model.start_state] = emit[0, model.start_state]
-    scales[0] = alpha[0].sum()
-    if scales[0] <= 0.0:
-        raise ImpossibleSequenceError(0)
-    alpha[0] /= scales[0]
-    for t in range(1, T):
-        row = alpha[t - 1] @ step[t - 1] * emit[t]
-        scales[t] = row.sum()
-        if scales[t] <= 0.0 or not np.isfinite(scales[t]):
-            raise ImpossibleSequenceError(t)
-        alpha[t] = row / scales[t]
+    alpha, scales = _scaled_scan(np.eye(N)[model.start_state], step, emit)
+    scales[0] = emit[0, model.start_state]
+    bad = ~(np.isfinite(scales) & (scales > 0.0))
+    if bad.any():
+        raise ImpossibleSequenceError(int(np.argmax(bad)))
 
-    beta = np.zeros((T, N))
-    beta[T - 1] = 1.0
-    for t in range(T - 2, -1, -1):
-        beta[t] = step[t] @ (emit[t + 1] * beta[t + 1]) / scales[t + 1]
+    # u_t = emit[t] * beta[t] takes the forward form in reversed time,
+    # u_t = (u_{t+1} @ step[t].T) * emit[t] / c_{t+1}; beta needs no /emit.
+    divisors = np.concatenate(([1.0], scales[:0:-1]))
+    u = _scaled_scan(emit[T - 1], step[::-1].transpose(0, 2, 1), emit[::-1],
+                     divisors)[0][::-1]
+    beta = np.ones((T, N))
+    beta[:-1] = (step @ u[1:, :, None])[..., 0] / scales[1:, None]
 
     return Trellis(alpha=alpha, beta=beta, scales=scales,
                    loglik=float(np.sum(np.log(scales))),
@@ -145,9 +220,10 @@ def forward_backward(model: GeoHmm, e: ExperienceSequence,
 def loglik(model: GeoHmm, seqs) -> np.ndarray:
     """(S,) observation-only log-likelihoods of equal-length sequences.
 
-    One scaled forward recursion over an (S, N) alpha block; readings are
-    ignored, as in forward_backward(..., use_odometry=False). A sequence
-    the model rejects scores -inf without disturbing the other rows.
+    The forward recursion of forward_backward(..., use_odometry=False),
+    with the S sequences as a batch axis; readings are ignored. A
+    sequence the model rejects scores -inf without disturbing the other
+    rows.
     """
     seqs = list(seqs)
     if not seqs:
@@ -157,23 +233,12 @@ def loglik(model: GeoHmm, seqs) -> np.ndarray:
         raise ValueError("loglik needs sequences of equal length")
     emit = np.stack([emission_probs(model, e) for e in seqs])   # (S, T, N)
     S, N = len(seqs), model.n_states
-    alpha = np.zeros((S, N))
-    alpha[:, model.start_state] = emit[:, 0, model.start_state]
-    log_scales = np.zeros((S, T))
-    dead = np.zeros(S, dtype=bool)
-    for t in range(T):
-        if t:
-            alpha = alpha @ model.A * emit[:, t]
-        scales = alpha.sum(axis=1)
-        bad = ~(np.isfinite(scales) & (scales > 0.0))
-        if bad.any():
-            dead |= bad
-            alpha[bad] = 0.0
-            scales[bad] = 1.0
-        alpha /= scales[:, None]
-        log_scales[:, t] = np.log(scales)
-    out = log_scales.sum(axis=1)
-    out[dead] = -np.inf
+    _, scales = _scaled_scan(np.eye(N)[model.start_state],
+                             np.broadcast_to(model.A, (T - 1, N, N)), emit)
+    scales[:, 0] = emit[:, 0, model.start_state]
+    live = (np.isfinite(scales) & (scales > 0.0)).all(axis=1)
+    out = np.full(S, -np.inf)
+    out[live] = np.log(scales[live]).sum(axis=1)
     return out
 
 

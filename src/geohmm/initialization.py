@@ -82,12 +82,6 @@ class TaggingResult:
     pair_buckets: dict                  # (i, j) -> bucket id that populated it
 
 
-def _within(reading, mean, radius) -> bool:
-    d = reading - mean
-    d[2] = wrap_angle(d[2])
-    return bool(np.all(np.abs(d) <= radius))
-
-
 def bucketize(readings, cfg: BucketConfig) -> tuple:
     """Single-pass clustering of readings by per-dimension proximity.
 

@@ -10,11 +10,14 @@ import itertools
 import numpy as np
 
 from geohmm.circstats import KAPPA_MAX, TWO_PI, wrap_angle
+from geohmm.inference import (Trellis, emission_probs,
+                              relation_density_tensor)
 from geohmm.initialization import (ZERO_BUCKET, Bucket, BucketConfig,
                                    TaggingResult, _pair_mean)
 from geohmm.model import (ConsistencyReport, ConsistencyViolation,
                           ConstraintLevel, CoordinateMode, ExperienceSequence,
-                          GeoHmm, RelationMatrix, transform_point)
+                          GeoHmm, ImpossibleSequenceError, RelationMatrix,
+                          transform_point)
 
 
 def normal_pdf(x, mu, var):
@@ -70,6 +73,73 @@ def brute_force_posteriors(model: GeoHmm, e: ExperienceSequence,
     return float(np.log(total)), gamma / total, xi / total
 
 
+def reference_forward_backward(model: GeoHmm, e: ExperienceSequence,
+                               use_odometry: bool = True,
+                               density_floor: float | None = None) -> Trellis:
+    """forward_backward as one Python step per time step (Rabiner's
+    scaling): alpha rows normalized at every step, beta scaled with the
+    alpha scales. Raises ImpossibleSequenceError at the first step whose
+    scale is zero or non-finite."""
+    T, N = len(e), model.n_states
+    emit = emission_probs(model, e)
+    if use_odometry and T > 1:
+        step = relation_density_tensor(model, e)
+        if density_floor is not None:
+            np.maximum(step, density_floor, out=step)
+        step *= model.A
+    else:
+        step = np.broadcast_to(model.A, (T - 1, N, N))
+
+    alpha = np.zeros((T, N))
+    scales = np.zeros(T)
+    alpha[0, model.start_state] = emit[0, model.start_state]
+    scales[0] = alpha[0].sum()
+    if scales[0] <= 0.0:
+        raise ImpossibleSequenceError(0)
+    alpha[0] /= scales[0]
+    for t in range(1, T):
+        row = alpha[t - 1] @ step[t - 1] * emit[t]
+        scales[t] = row.sum()
+        if scales[t] <= 0.0 or not np.isfinite(scales[t]):
+            raise ImpossibleSequenceError(t)
+        alpha[t] = row / scales[t]
+
+    beta = np.zeros((T, N))
+    beta[T - 1] = 1.0
+    for t in range(T - 2, -1, -1):
+        beta[t] = step[t] @ (emit[t + 1] * beta[t + 1]) / scales[t + 1]
+
+    return Trellis(alpha=alpha, beta=beta, scales=scales,
+                   loglik=float(np.sum(np.log(scales))),
+                   use_odometry=use_odometry, emit=emit, step=step)
+
+
+def reference_loglik(model: GeoHmm, seqs) -> np.ndarray:
+    """loglik as one Python step per time step over an (S, N) alpha
+    block; a rejected row is zeroed, scores -inf and leaves the other
+    rows alone."""
+    emit = np.stack([emission_probs(model, e) for e in seqs])   # (S, T, N)
+    S, T, N = emit.shape
+    alpha = np.zeros((S, N))
+    alpha[:, model.start_state] = emit[:, 0, model.start_state]
+    log_scales = np.zeros((S, T))
+    dead = np.zeros(S, dtype=bool)
+    for t in range(T):
+        if t:
+            alpha = alpha @ model.A * emit[:, t]
+        scales = alpha.sum(axis=1)
+        bad = ~(np.isfinite(scales) & (scales > 0.0))
+        if bad.any():
+            dead |= bad
+            alpha[bad] = 0.0
+            scales[bad] = 1.0
+        alpha /= scales[:, None]
+        log_scales[:, t] = np.log(scales)
+    out = log_scales.sum(axis=1)
+    out[dead] = -np.inf
+    return out
+
+
 def reference_pair_statistics(xi, readings):
     """(7, N, N) sums over t of xi[t] times 1, dx, dy, dx^2, dy^2,
     sin(dtheta) and cos(dtheta) of reading t, one term at a time."""
@@ -85,6 +155,22 @@ def reference_pair_statistics(xi, readings):
                 for j in range(n):
                     out[k, i, j] += xi[t, i, j] * w
     return out
+
+
+def reference_update_observations(gamma, observations, prev_B,
+                                  pseudocount: float = 0.0) -> tuple:
+    """update_observations with the symbol counts scattered by np.add.at,
+    one time step at a time."""
+    den = gamma.sum(axis=0)
+    live = den > 0.0 if pseudocount == 0.0 else np.ones_like(den, dtype=bool)
+    out = []
+    for i, b_prev in enumerate(prev_B):
+        counts = np.full_like(np.asarray(b_prev, dtype=float), pseudocount)
+        np.add.at(counts, observations[:, i], gamma)
+        b = np.array(b_prev, dtype=float, copy=True)
+        b[:, live] = counts[:, live] / counts[:, live].sum(axis=0)
+        out.append(b)
+    return tuple(out)
 
 
 def path_count_model(true_model: GeoHmm, path, observations,
@@ -243,6 +329,14 @@ def reference_check_consistency(model: GeoHmm, level: ConstraintLevel,
                     record("additivity", "y", (i, j, k),
                            abs(mu_y[i, j] + mu_y[j, k] - mu_y[i, k]))
     return rep
+
+
+def within(reading, mean, radius) -> bool:
+    """Whether a reading lies within radius of mean on every dimension,
+    theta wrapped."""
+    d = reading - mean
+    d[2] = wrap_angle(d[2])
+    return bool(np.all(np.abs(d) <= radius))
 
 
 def reference_bucketize(readings, cfg: BucketConfig) -> tuple:

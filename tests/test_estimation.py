@@ -15,7 +15,8 @@ from geohmm.circstats import wrap_angle
 from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
 from geohmm.initialization import init_model, random_model
 from geohmm.pipeline import default_bucket_config
-from oracles import random_geohmm, random_experience
+from oracles import (random_experience, random_geohmm,
+                     reference_update_observations)
 
 
 def posteriors_from_xi(xi, readings=None):
@@ -86,6 +87,20 @@ class TestUpdateObservations:
         B = update_observations(post, e, (np.full((4, 3), 0.25),) * 2)
         for b in B:
             np.testing.assert_allclose(b.sum(axis=0), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("pseudocount", [0.0, 0.005])
+    def test_matches_scatter_reference(self, pseudocount):
+        model = make_loop_model(LoopSpec())
+        e = sample_sequence(model, 800, np.random.default_rng(11))
+        gamma = np.random.default_rng(2).dirichlet(np.ones(16), size=800)
+        gamma[:, 3] = 0.0                  # a state with no occupancy
+        pair = pair_statistics(np.zeros((799, 16, 16)), e.readings)
+        B = update_observations(Posteriors(gamma=gamma, pair=pair), e,
+                                model.B, pseudocount)
+        want = reference_update_observations(gamma, e.observations, model.B,
+                                             pseudocount)
+        for b, w in zip(B, want):
+            np.testing.assert_allclose(b, w, rtol=1e-12, atol=0)
 
 
 class TestConstrainedTwoNormalMle:

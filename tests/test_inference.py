@@ -10,7 +10,8 @@ from geohmm.model import (ExperienceSequence, GeoHmm, ImpossibleSequenceError,
                           RelationMatrix)
 from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
 from oracles import (brute_force_posteriors, path_density, random_experience,
-                     random_geohmm, reference_pair_statistics)
+                     random_geohmm, reference_forward_backward,
+                     reference_loglik, reference_pair_statistics)
 
 
 class TestObsProb:
@@ -114,6 +115,126 @@ class TestForwardBackward:
         trellis = forward_backward(model, bad, use_odometry=True,
                                    density_floor=1e-30)
         assert np.isfinite(trellis.loglik)
+
+
+def sparse_geohmm(n, rng, obs_dims=(3,)):
+    """Random model with structural zeros in A: each row keeps its own
+    state, its successor and a random third of the others."""
+    model = random_geohmm(n, rng, obs_dims=obs_dims)
+    keep = rng.uniform(size=(n, n)) < 1 / 3
+    keep |= np.eye(n, dtype=bool) | np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    A = np.where(keep, model.A, 0.0)
+    return model.replace(A=A / A.sum(axis=1, keepdims=True))
+
+
+def assert_matches_reference(got, want):
+    np.testing.assert_allclose(got.alpha, want.alpha, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.beta, want.beta, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(got.scales, want.scales, rtol=1e-12, atol=0)
+    assert got.loglik == pytest.approx(want.loglik, rel=1e-12, abs=0)
+
+
+# T - 1 steps: none, 1, 2, 3 (ragged), exact squares 16, 25 and 784,
+# and 799 and 1000 with ragged last blocks.
+BLOCK_LENGTHS = [1, 2, 3, 4, 17, 26, 785, 800, 1001]
+
+
+class TestBlockedRecursion:
+    @pytest.mark.parametrize("T", BLOCK_LENGTHS)
+    @pytest.mark.parametrize("use_odometry", [True, False])
+    @pytest.mark.parametrize("floored", [False, True])
+    def test_matches_sequential_reference(self, T, use_odometry, floored):
+        rng = np.random.default_rng(T)
+        for model in (random_geohmm(4, rng, obs_dims=(3, 2)),
+                      sparse_geohmm(5, rng)):
+            e = random_experience(model, T, rng)
+            floor = None
+            if floored and T > 1:
+                floor = float(np.median(relation_density_tensor(model, e)))
+            assert_matches_reference(
+                forward_backward(model, e, use_odometry, floor),
+                reference_forward_backward(model, e, use_odometry, floor))
+
+    @pytest.mark.parametrize("use_odometry", [True, False])
+    def test_matches_sequential_reference_on_loop(self, use_odometry):
+        model = make_loop_model(LoopSpec())
+        e = sample_sequence(model, 800, np.random.default_rng(11))
+        assert_matches_reference(
+            forward_backward(model, e, use_odometry),
+            reference_forward_backward(model, e, use_odometry))
+
+    @pytest.mark.parametrize("offset", [0.0, 3.4e-5])
+    def test_matches_reference_beyond_double_range(self, offset):
+        # Variances of 1e-12 make every step's density about 1e11 on the
+        # readings' own pair (offset 0) or about 1e-250 (offset 3.4e-5),
+        # so a block product of 32 steps leaves the double range.
+        rng = np.random.default_rng(61)
+        model = random_geohmm(3, rng)
+        R = model.relations
+        tiny = np.full((3, 3), 1e-12)
+        model = model.replace(relations=RelationMatrix(
+            R.mu_x, R.mu_y, R.mu_theta, tiny, tiny, np.full((3, 3), 50.0)))
+        path = [model.start_state]
+        for _ in range(1000):
+            path.append(int(rng.choice(3, p=model.A[path[-1]])))
+        i, j = np.array(path[:-1]), np.array(path[1:])
+        readings = np.column_stack([R.mu_x[i, j] + offset, R.mu_y[i, j],
+                                    R.mu_theta[i, j]])
+        e = ExperienceSequence(observations=rng.integers(0, 3, (1001, 1)),
+                               readings=readings)
+        want = reference_forward_backward(model, e)
+        assert abs(want.loglik) / 1000 * 32 > np.log(2.0) * 1024
+        assert_matches_reference(forward_backward(model, e), want)
+
+    @pytest.mark.parametrize("T", BLOCK_LENGTHS)
+    def test_loglik_matches_sequential_reference(self, T):
+        rng = np.random.default_rng(200 + T)
+        for model in (random_geohmm(4, rng, obs_dims=(3, 2)),
+                      sparse_geohmm(5, rng)):
+            seqs = [random_experience(model, T, rng) for _ in range(5)]
+            np.testing.assert_allclose(loglik(model, seqs),
+                                       reference_loglik(model, seqs),
+                                       rtol=1e-12, atol=0)
+
+    @staticmethod
+    def _forbidden_symbol_model():
+        """Cycle 0 -> 1 -> 2 -> 0 with self-loops; symbol 2 is emitted by
+        no state and symbol 1 only by state 2."""
+        A = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        B = (np.array([[1.0, 1.0, 0.5], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]]),)
+        return GeoHmm(n_states=3, obs_dims=(3,), A=A, B=B, start_state=0,
+                      relations=RelationMatrix.zero(3))
+
+    @staticmethod
+    def _outcome(fn):
+        try:
+            fn()
+        except ImpossibleSequenceError as err:
+            return err.step
+        return None
+
+    @pytest.mark.parametrize("symbol", [1, 2])
+    def test_impossible_step_matches_reference(self, symbol):
+        model = self._forbidden_symbol_model()
+        for T in range(1, 41):
+            seqs = []
+            for pos in range(T):
+                obs = np.zeros((T, 1), dtype=int)
+                obs[pos] = symbol
+                e = ExperienceSequence(observations=obs,
+                                       readings=np.zeros((T - 1, 3)))
+                want = self._outcome(
+                    lambda: reference_forward_backward(model, e, False))
+                got = self._outcome(lambda: forward_backward(model, e, False))
+                assert got == want, (T, pos)
+                if symbol == 2:
+                    assert got == pos
+                seqs.append(e)
+            got, want = loglik(model, seqs), reference_loglik(model, seqs)
+            np.testing.assert_array_equal(got == -np.inf, want == -np.inf)
+            live = want > -np.inf
+            np.testing.assert_allclose(got[live], want[live], rtol=1e-12,
+                                       atol=0)
 
 
 class TestLoglik:

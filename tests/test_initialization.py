@@ -19,7 +19,7 @@ from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
                           GeoHmm, RelationMatrix, check_consistency)
 from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
 from geohmm.pipeline import default_bucket_config
-from oracles import reference_bucketize, reference_tag_states
+from oracles import reference_bucketize, reference_tag_states, within
 
 SQUARE_WALK_DEG = [
     (2.0, 94.0, 92.0),
@@ -89,12 +89,12 @@ class TestBucketize:
         cfg = BucketConfig(8.0, 8.0, 0.3)
         radius = cfg.bucket_factor * cfg.sigmas
         # replay the pass, checking the invariant at each insertion
-        from geohmm.initialization import Bucket, ZERO_BUCKET, _within
+        from geohmm.initialization import Bucket, ZERO_BUCKET
         buckets = [Bucket(id=ZERO_BUCKET, mean=np.zeros(3))]
         for t, r in enumerate(readings):
             placed = False
             for b in buckets:
-                if _within(r, b.mean, radius):
+                if within(r, b.mean, radius):
                     assert np.all(np.abs((r - b.mean)[:2]) <= radius[:2])
                     b.add(t, r)
                     placed = True
