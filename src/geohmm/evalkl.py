@@ -50,8 +50,9 @@ def kl_sampled(true_model: GeoHmm, learned: GeoHmm, seq_length: int = 1000,
 
     All n_sequences sequences are drawn from the true model first, then
     both models score the batch with the forward-only `loglik`, odometry
-    ignored. Peak memory is one (n, L, N) float64 emission table, scored
-    one model at a time (1.3 MB at n=10, L=1000, N=16). If the learned
+    ignored. Peak memory is two (n, L, N) float64 tables (emissions and
+    scaled alpha) and the (n, ~sqrt(L), N, N) block products, scored one
+    model at a time (about 4 MB at n=10, L=1000, N=16). If the learned
     model assigns zero probability to any sampled sequence, the estimate
     is flagged +inf.
     """
