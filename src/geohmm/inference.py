@@ -10,6 +10,15 @@ Relation densities can be orders of magnitude above or below 1, so alpha
 rows are normalized at every step and the same scales are reused for
 beta; the log-likelihood is the sum of the log scale factors.
 
+The reading densities form an exponential family, log f(r | R[i,j]) =
+phi(r) . eta[i,j], so the whole (T-1, N, N) tensor is one product of
+the (T-1, 7) reading features phi = (1, dx, dy, dx^2, dy^2, sin dtheta,
+cos dtheta) and the (7, N^2) natural parameters, then one in-place exp
+(model.relation_log_density). The same features weigh the expected pair
+statistics that the M-step reads. posteriors needs no sum over xi: the
+forward recursion gives its normalizer Z_t = c_{t+1} sum_j
+alpha_{t+1}(j) beta_{t+1}(j), the row sum that gamma divides by.
+
 Both passes run time-blocked (after Sarkka and Garcia-Fernandez 2021),
 about 3 sqrt(T) batched steps instead of T Python steps. The T-1 steps
 form blocks of L = round(sqrt(T-1)), which minimizes L block steps plus
@@ -30,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circstats import vm_log_density
 from .model import (ExperienceSequence, GeoHmm, ImpossibleSequenceError,
-                    normal_log_density)
+                    reading_features, relation_log_density)
 
 
 @dataclass
@@ -102,13 +110,7 @@ def emission_probs(model: GeoHmm, e: ExperienceSequence) -> np.ndarray:
 
 def relation_density_tensor(model: GeoHmm, e: ExperienceSequence) -> np.ndarray:
     """(T-1, N, N) tensor of reading densities f(r_{t+1} | R[i,j])."""
-    R = model.relations
-    rd = e.readings[:, :, None, None]
-    # Accumulated in place: fresh (T-1, N, N) temporaries cost more than
-    # the arithmetic.
-    logf = normal_log_density(rd[:, 0], R.mu_x, R.var_x)
-    logf += normal_log_density(rd[:, 1], R.mu_y, R.var_y)
-    logf += vm_log_density(rd[:, 2], R.mu_theta, R.kappa_theta)
+    logf = relation_log_density(e.readings, model.relations)
     return np.exp(logf, out=logf)
 
 
@@ -250,25 +252,34 @@ def pair_statistics(xi: np.ndarray, readings: np.ndarray) -> np.ndarray:
     (7, T-1) @ (T-1, N*N) product.
     """
     n = xi.shape[1]
-    dx, dy, dtheta = np.asarray(readings, dtype=float).T
-    weights = np.stack([np.ones_like(dx), dx, dy, dx * dx, dy * dy,
-                        np.sin(dtheta), np.cos(dtheta)])
-    return (weights @ xi.reshape(len(xi), n * n)).reshape(7, n, n)
+    phi = reading_features(readings)
+    return (phi.T @ xi.reshape(len(xi), n * n)).reshape(7, n, n)
 
 
 def posteriors(trellis: Trellis, model: GeoHmm, e: ExperienceSequence,
                use_odometry: bool = True) -> Posteriors:
     """Gamma and expected pair statistics from a trellis computed for the
-    same inputs."""
+    same inputs.
+
+    xi[t] = alpha[t, :, None] * step[t] * v[t] with v = (emit * beta /
+    Z)[1:]. Without odometry every step is A, so pair[k] = A * (U_k.T @ v)
+    with U_k = w_k(r) * alpha[:-1], and no (T-1, N, N) array is built.
+    """
     T, N = len(e), model.n_states
     if trellis.alpha.shape != (T, N) or trellis.use_odometry != use_odometry:
         raise ValueError("trellis does not match the given model/sequence/flag")
 
     ab = trellis.alpha * trellis.beta
-    gamma = ab / ab.sum(axis=1, keepdims=True)
+    mass = ab.sum(axis=1)
+    gamma = ab / mass[:, None]
 
-    emit_beta = trellis.emit[1:] * trellis.beta[1:]            # (T-1, N)
-    xi = (trellis.alpha[:-1, :, None] * trellis.step
-          * emit_beta[:, None, :])
-    xi /= xi.sum(axis=(1, 2), keepdims=True)
-    return Posteriors(gamma=gamma, pair=pair_statistics(xi, e.readings))
+    v = trellis.emit[1:] * trellis.beta[1:]
+    v /= (trellis.scales[1:] * mass[1:])[:, None]                # (T-1, N)
+    if use_odometry:
+        xi = trellis.alpha[:-1, :, None] * trellis.step
+        xi *= v[:, None, :]
+        return Posteriors(gamma=gamma, pair=pair_statistics(xi, e.readings))
+    u = reading_features(e.readings)[:, :, None] * trellis.alpha[:-1, None, :]
+    pair = (u.reshape(T - 1, 7 * N).T @ v).reshape(7, N, N)
+    pair *= model.A
+    return Posteriors(gamma=gamma, pair=pair)

@@ -14,6 +14,7 @@ schemes; those are deliberately untuned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,19 +58,8 @@ class Bucket:
     id: int
     mean: np.ndarray                    # (x, y, theta); theta circular
     members: list = field(default_factory=list)
-    _sin: float = 0.0
+    _sin: float = 0.0                   # sums over members; 0 for bucket 0
     _cos: float = 0.0
-
-    def add(self, index: int, reading):
-        self.members.append(index)
-        k = len(self.members)
-        if self.id == ZERO_BUCKET:
-            return
-        self.mean[0] += (reading[0] - self.mean[0]) / k
-        self.mean[1] += (reading[1] - self.mean[1]) / k
-        self._sin += np.sin(reading[2])
-        self._cos += np.cos(reading[2])
-        self.mean[2] = np.arctan2(self._sin, self._cos)
 
 
 @dataclass
@@ -87,46 +77,57 @@ def bucketize(readings, cfg: BucketConfig) -> tuple:
 
     A reading joins the first existing bucket whose running mean lies
     within bucket_factor * sigma on every dimension (theta wrapped),
-    updating that mean; otherwise it opens a new bucket. Returns
+    updating that mean; otherwise it opens a new bucket. A bucket's x and
+    y means are running averages; its theta mean is the direction of the
+    summed unit vectors (a one-member bucket keeps its reading). Returns
     (buckets, assignment) with assignment[t] the bucket id of reading t.
     """
     readings = np.asarray(readings, dtype=float).reshape(-1, 3)
     rx, ry, rtheta = (cfg.bucket_factor * cfg.sigmas).tolist()
-    buckets = [Bucket(id=ZERO_BUCKET, mean=np.zeros(3))]
-    means = [(0.0, 0.0, 0.0)]           # means[b] mirrors buckets[b].mean
+    sines = np.sin(readings[:, 2]).tolist()
+    cosines = np.cos(readings[:, 2]).tolist()
+    # Per bucket: [x, y, theta, sum sin, sum cos]. Running theta means use
+    # math.atan2, which can differ from numpy's arctan2 in the last bits,
+    # so a test that falls within 1e-12 of the radius is redone with
+    # numpy's value; the final means come from numpy.
+    stats = [[0.0, 0.0, 0.0, 0.0, 0.0]]
+    members = [[]]
     assignment = np.zeros(len(readings), dtype=int)
     for t, (x, y, theta) in enumerate(readings.tolist()):
         hit = -1
-        for b, (mx, my, mtheta) in enumerate(means):
+        for b, (mx, my, mtheta, s, c) in enumerate(stats):
             if abs(x - mx) <= rx and abs(y - my) <= ry:
                 d = (theta - mtheta) % TWO_PI
-                if abs(d - TWO_PI if d > np.pi else d) <= rtheta:
+                gap = abs(d - TWO_PI if d > math.pi else d) - rtheta
+                if (abs(gap) <= 1e-12 * (1.0 + abs(theta)) and b != ZERO_BUCKET
+                        and len(members[b]) > 1):
+                    d = (theta - float(np.arctan2(s, c))) % TWO_PI
+                    gap = abs(d - TWO_PI if d > math.pi else d) - rtheta
+                if gap <= 0.0:
                     hit = b
                     break
-        reading = readings[t]
-        if hit >= 0:
-            buckets[hit].add(t, reading)
-            means[hit] = tuple(buckets[hit].mean.tolist())
+        if hit < 0:
+            hit = len(stats)
+            stats.append([x, y, theta, sines[t], cosines[t]])
+            members.append([t])
         else:
-            hit = len(buckets)
-            bucket = Bucket(id=hit, mean=reading.copy())
-            bucket.members.append(t)
-            bucket._sin = float(np.sin(reading[2]))
-            bucket._cos = float(np.cos(reading[2]))
-            buckets.append(bucket)
-            means.append((x, y, theta))
+            members[hit].append(t)
+            if hit != ZERO_BUCKET:
+                k = len(members[hit])
+                st = stats[hit]
+                st[0] += (x - st[0]) / k
+                st[1] += (y - st[1]) / k
+                st[3] += sines[t]
+                st[4] += cosines[t]
+                st[2] = math.atan2(st[3], st[4])
         assignment[t] = hit
+    means = np.array(stats)
+    grown = [b for b in range(1, len(stats)) if len(members[b]) > 1]
+    means[grown, 2] = np.arctan2(means[grown, 3], means[grown, 4])
+    buckets = [Bucket(id=b, mean=means[b, :3].copy(), members=members[b],
+                      _sin=st[3], _cos=st[4])
+               for b, st in enumerate(stats)]
     return buckets, assignment
-
-
-def _pair_mean(coords, i, j, mode) -> np.ndarray:
-    dx = coords[j, 0] - coords[i, 0]
-    dy = coords[j, 1] - coords[i, 1]
-    dtheta = wrap_angle(coords[j, 2] - coords[i, 2])
-    if mode is CoordinateMode.RELATIVE:
-        c, s = np.cos(-coords[i, 2]), np.sin(-coords[i, 2])
-        dx, dy = dx * c - dy * s, dx * s + dy * c
-    return np.array([dx, dy, dtheta])
 
 
 def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
@@ -145,8 +146,8 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     readings = np.asarray(readings, dtype=float).reshape(-1, 3)
-    radius = cfg.tag_factor * cfg.sigmas
-    sigmas = cfg.sigmas
+    rx, ry, rtheta = (cfg.tag_factor * cfg.sigmas).tolist()
+    sx, sy, stheta = cfg.sigmas.tolist()
 
     coords = np.zeros((n_max, 3))
     n_used = 1
@@ -159,20 +160,17 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
     row_cache: dict = {}
 
     def row_means():
-        """Populated relation means of the current row, shape (n_used, 3).
+        """Populated relation means (dx, dy, dtheta) of the current row.
         Cached per state; allocation of a new state invalidates the cache."""
         cached = row_cache.get(current)
-        if cached is not None:
-            return cached
-        dx = coords[:n_used, 0] - coords[current, 0]
-        dy = coords[:n_used, 1] - coords[current, 1]
-        if mode is CoordinateMode.RELATIVE:
-            c, s = np.cos(-coords[current, 2]), np.sin(-coords[current, 2])
-            dx, dy = dx * c - dy * s, dx * s + dy * c
-        dtheta = wrap_angle(coords[:n_used, 2] - coords[current, 2])
-        means = np.column_stack([dx, dy, dtheta])
-        row_cache[current] = means
-        return means
+        if cached is None:
+            mx, my, mtheta = embed_relations(coords[:n_used, 0],
+                                             coords[:n_used, 1],
+                                             coords[:n_used, 2], mode)
+            cached = list(zip(mx[current].tolist(), my[current].tolist(),
+                              mtheta[current].tolist()))
+            row_cache[current] = cached
+        return cached
 
     def associate(bucket_id, i, j):
         if bucket_id == ZERO_BUCKET or i == j:
@@ -181,18 +179,29 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
         links[(bucket_id, i)] = j
         pair_buckets.setdefault((i, j), bucket_id)
 
-    for reading, bucket_id in zip(readings, assignment.tolist()):
+    for (x, y, theta), bucket_id in zip(readings.tolist(), assignment.tolist()):
         nxt = links.get((bucket_id, current))
         if nxt is not None:
             sequence.append(nxt)
             current = nxt
             continue
-        dev = reading - row_means()
-        dev[:, 2] = wrap_angle(dev[:, 2])
-        dist = np.sqrt(((dev / sigmas) ** 2).sum(axis=1))
-        inside = np.all(np.abs(dev) <= radius, axis=1)
-        if inside.any():
-            nxt = int(np.where(inside, dist, np.inf).argmin())
+        # Nearest entry in sigma units, among those within the radius on
+        # every dimension (first of equals), and among all of them.
+        inside = nearest = None
+        best_inside = best = math.inf
+        for j, (mx, my, mtheta) in enumerate(row_means()):
+            ex, ey = x - mx, y - my
+            d = (theta - mtheta) % TWO_PI
+            et = d - TWO_PI if d > math.pi else d
+            qx, qy, qt = ex / sx, ey / sy, et / stheta
+            dist = math.sqrt(qx * qx + qy * qy + qt * qt)
+            if dist < best:
+                nearest, best = j, dist
+            if (dist < best_inside and abs(ex) <= rx and abs(ey) <= ry
+                    and abs(et) <= rtheta):
+                inside, best_inside = j, dist
+        if inside is not None:
+            nxt = inside
         elif n_used < n_max:
             nxt = n_used
             n_used += 1
@@ -208,15 +217,16 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
             coords[nxt, 2] = wrap_angle(coords[current, 2] + step[2])
             row_cache.clear()
         else:
-            nxt = int(dist.argmin())
+            nxt = nearest
         associate(bucket_id, current, nxt)
         sequence.append(nxt)
         current = nxt
 
-    means = {}
-    for i in range(n_used):
-        for j in range(n_used):
-            means[(i, j)] = _pair_mean(coords, i, j, mode)
+    mx, my, mtheta = embed_relations(coords[:n_used, 0], coords[:n_used, 1],
+                                     coords[:n_used, 2], mode)
+    rows = np.stack([mx, my, mtheta], axis=-1)
+    means = {(i, j): rows[i, j].copy()
+             for i in range(n_used) for j in range(n_used)}
     return TaggingResult(state_sequence=np.asarray(sequence, dtype=int),
                          coordinates=coords[:n_used].copy(), n_used=n_used,
                          relation_means=means, bucket_assoc=assoc,
@@ -245,14 +255,13 @@ def init_model(e: ExperienceSequence, n: int, cfg: BucketConfig,
     seq = tags.state_sequence
 
     A = np.full((n, n), SMOOTHING)
-    for a, b in zip(seq[:-1], seq[1:]):
-        A[a, b] += 1.0
+    np.add.at(A, (seq[:-1], seq[1:]), 1.0)
     A /= A.sum(axis=1, keepdims=True)
 
     B = []
     for i, size in enumerate(obs_dims):
         counts = np.full((size, n), SMOOTHING)
-        np.add.at(counts, e.observations[:, i], np.eye(n)[seq])
+        np.add.at(counts, (e.observations[:, i], seq), 1.0)
         B.append(counts / counts.sum(axis=0, keepdims=True))
 
     coords = np.zeros((n, 3))
@@ -266,17 +275,18 @@ def init_model(e: ExperienceSequence, n: int, cfg: BucketConfig,
     var_x = np.full((n, n), wide * sx2)
     var_y = np.full((n, n), wide * sy2)
     kappa = np.full((n, n), min(0.5, kappa_prior))
-    supported = list(tags.pair_buckets.items())
-    resultants = np.array([
-        mean_resultant_length(e.readings[buckets[b].members][:, 2])
-        for _, b in supported])
-    pair_kappas = np.minimum(resultant_to_kappa(resultants),
-                             kappa_prior) if supported else []
-    for ((i, j), bucket_id), k_val in zip(supported, pair_kappas):
-        vals = e.readings[buckets[bucket_id].members]
-        var_x[i, j] = var_x[j, i] = max(float(vals[:, 0].var()), sx2)
-        var_y[i, j] = var_y[j, i] = max(float(vals[:, 1].var()), sy2)
-        kappa[i, j] = kappa[j, i] = float(k_val)
+    # Spreads of each bucket that populated a pair, computed once.
+    used = sorted(set(tags.pair_buckets.values()))
+    members = [e.readings[buckets[b].members] for b in used]
+    kappas = np.minimum(resultant_to_kappa(np.array(
+        [mean_resultant_length(vals[:, 2]) for vals in members])),
+        kappa_prior)
+    spreads = {b: (max(float(vals[:, 0].var()), sx2),
+                   max(float(vals[:, 1].var()), sy2), float(k))
+               for b, vals, k in zip(used, members, kappas)}
+    for (i, j), bucket_id in tags.pair_buckets.items():
+        var_x[i, j], var_y[i, j], kappa[i, j] = spreads[bucket_id]
+        var_x[j, i], var_y[j, i], kappa[j, i] = spreads[bucket_id]
     np.fill_diagonal(var_x, sx2)
     np.fill_diagonal(var_y, sy2)
     np.fill_diagonal(kappa, kappa_prior)

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circstats import KAPPA_MAX, vm_log_density, wrap_angle
+from .circstats import (KAPPA_MAX, LOG_TWO_PI, TWO_PI, log_bessel_i0,
+                        wrap_angle)
 
 VAR_FLOOR = 1e-6
 
@@ -253,24 +254,43 @@ def _rotate_xy(theta, x, y):
     return x * c - y * s, x * s + y * c
 
 
-def normal_log_density(x, mu, var):
-    return -0.5 * ((np.asarray(x) - mu) ** 2 / var + np.log(2.0 * np.pi * var))
+def reading_features(readings) -> np.ndarray:
+    """(..., 7) sufficient statistics of (dx, dy, dtheta) readings (..., 3):
+    1, dx, dy, dx^2, dy^2, sin(dtheta) and cos(dtheta)."""
+    r = np.asarray(readings, dtype=float)
+    dx, dy, dtheta = r[..., 0], r[..., 1], r[..., 2]
+    return np.stack([np.ones_like(dx), dx, dy, dx * dx, dy * dy,
+                     np.sin(dtheta), np.cos(dtheta)], axis=-1)
 
 
-def relation_log_density(reading, entry: RelationEntry) -> float:
-    dx, dy, dtheta = reading
-    out = normal_log_density(dx, entry.mu_x, entry.var_x)
-    out = out + normal_log_density(dy, entry.mu_y, entry.var_y)
-    out = out + vm_log_density(dtheta, entry.mu_theta, entry.kappa_theta)
-    return float(out)
+def relation_log_density(readings, relations) -> np.ndarray:
+    """Log density of readings (..., 3) under a RelationEntry (out: ...)
+    or every entry of a RelationMatrix (out: (..., N, N)).
+
+    The components are independent: normal in dx and dy, von Mises in
+    dtheta (kappa clipped to [0, KAPPA_MAX]). Their sum is an exponential
+    family, log f(r | R) = reading_features(r) . eta(R), with natural
+    parameters eta = (c0, mu_x/var_x, mu_y/var_y, -1/(2 var_x),
+    -1/(2 var_y), kappa sin(mu_theta), kappa cos(mu_theta)) and
+    c0 = -(mu_x^2/var_x + log(2 pi var_x))/2 - (mu_y^2/var_y
+    + log(2 pi var_y))/2 - log(2 pi) - log I0(kappa), so a whole table is
+    one product. Expanding the squares costs about
+    eps * (dx^2 + mu_x^2) / var_x (and likewise in y) of absolute accuracy.
+    """
+    mx, my, mt = relations.mu_x, relations.mu_y, relations.mu_theta
+    vx, vy = relations.var_x, relations.var_y
+    kappa = np.clip(relations.kappa_theta, 0.0, KAPPA_MAX)
+    c0 = (-0.5 * (mx * mx / vx + np.log(TWO_PI * vx))
+          - 0.5 * (my * my / vy + np.log(TWO_PI * vy))
+          - LOG_TWO_PI - log_bessel_i0(kappa))
+    eta = np.stack([c0, mx / vx, my / vy, -0.5 / vx, -0.5 / vy,
+                    kappa * np.sin(mt), kappa * np.cos(mt)])
+    phi = reading_features(readings)
+    return (phi @ eta.reshape(7, -1)).reshape(phi.shape[:-1] + eta.shape[1:])
 
 
 def relation_density(reading, entry: RelationEntry) -> float:
-    """Joint density of a (dx, dy, dtheta) reading for one relation entry.
-
-    The three components are independent: normal in dx and dy, von Mises
-    in dtheta.
-    """
+    """Joint density of a (dx, dy, dtheta) reading for one relation entry."""
     return float(np.exp(relation_log_density(reading, entry)))
 
 

@@ -10,10 +10,10 @@ import itertools
 import numpy as np
 
 from geohmm.circstats import KAPPA_MAX, TWO_PI, wrap_angle
-from geohmm.inference import (Trellis, emission_probs,
-                              relation_density_tensor)
+from geohmm.inference import (Posteriors, Trellis, emission_probs,
+                              pair_statistics, relation_density_tensor)
 from geohmm.initialization import (ZERO_BUCKET, Bucket, BucketConfig,
-                                   TaggingResult, _pair_mean)
+                                   TaggingResult)
 from geohmm.model import (ConsistencyReport, ConsistencyViolation,
                           ConstraintLevel, CoordinateMode, ExperienceSequence,
                           GeoHmm, ImpossibleSequenceError, RelationMatrix,
@@ -71,6 +71,28 @@ def brute_force_posteriors(model: GeoHmm, e: ExperienceSequence,
     if total <= 0:
         raise ZeroDivisionError("sequence impossible under model")
     return float(np.log(total)), gamma / total, xi / total
+
+
+def reference_relation_log_density(readings, R: RelationMatrix) -> np.ndarray:
+    """(T-1, N, N) log densities of readings (T-1, 3), each component's
+    term written out elementwise: normal in dx and dy, von Mises in
+    dtheta with kappa clipped to [0, KAPPA_MAX]."""
+    from scipy.special import i0e
+    rd = np.asarray(readings, dtype=float)[:, :, None, None]
+    kappa = np.clip(R.kappa_theta, 0.0, KAPPA_MAX)
+    logf = -0.5 * ((rd[:, 0] - R.mu_x) ** 2 / R.var_x
+                   + np.log(2.0 * np.pi * R.var_x))
+    logf += -0.5 * ((rd[:, 1] - R.mu_y) ** 2 / R.var_y
+                    + np.log(2.0 * np.pi * R.var_y))
+    logf += (kappa * np.cos(rd[:, 2] - R.mu_theta) - np.log(2.0 * np.pi)
+             - (kappa + np.log(i0e(kappa))))
+    return logf
+
+
+def reference_relation_density_tensor(model: GeoHmm,
+                                      e: ExperienceSequence) -> np.ndarray:
+    """relation_density_tensor from the elementwise log densities."""
+    return np.exp(reference_relation_log_density(e.readings, model.relations))
 
 
 def reference_forward_backward(model: GeoHmm, e: ExperienceSequence,
@@ -155,6 +177,18 @@ def reference_pair_statistics(xi, readings):
                 for j in range(n):
                     out[k, i, j] += xi[t, i, j] * w
     return out
+
+
+def reference_posteriors(trellis: Trellis, model: GeoHmm,
+                         e: ExperienceSequence) -> Posteriors:
+    """posteriors through an explicit (T-1, N, N) xi: alpha * step *
+    emit * beta, each slab divided by its own sum."""
+    ab = trellis.alpha * trellis.beta
+    gamma = ab / ab.sum(axis=1, keepdims=True)
+    emit_beta = trellis.emit[1:] * trellis.beta[1:]
+    xi = trellis.alpha[:-1, :, None] * trellis.step * emit_beta[:, None, :]
+    xi /= xi.sum(axis=(1, 2), keepdims=True)
+    return Posteriors(gamma=gamma, pair=pair_statistics(xi, e.readings))
 
 
 def reference_update_observations(gamma, observations, prev_B,
@@ -339,6 +373,21 @@ def within(reading, mean, radius) -> bool:
     return bool(np.all(np.abs(d) <= radius))
 
 
+def bucket_add(bucket: Bucket, index: int, reading):
+    """Add reading `index` to a bucket with per-reading numpy arithmetic:
+    running x/y means, and a theta mean from the summed sines and cosines
+    (bucket 0 keeps its zero mean)."""
+    bucket.members.append(index)
+    k = len(bucket.members)
+    if bucket.id == ZERO_BUCKET:
+        return
+    bucket.mean[0] += (reading[0] - bucket.mean[0]) / k
+    bucket.mean[1] += (reading[1] - bucket.mean[1]) / k
+    bucket._sin += np.sin(reading[2])
+    bucket._cos += np.cos(reading[2])
+    bucket.mean[2] = np.arctan2(bucket._sin, bucket._cos)
+
+
 def reference_bucketize(readings, cfg: BucketConfig) -> tuple:
     """bucketize with a numpy deviation block per reading.
 
@@ -362,7 +411,7 @@ def reference_bucketize(readings, cfg: BucketConfig) -> tuple:
         inside = np.all(np.abs(dev) <= radius, axis=1)
         hit = int(np.argmax(inside)) if inside.any() else -1
         if hit >= 0:
-            buckets[hit].add(t, reading)
+            bucket_add(buckets[hit], t, reading)
             means[hit] = buckets[hit].mean
             assignment[t] = hit
         else:
@@ -375,6 +424,18 @@ def reference_bucketize(readings, cfg: BucketConfig) -> tuple:
             assignment[t] = n_buckets
             n_buckets += 1
     return buckets, assignment
+
+
+def pair_mean(coords, i, j, mode) -> np.ndarray:
+    """Mean relation (dx, dy, dtheta) of states i -> j at the given
+    per-state coordinates, one pair at a time."""
+    dx = coords[j, 0] - coords[i, 0]
+    dy = coords[j, 1] - coords[i, 1]
+    dtheta = wrap_angle(coords[j, 2] - coords[i, 2])
+    if mode is CoordinateMode.RELATIVE:
+        c, s = np.cos(-coords[i, 2]), np.sin(-coords[i, 2])
+        dx, dy = dx * c - dy * s, dx * s + dy * c
+    return np.array([dx, dy, dtheta])
 
 
 def reference_tag_states(readings, buckets, assignment, n_max: int,
@@ -470,7 +531,7 @@ def reference_tag_states(readings, buckets, assignment, n_max: int,
     means = {}
     for i in range(n_used):
         for j in range(n_used):
-            means[(i, j)] = _pair_mean(coords, i, j, mode)
+            means[(i, j)] = pair_mean(coords, i, j, mode)
     return TaggingResult(state_sequence=np.asarray(sequence, dtype=int),
                          coordinates=coords[:n_used].copy(), n_used=n_used,
                          relation_means=means, bucket_assoc=assoc,

@@ -1,17 +1,23 @@
 """Forward/backward, posteriors, and the path-enumeration oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from geohmm.circstats import KAPPA_MAX, wrap_angle
 from geohmm.inference import (forward_backward, loglik, obs_prob,
                               pair_statistics, posteriors,
                               relation_density_tensor)
-from geohmm.model import (ExperienceSequence, GeoHmm, ImpossibleSequenceError,
-                          RelationMatrix)
+from geohmm.model import (VAR_FLOOR, ExperienceSequence, GeoHmm,
+                          ImpossibleSequenceError, RelationMatrix,
+                          relation_log_density)
 from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
 from oracles import (brute_force_posteriors, path_density, random_experience,
                      random_geohmm, reference_forward_backward,
-                     reference_loglik, reference_pair_statistics)
+                     reference_loglik, reference_pair_statistics,
+                     reference_posteriors, reference_relation_density_tensor,
+                     reference_relation_log_density)
 
 
 class TestObsProb:
@@ -364,6 +370,147 @@ class TestPosteriors:
                                   B=model.B, start_state=model.start_state,
                                   relations=model.relations))
         assert boosted[0, 1] >= base[0, 1] - 1e-9
+
+
+class TestXiFreePosteriors:
+    """posteriors against the explicit, self-normalized xi of the oracle."""
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 17, 800])
+    @pytest.mark.parametrize("use_odometry", [True, False])
+    def test_matches_xi_reference(self, T, use_odometry):
+        rng = np.random.default_rng(300 + T)
+        for model in (random_geohmm(4, rng, obs_dims=(3, 2)),
+                      sparse_geohmm(5, rng)):
+            e = random_experience(model, T, rng)
+            trellis = forward_backward(model, e, use_odometry)
+            got = posteriors(trellis, model, e, use_odometry)
+            want = reference_posteriors(trellis, model, e)
+            np.testing.assert_allclose(got.gamma, want.gamma, rtol=1e-12,
+                                       atol=0)
+            scale = max(float(np.abs(want.pair).max()), 1e-300)
+            np.testing.assert_allclose(got.pair, want.pair, rtol=0,
+                                       atol=1e-12 * scale)
+            # structural zeros of A stay exact zeros
+            assert not got.pair[:, model.A == 0.0].any()
+
+    @pytest.mark.parametrize("use_odometry", [True, False])
+    def test_matches_xi_reference_on_loop(self, use_odometry):
+        model = make_loop_model(LoopSpec())
+        e = sample_sequence(model, 800, np.random.default_rng(12))
+        trellis = forward_backward(model, e, use_odometry)
+        got = posteriors(trellis, model, e, use_odometry)
+        want = reference_posteriors(trellis, model, e)
+        np.testing.assert_allclose(got.gamma, want.gamma, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.pair, want.pair, rtol=0,
+                                   atol=1e-12 * np.abs(want.pair).max())
+
+    def test_no_pair_tensor_without_odometry(self):
+        n, T = 16, 800
+        rng = np.random.default_rng(7)
+        model = random_geohmm(n, rng)
+        e = random_experience(model, T, rng)
+        trellis = forward_backward(model, e, use_odometry=False)
+        tracemalloc.start()
+        try:
+            posteriors(trellis, model, e, use_odometry=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (T - 1) * n * n, peak
+
+
+def random_spread_relations(n, rng):
+    """Relations with means up to 12 m, variances from VAR_FLOOR up, and
+    concentrations that include 0 and KAPPA_MAX."""
+    mu_x, mu_y = rng.uniform(-12.0, 12.0, (2, n, n))
+    mu_t = rng.uniform(-np.pi, np.pi, (n, n))
+    for m in (mu_x, mu_y, mu_t):
+        np.fill_diagonal(m, 0.0)
+    var_x, var_y = 10.0 ** rng.uniform(np.log10(VAR_FLOOR), 1.0, (2, n, n))
+    var_x[0] = VAR_FLOOR
+    var_y[:, 1] = VAR_FLOOR
+    kappa = rng.uniform(0.0, 50.0, (n, n))
+    kappa[2] = 0.0
+    kappa[:, 3] = KAPPA_MAX
+    return RelationMatrix(mu_x, mu_y, mu_t, var_x, var_y, kappa)
+
+
+class TestRelationDensityProduct:
+    """The natural-parameter product against the elementwise formula."""
+
+    @staticmethod
+    def readings(R, rng, T1):
+        """Readings near random relations' means, plus far-off ones, with
+        headings shifted by -2 pi, 0 or +2 pi."""
+        n = R.n_states
+        i, j = rng.integers(n, size=(2, T1))
+        spread = rng.choice([1e-3, 0.1, 1.0, 30.0], size=(T1, 1))
+        near = np.column_stack([R.mu_x[i, j], R.mu_y[i, j], R.mu_theta[i, j]])
+        readings = near + spread * rng.normal(size=(T1, 3))
+        readings[:, 2] = (wrap_angle(readings[:, 2])
+                          + 2.0 * np.pi * rng.integers(-1, 2, size=T1))
+        return readings
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_log_density_within_bound(self, seed):
+        rng = np.random.default_rng(seed)
+        R = random_spread_relations(6, rng)
+        readings = self.readings(R, rng, 400)
+        got = relation_log_density(readings, R)
+        want = reference_relation_log_density(readings, R)
+        dx, dy = readings[:, 0, None, None], readings[:, 1, None, None]
+        # Rounding of the expanded squares, of the heading term and of the
+        # normalizers log(2 pi var), which reach 12 at VAR_FLOOR.
+        bound = 8.0 * np.finfo(float).eps * (
+            1.0 + (dx ** 2 + R.mu_x ** 2) / R.var_x
+            + (dy ** 2 + R.mu_y ** 2) / R.var_y
+            + np.clip(R.kappa_theta, 0.0, KAPPA_MAX)
+            + np.abs(np.log(2.0 * np.pi * R.var_x))
+            + np.abs(np.log(2.0 * np.pi * R.var_y)))
+        finite = np.isfinite(want)
+        assert finite.all()
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tensor_matches_reference_and_zeros_stay_zeros(self, seed):
+        rng = np.random.default_rng(10 + seed)
+        model = random_geohmm(6, rng)
+        model = model.replace(relations=random_spread_relations(6, rng))
+        readings = self.readings(model.relations, rng, 300)
+        e = ExperienceSequence(observations=np.zeros((301, 1), dtype=int),
+                               readings=readings)
+        got = relation_density_tensor(model, e)
+        want = reference_relation_density_tensor(model, e)
+        assert (want == 0.0).any() and (want > 0.0).any()
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        # the log bound above is below 1e-6 at these scales
+        live = want > 0.0
+        np.testing.assert_allclose(np.log(got[live]), np.log(want[live]),
+                                   rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("value", [1e200, -1e200])
+    def test_huge_readings_give_no_nan(self, column, value):
+        rng = np.random.default_rng(31)
+        model = random_geohmm(4, rng)
+        e = random_experience(model, 12, rng)
+        readings = e.readings.copy()
+        readings[6, column] = value
+        e = ExperienceSequence(observations=e.observations, readings=readings)
+        got = relation_density_tensor(model, e)
+        want = reference_relation_density_tensor(model, e)
+        assert not np.isnan(got).any()
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        outcome = []
+        for fb in (forward_backward, reference_forward_backward):
+            try:
+                fb(model, e)
+                outcome.append(None)
+            except ImpossibleSequenceError as err:
+                outcome.append(err.step)
+        assert outcome[0] == outcome[1]
+        assert outcome[0] == (7 if column < 2 else None)
 
 
 class TestPairStatistics:

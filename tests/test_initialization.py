@@ -19,7 +19,8 @@ from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
                           GeoHmm, RelationMatrix, check_consistency)
 from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
 from geohmm.pipeline import default_bucket_config
-from oracles import reference_bucketize, reference_tag_states, within
+from oracles import (bucket_add, reference_bucketize, reference_tag_states,
+                     within)
 
 SQUARE_WALK_DEG = [
     (2.0, 94.0, 92.0),
@@ -96,7 +97,7 @@ class TestBucketize:
             for b in buckets:
                 if within(r, b.mean, radius):
                     assert np.all(np.abs((r - b.mean)[:2]) <= radius[:2])
-                    b.add(t, r)
+                    bucket_add(b, t, r)
                     placed = True
                     break
             if not placed:
@@ -170,21 +171,48 @@ class TestMatchesReference:
     """bucketize and tag_states give byte-identical results to the
     per-reading numpy versions kept in the oracles."""
 
+    @staticmethod
+    def assert_same_buckets(readings, cfg):
+        buckets, assignment = bucketize(readings, cfg)
+        want_buckets, want_assignment = reference_bucketize(readings, cfg)
+        assert assignment.tobytes() == want_assignment.tobytes()
+        assert len(buckets) == len(want_buckets)
+        for got, want in zip(buckets, want_buckets):
+            assert got.id == want.id and got.members == want.members
+            assert got.mean.tobytes() == want.mean.tobytes()
+            assert (got._sin, got._cos) == (want._sin, want._cos)
+        return buckets, assignment, want_buckets, want_assignment
+
+    def test_square_walk_buckets(self):
+        self.assert_same_buckets(square_walk_readings(), square_walk_config())
+
+    def test_heading_at_radius_of_grown_bucket(self):
+        # Two readings grow bucket 1; a third lies within a few ulps of
+        # the heading radius around its mean, where math.atan2 and
+        # numpy's arctan2 can decide differently.
+        rng = np.random.default_rng(8)
+        cfg = BucketConfig(1.0, 1.0, 0.5, bucket_factor=1.0)
+        for _ in range(200):
+            t1 = rng.uniform(-np.pi, np.pi)
+            t2 = t1 + rng.uniform(-0.5, 0.5)
+            mean = float(np.arctan2(np.sin(t1) + np.sin(t2),
+                                    np.cos(t1) + np.cos(t2)))
+            edge = mean + rng.choice([-0.5, 0.5])
+            for k in range(-2, 3):
+                t3 = edge + k * np.spacing(edge)
+                readings = np.array([[10.0, 10.0, t1], [10.0, 10.0, t2],
+                                     [10.0, 10.0, t3]])
+                self.assert_same_buckets(readings, cfg)
+
+    @pytest.mark.parametrize("T", [800, 2000])
     @pytest.mark.parametrize("mode", list(CoordinateMode))
-    def test_byte_identical_on_loop_sequences(self, mode):
+    def test_byte_identical_on_loop_sequences(self, mode, T):
         true = make_loop_model(LoopSpec(mode=mode))
         for seed in range(20):
-            seq = sample_sequence(true, 2000, np.random.default_rng(seed))
+            seq = sample_sequence(true, T, np.random.default_rng(seed))
             cfg = default_bucket_config(seq)
-            buckets, assignment = bucketize(seq.readings, cfg)
-            want_buckets, want_assignment = reference_bucketize(seq.readings,
-                                                                cfg)
-            assert assignment.tobytes() == want_assignment.tobytes()
-            assert len(buckets) == len(want_buckets)
-            for got, want in zip(buckets, want_buckets):
-                assert got.id == want.id and got.members == want.members
-                assert got.mean.tobytes() == want.mean.tobytes()
-                assert (got._sin, got._cos) == (want._sin, want._cos)
+            buckets, assignment, want_buckets, want_assignment = (
+                self.assert_same_buckets(seq.readings, cfg))
             tags = tag_states(seq.readings, buckets, assignment, 16, cfg, mode)
             want = reference_tag_states(seq.readings, want_buckets,
                                         want_assignment, 16, cfg, mode)
