@@ -16,7 +16,7 @@ from .model import (VAR_FLOOR, ConsistencyReport, ConstraintLevel,
                     CoordinateMode, ExperienceSequence, GeoHmm, GeoHmmError,
                     ImpossibleSequenceError, ModelFormatError, RelationEntry,
                     RelationMatrix, check_consistency, embed_relations,
-                    relation_density, transform_point)
+                    relation_density)
 from .pipeline import (RunResult, best_index, best_run, default_bucket_config,
                        learn_runs)
 from .render import embed_model_positions, render_svg
@@ -38,7 +38,7 @@ __all__ = [
     "pair_statistics", "perturb_model", "posteriors", "project_headings",
     "random_model", "relation_density", "render_svg", "resultant_to_kappa",
     "sample_path", "sample_sequence", "save_experience", "save_model",
-    "solve_positions", "tag_states", "transform_point", "update_observations",
+    "solve_positions", "tag_states", "update_observations",
     "update_relations_additive", "update_relations_antisym",
     "update_transitions", "vm_density", "vm_sample", "wrap_angle",
 ]

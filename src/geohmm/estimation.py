@@ -324,8 +324,8 @@ class _OffsetUnionFind:
 def solve_positions(targets, n: int, anchor: int = 0) -> np.ndarray:
     """Weighted least-squares embedding of difference constraints.
 
-    targets is an iterable of (i, j, value, weight) meaning
-    value ~ x[j] - x[i] with the given positive weight. Solved per
+    targets is a (K, 4) array-like of rows (i, j, value, weight) meaning
+    value ~ x[j] - x[i] with the given nonnegative weight. Solved per
     connected component of the constraint graph; the given anchor (or the
     lowest-index node of each other component) is fixed at 0.
     """
@@ -333,35 +333,37 @@ def solve_positions(targets, n: int, anchor: int = 0) -> np.ndarray:
         raise ValueError("n must be positive")
     if not 0 <= anchor < n:
         raise ValueError("anchor out of range")
-    lap = np.zeros((n, n))
-    rhs = np.zeros(n)
-    uf = _OffsetUnionFind(n)
-    for i, j, value, weight in targets:
-        if weight < 0:
-            raise ValueError("weights must be nonnegative")
-        if weight == 0 or i == j:
-            continue
-        lap[i, i] += weight
-        lap[j, j] += weight
-        lap[i, j] -= weight
-        lap[j, i] -= weight
-        rhs[j] += weight * value
-        rhs[i] -= weight * value
-        uf.union(i, j, 0.0)
+    t = np.asarray(targets, dtype=float).reshape(-1, 4)
+    if (t[:, 3] < 0).any():
+        raise ValueError("weights must be nonnegative")
+    if ((t[:, :2] < 0) | (t[:, :2] >= n)).any():
+        raise ValueError("target index out of range")
+    t = t[(t[:, 3] != 0) & (t[:, 0] != t[:, 1])]
+    i, j = t[:, 0].astype(int), t[:, 1].astype(int)
+    # Interleaved (i, j) per target: bincount then adds every entry's
+    # terms in target order.
+    ends, w2 = np.column_stack([i, j]).ravel(), np.repeat(t[:, 3], 2)
+    lap = -np.bincount(ends * n + np.column_stack([j, i]).ravel(), w2,
+                       n * n).reshape(n, n)
+    lap[np.diag_indices(n)] += np.bincount(ends, w2, n)
+    wv = t[:, 3] * t[:, 2]
+    rhs = np.bincount(ends, np.column_stack([-wv, wv]).ravel(), n)
 
-    components = {}
-    for node in range(n):
-        root, _ = uf.find(node)
-        components.setdefault(root, []).append(node)
+    # Paths of length up to 2**k after k squarings; a node's first
+    # reachable node is the lowest index of its component.
+    reach = np.eye(n, dtype=bool)
+    reach[i, j] = reach[j, i] = True
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    root = reach.argmax(axis=1)
 
     x = np.zeros(n)
-    for members in components.values():
-        pin = anchor if anchor in members else min(members)
-        free = [m for m in members if m != pin]
-        if not free:
-            continue
-        sub = lap[np.ix_(free, free)]
-        x[free] = np.linalg.solve(sub, rhs[free])
+    for r in np.unique(root):
+        pin = anchor if root[anchor] == r else r
+        free = np.flatnonzero(root == r)
+        free = free[free != pin]
+        if free.size:
+            x[free] = np.linalg.solve(lap[np.ix_(free, free)], rhs[free])
     return x
 
 
@@ -450,11 +452,9 @@ def embed_positions(dx, dy, weight_x, weight_y, theta,
     if mode is CoordinateMode.RELATIVE:
         dx, dy = _rotate_xy(np.asarray(theta)[:, None], dx, dy)
     n = len(theta)
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    x = solve_positions([(i, j, dx[i, j], weight_x[i, j]) for i, j in pairs],
-                        n)
-    y = solve_positions([(i, j, dy[i, j], weight_y[i, j]) for i, j in pairs],
-                        n)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    x = solve_positions(np.column_stack([i, j, dx[i, j], weight_x[i, j]]), n)
+    y = solve_positions(np.column_stack([i, j, dy[i, j], weight_y[i, j]]), n)
     return x, y
 
 

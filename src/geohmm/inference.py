@@ -7,8 +7,9 @@ transition:
     alpha_t(j) = sum_i alpha_{t-1}(i) A[i,j] f(r_t | R[i,j]) b_t(j)
 
 Relation densities can be orders of magnitude above or below 1, so alpha
-rows are normalized at every step and the same scales are reused for
-beta; the log-likelihood is the sum of the log scale factors.
+rows are normalized at every step and beta is scaled to match (each
+sum_i alpha_t(i) beta_t(i) is 1); the log-likelihood is the sum of the
+log scale factors.
 
 The reading densities form an exponential family, log f(r | R[i,j]) =
 phi(r) . eta[i,j], so the whole (T-1, N, N) tensor is one product of
@@ -20,16 +21,22 @@ forward recursion gives its normalizer Z_t = c_{t+1} sum_j
 alpha_{t+1}(j) beta_{t+1}(j), the row sum that gamma divides by.
 
 Both passes run time-blocked (after Sarkka and Garcia-Fernandez 2021),
-about 3 sqrt(T) batched steps instead of T Python steps. The T-1 steps
+about 5 sqrt(T) batched steps instead of 2T Python steps. The T-1 steps
 form blocks of L = round(sqrt(T-1)), which minimizes L block steps plus
-(T-1)/L block starts: T fixes L and there is nothing to tune. All block
-products are formed at once with each row's log scale kept apart
-(product = diag(exp(logr)) @ P), so no row under- or overflows. A short
-log-domain recursion (log alpha + logr, less its maximum) carries alpha
-across block starts, then all blocks fill in their steps at once, each
-scale c_t = sum(alpha_{t-1} @ step[t-1] * b_t) as in a sequential step.
-The products cost N^3 instead of N^2 per step, small beside the Python
-overhead saved at the state counts used here.
+(T-1)/L block starts: T fixes L and there is nothing to tune. Block b's
+product P_b of the operators M_t = step[t] diag(emit[t+1]) is formed
+once, all blocks at once, with each row's log scale kept apart (product
+= diag(exp(logr)) @ P), so no row under- or overflows. One set of
+products serves both passes, since alpha_{t+1} ~ alpha_t M_t and
+beta_t ~ M_t beta_{t+1}. Forward: a short log-domain recursion (log
+alpha + logr, less its maximum) carries alpha across block starts, then
+all blocks fill in their steps at once, each scale c_t = sum(alpha_{t-1}
+@ step[t-1] * b_t) as in a sequential step. Backward: the same
+recursion runs on P_b beta from the end, then the blocks fill in
+backwards, and each beta row is divided by sum_i alpha_t(i) beta_t(i),
+which is 1 under the forward scaling (Rabiner 1989). The products cost
+N^3 instead of N^2 per step, small beside the Python overhead saved at
+the state counts used here.
 """
 
 from __future__ import annotations
@@ -114,36 +121,40 @@ def relation_density_tensor(model: GeoHmm, e: ExperienceSequence) -> np.ndarray:
     return np.exp(logf, out=logf)
 
 
-def _scaled_scan(first, step, emit, divisors=None):
+def _scaled_scan(first, step, emit):
     """The time-blocked recursion v_t = (v_{t-1} @ step[t-1]) * emit[t] / c_t.
 
-    v_0 = first; c_t is the row's sum (v_t then sums to 1) or, when
-    given, divisors[t]. first (..., N) and emit (..., T, N) may carry
-    batch axes; step is (T-1, N, N). Returns v (..., T, N) and c (..., T)
-    with c_0 = 1. A row that dies shows a zero or non-finite c_t at its
-    first failing step.
+    v_0 = first; c_t is the row's sum, so v_t sums to 1. first (..., N)
+    and emit (..., T, N) may carry batch axes; step is (T-1, N, N).
+    Returns v (..., T, N), c (..., T) with c_0 = 1 (a row that dies shows
+    a zero or non-finite c_t at its first failing step) and the block
+    products (P, logr): P (..., nb, N, N) has unit row sums and block b's
+    product of the operators M_t = step[t] diag(emit[t+1]) over its
+    steps is diag(exp(logr_b)) @ P_b. _backward_scan reuses them.
     """
     T, N = emit.shape[-2:]
     batch = emit.shape[:-2]
     v, c = np.empty(emit.shape), np.ones(emit.shape[:-1])
     v[..., 0, :] = first
     if T == 1:
-        return v, c
+        return v, c, None
     L = round(math.sqrt(T - 1))
     nb = -(-(T - 1) // L)
-    full = (nb - 1) * L                # steps in blocks with a successor
     ones = np.ones(N)
-    P = np.broadcast_to(np.eye(N), batch + (nb - 1, N, N)).copy()
+    P = np.broadcast_to(np.eye(N), batch + (nb, N, N)).copy()
     Q = np.empty_like(P)
     rows = P.reshape(-1, N)            # a view: P is only written in place
     E = np.zeros(len(rows), dtype=int)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Block products as diag(2**E) @ P. A row is rescaled, by an exact
         # power of two, only once its sum leaves 2**±64, so most steps
-        # skip that pass; at the end the rows are normalized once.
+        # skip that pass; at the end the rows are normalized once. The
+        # last block may be short and drops out once it is done.
         for k in range(L):
-            np.matmul(P, step[k:full:L], out=Q)
-            np.multiply(Q, emit[..., k + 1:full + 1:L, None, :], out=P)
+            m = (T - 2 - k) // L + 1       # blocks that have a step k
+            np.matmul(P[..., :m, :, :], step[k::L], out=Q[..., :m, :, :])
+            np.multiply(Q[..., :m, :, :], emit[..., k + 1::L, None, :],
+                        out=P[..., :m, :, :])
             s = rows @ ones
             if (np.max(s, initial=0.0) > 2.0**64
                     or np.min(s, where=s > 0.0, initial=1.0) < 2.0**-64):
@@ -160,25 +171,47 @@ def _scaled_scan(first, step, emit, divisors=None):
             lw = np.log(starts[..., b, :]) + logr[..., b, :]
             top = lw.max(axis=-1, keepdims=True)
             y = (np.exp(lw - top)[..., None, :] @ P[..., b, :, :])[..., 0, :]
-            if divisors is None:
-                y /= y.sum(axis=-1, keepdims=True)
-            else:
-                block = divisors[..., b * L + 1:(b + 1) * L + 1]
-                y *= np.exp(top - np.log(block).sum(axis=-1, keepdims=True))
-            starts[..., b + 1, :] = y
-        # Fill in every block's steps from its start, all blocks at once;
-        # the last block may be short and drops out once it is done.
+            starts[..., b + 1, :] = y / y.sum(axis=-1, keepdims=True)
+        # Fill in every block's steps from its start, all blocks at once.
         cur = starts
         for k in range(L):
-            m = (T - 2 - k) // L + 1       # blocks that have a step k
+            m = (T - 2 - k) // L + 1
             row = (cur[..., :m, None, :] @ step[k::L])[..., 0, :]
             row *= emit[..., k + 1::L, :]
-            ck = (row.sum(axis=-1) if divisors is None
-                  else divisors[..., k + 1::L])
+            ck = row.sum(axis=-1)
             cur = row / ck[..., None]
             v[..., k + 1::L, :] = cur
             c[..., k + 1::L] = ck
-    return v, c
+    return v, c, (P, logr)
+
+
+def _backward_scan(alpha, step, emit, blocks):
+    """beta_t = step[t] @ (emit[t+1] * beta_{t+1}) from beta_{T-1} = 1,
+    on the block products (P, logr) of the forward _scaled_scan.
+
+    A log-domain recursion over block starts, log beta_{bL} = logr_b +
+    log(P_b beta_end) less its maximum, then all blocks fill in their
+    steps at once. Each row is divided by sum_i alpha_t(i) beta_t(i):
+    beta_t scaled by the forward scales c_{t+1}..c_{T-1}, as in
+    Rabiner's scaling, gives exactly 1 there, so both scalings agree.
+    """
+    T, N = emit.shape
+    beta = np.ones((T, N))
+    if T == 1:
+        return beta
+    P, logr = blocks
+    L = round(math.sqrt(T - 1))
+    with np.errstate(divide="ignore"):
+        for b in range(len(P) - 1, 0, -1):
+            lw = logr[b] + np.log(P[b] @ beta[min((b + 1) * L, T - 1)])
+            beta[b * L] = np.exp(lw - lw.max())
+    # Block b - 1 reads beta[bL] at k = L - 1; block b overwrites it at k = 0.
+    for k in range(L - 1, -1, -1):
+        u = emit[k + 1::L] * beta[k + 1::L]
+        u = (step[k::L] @ u[:, :, None])[:, :, 0]
+        u /= (alpha[k:T - 1:L] * u).sum(axis=1, keepdims=True)
+        beta[k:T - 1:L] = u
+    return beta
 
 
 def forward_backward(model: GeoHmm, e: ExperienceSequence,
@@ -200,19 +233,13 @@ def forward_backward(model: GeoHmm, e: ExperienceSequence,
     else:
         step = np.broadcast_to(model.A, (T - 1, N, N))
 
-    alpha, scales = _scaled_scan(np.eye(N)[model.start_state], step, emit)
+    alpha, scales, blocks = _scaled_scan(np.eye(N)[model.start_state], step,
+                                         emit)
     scales[0] = emit[0, model.start_state]
     bad = ~(np.isfinite(scales) & (scales > 0.0))
     if bad.any():
         raise ImpossibleSequenceError(int(np.argmax(bad)))
-
-    # u_t = emit[t] * beta[t] takes the forward form in reversed time,
-    # u_t = (u_{t+1} @ step[t].T) * emit[t] / c_{t+1}; beta needs no /emit.
-    divisors = np.concatenate(([1.0], scales[:0:-1]))
-    u = _scaled_scan(emit[T - 1], step[::-1].transpose(0, 2, 1), emit[::-1],
-                     divisors)[0][::-1]
-    beta = np.ones((T, N))
-    beta[:-1] = (step @ u[1:, :, None])[..., 0] / scales[1:, None]
+    beta = _backward_scan(alpha, step, emit, blocks)
 
     return Trellis(alpha=alpha, beta=beta, scales=scales,
                    loglik=float(np.sum(np.log(scales))),
@@ -235,8 +262,8 @@ def loglik(model: GeoHmm, seqs) -> np.ndarray:
         raise ValueError("loglik needs sequences of equal length")
     emit = np.stack([emission_probs(model, e) for e in seqs])   # (S, T, N)
     S, N = len(seqs), model.n_states
-    _, scales = _scaled_scan(np.eye(N)[model.start_state],
-                             np.broadcast_to(model.A, (T - 1, N, N)), emit)
+    _, scales, _ = _scaled_scan(np.eye(N)[model.start_state],
+                                np.broadcast_to(model.A, (T - 1, N, N)), emit)
     scales[:, 0] = emit[:, 0, model.start_state]
     live = (np.isfinite(scales) & (scales > 0.0)).all(axis=1)
     out = np.full(S, -np.inf)

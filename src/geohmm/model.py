@@ -241,13 +241,6 @@ class ExperienceSequence:
                                   self.readings[:length - 1])
 
 
-def transform_point(mu_theta: float, point):
-    """Rotate an (x, y) point by the heading change mu_theta."""
-    x, y = point
-    c, s = np.cos(mu_theta), np.sin(mu_theta)
-    return (x * c - y * s, x * s + y * c)
-
-
 def _rotate_xy(theta, x, y):
     """Vectorized rotation of stacked (x, y) by angles theta."""
     c, s = np.cos(theta), np.sin(theta)

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 
 from geohmm.circstats import KAPPA_MAX, TWO_PI, wrap_angle
+from geohmm.estimation import _OffsetUnionFind
 from geohmm.inference import (Posteriors, Trellis, emission_probs,
                               pair_statistics, relation_density_tensor)
 from geohmm.initialization import (ZERO_BUCKET, Bucket, BucketConfig,
@@ -17,7 +18,7 @@ from geohmm.initialization import (ZERO_BUCKET, Bucket, BucketConfig,
 from geohmm.model import (ConsistencyReport, ConsistencyViolation,
                           ConstraintLevel, CoordinateMode, ExperienceSequence,
                           GeoHmm, ImpossibleSequenceError, RelationMatrix,
-                          transform_point)
+                          _rotate_xy)
 
 
 def normal_pdf(x, mu, var):
@@ -191,6 +192,47 @@ def reference_posteriors(trellis: Trellis, model: GeoHmm,
     return Posteriors(gamma=gamma, pair=pair_statistics(xi, e.readings))
 
 
+def reference_solve_positions(targets, n: int, anchor: int = 0) -> np.ndarray:
+    """solve_positions with one Python step per target: the Laplacian and
+    right-hand side accumulated entry by entry, components from a
+    union-find."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    if not 0 <= anchor < n:
+        raise ValueError("anchor out of range")
+    lap = np.zeros((n, n))
+    rhs = np.zeros(n)
+    uf = _OffsetUnionFind(n)
+    for i, j, value, weight in targets:
+        i, j = int(i), int(j)
+        if weight < 0:
+            raise ValueError("weights must be nonnegative")
+        if weight == 0 or i == j:
+            continue
+        lap[i, i] += weight
+        lap[j, j] += weight
+        lap[i, j] -= weight
+        lap[j, i] -= weight
+        rhs[j] += weight * value
+        rhs[i] -= weight * value
+        uf.union(i, j, 0.0)
+
+    components = {}
+    for node in range(n):
+        root, _ = uf.find(node)
+        components.setdefault(root, []).append(node)
+
+    x = np.zeros(n)
+    for members in components.values():
+        pin = anchor if anchor in members else min(members)
+        free = [m for m in members if m != pin]
+        if not free:
+            continue
+        sub = lap[np.ix_(free, free)]
+        x[free] = np.linalg.solve(sub, rhs[free])
+    return x
+
+
 def reference_update_observations(gamma, observations, prev_B,
                                   pseudocount: float = 0.0) -> tuple:
     """update_observations with the symbol counts scattered by np.add.at,
@@ -332,7 +374,7 @@ def reference_check_consistency(model: GeoHmm, level: ConstraintLevel,
             t_res = abs(wrap_angle(mu_t[i, j] + mu_t[j, i]))
             record("antisymmetry", "theta", (i, j), t_res)
             if relative:
-                bx, by = transform_point(mu_t[i, j], (mu_x[j, i], mu_y[j, i]))
+                bx, by = _rotate_xy(mu_t[i, j], mu_x[j, i], mu_y[j, i])
                 xy_res = np.hypot(mu_x[i, j] + bx, mu_y[i, j] + by)
                 record("antisymmetry", "xy", (i, j), xy_res)
             else:
@@ -352,8 +394,7 @@ def reference_check_consistency(model: GeoHmm, level: ConstraintLevel,
                 t_res = abs(wrap_angle(mu_t[i, j] + mu_t[j, k] - mu_t[i, k]))
                 record("additivity", "theta", (i, j, k), t_res)
                 if relative:
-                    bx, by = transform_point(mu_t[i, j],
-                                             (mu_x[j, k], mu_y[j, k]))
+                    bx, by = _rotate_xy(mu_t[i, j], mu_x[j, k], mu_y[j, k])
                     xy_res = np.hypot(mu_x[i, j] + bx - mu_x[i, k],
                                       mu_y[i, j] + by - mu_y[i, k])
                     record("additivity", "xy", (i, j, k), xy_res)

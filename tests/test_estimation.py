@@ -16,7 +16,7 @@ from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
 from geohmm.initialization import init_model, random_model
 from geohmm.pipeline import default_bucket_config
 from oracles import (random_experience, random_geohmm,
-                     reference_update_observations)
+                     reference_solve_positions, reference_update_observations)
 
 
 def posteriors_from_xi(xi, readings=None):
@@ -306,6 +306,29 @@ class TestSolvePositions:
             solve_positions([], 0)
         with pytest.raises(ValueError):
             solve_positions([(0, 1, 1.0, -2.0)], 2)
+        with pytest.raises(ValueError):
+            solve_positions([(0, 2, 1.0, 1.0)], 2)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_loop_reference_on_random_graphs(self, seed):
+        # Edges only inside 1-4 random groups, so several components
+        # (and isolated nodes) appear; zero weights and self-pairs are
+        # dropped by both solvers.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 17))
+        group = rng.integers(0, rng.integers(1, 5), n)
+        i, j = rng.integers(0, n, (2, int(rng.integers(0, 4 * n))))
+        i, j = i[group[i] == group[j]], j[group[i] == group[j]]
+        weight = rng.uniform(0.05, 20.0, len(i)) * (rng.uniform(size=len(i))
+                                                    > 0.2)
+        targets = np.column_stack([i, j, rng.normal(0, 5, len(i)), weight])
+        anchor = int(rng.integers(n))
+        want = reference_solve_positions(targets, n, anchor)
+        np.testing.assert_allclose(solve_positions(targets, n, anchor), want,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            solve_positions([tuple(row) for row in targets], n, anchor), want,
+            rtol=1e-12, atol=0)
 
 
 class TestProjectHeadings:

@@ -140,6 +140,11 @@ def assert_matches_reference(got, want):
     assert got.loglik == pytest.approx(want.loglik, rel=1e-12, abs=0)
 
 
+def assert_unit_alpha_beta(trellis):
+    np.testing.assert_allclose((trellis.alpha * trellis.beta).sum(axis=1),
+                               1.0, rtol=1e-12, atol=0)
+
+
 # T - 1 steps: none, 1, 2, 3 (ragged), exact squares 16, 25 and 784,
 # and 799 and 1000 with ragged last blocks.
 BLOCK_LENGTHS = [1, 2, 3, 4, 17, 26, 785, 800, 1001]
@@ -169,11 +174,11 @@ class TestBlockedRecursion:
             forward_backward(model, e, use_odometry),
             reference_forward_backward(model, e, use_odometry))
 
-    @pytest.mark.parametrize("offset", [0.0, 3.4e-5])
-    def test_matches_reference_beyond_double_range(self, offset):
-        # Variances of 1e-12 make every step's density about 1e11 on the
-        # readings' own pair (offset 0) or about 1e-250 (offset 3.4e-5),
-        # so a block product of 32 steps leaves the double range.
+    @staticmethod
+    def _beyond_double_range(offset):
+        """Variances of 1e-12 make every step's density about 1e11 on the
+        readings' own pair (offset 0) or about 1e-250 (offset 3.4e-5),
+        so a block product of 32 steps leaves the double range."""
         rng = np.random.default_rng(61)
         model = random_geohmm(3, rng)
         R = model.relations
@@ -188,9 +193,30 @@ class TestBlockedRecursion:
                                     R.mu_theta[i, j]])
         e = ExperienceSequence(observations=rng.integers(0, 3, (1001, 1)),
                                readings=readings)
+        return model, e
+
+    @pytest.mark.parametrize("offset", [0.0, 3.4e-5])
+    def test_matches_reference_beyond_double_range(self, offset):
+        model, e = self._beyond_double_range(offset)
         want = reference_forward_backward(model, e)
         assert abs(want.loglik) / 1000 * 32 > np.log(2.0) * 1024
         assert_matches_reference(forward_backward(model, e), want)
+
+    # The backward pass scales each beta row by sum_i alpha_t(i) beta_t(i)
+    # instead of the forward scales; both give 1 in Rabiner's scaling.
+    @pytest.mark.parametrize("T", BLOCK_LENGTHS)
+    @pytest.mark.parametrize("use_odometry", [True, False])
+    def test_alpha_beta_sums_to_one(self, T, use_odometry):
+        rng = np.random.default_rng(300 + T)
+        for model in (random_geohmm(4, rng, obs_dims=(3, 2)),
+                      sparse_geohmm(5, rng)):
+            e = random_experience(model, T, rng)
+            assert_unit_alpha_beta(forward_backward(model, e, use_odometry))
+
+    @pytest.mark.parametrize("offset", [0.0, 3.4e-5])
+    def test_alpha_beta_sums_to_one_beyond_double_range(self, offset):
+        model, e = self._beyond_double_range(offset)
+        assert_unit_alpha_beta(forward_backward(model, e))
 
     @pytest.mark.parametrize("T", BLOCK_LENGTHS)
     def test_loglik_matches_sequential_reference(self, T):

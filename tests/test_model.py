@@ -6,8 +6,8 @@ from scipy.integrate import quad
 
 from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
                           GeoHmm, RelationEntry, RelationMatrix,
-                          check_consistency, embed_relations, relation_density,
-                          transform_point)
+                          _rotate_xy, check_consistency, embed_relations,
+                          relation_density)
 from geohmm.circstats import wrap_angle
 
 from oracles import random_geohmm, reference_check_consistency
@@ -22,12 +22,12 @@ def simple_model(n=2, mode=CoordinateMode.GLOBAL, relations=None):
                   relations=relations, mode=mode)
 
 
-class TestTransformPoint:
+class TestRotateXy:
     def test_identity(self):
-        assert transform_point(0.0, (3.0, 4.0)) == pytest.approx((3.0, 4.0))
+        assert _rotate_xy(0.0, 3.0, 4.0) == pytest.approx((3.0, 4.0))
 
     def test_quarter_turn(self):
-        x, y = transform_point(np.pi / 2, (1.0, 0.0))
+        x, y = _rotate_xy(np.pi / 2, 1.0, 0.0)
         assert (x, y) == pytest.approx((0.0, 1.0), abs=1e-12)
 
     def test_composition_is_summed_rotation(self):
@@ -35,8 +35,8 @@ class TestTransformPoint:
         for _ in range(30):
             a, b = rng.uniform(-np.pi, np.pi, size=2)
             p = tuple(rng.normal(size=2))
-            via_two = transform_point(b, transform_point(a, p))
-            direct = transform_point(a + b, p)
+            via_two = _rotate_xy(b, *_rotate_xy(a, *p))
+            direct = _rotate_xy(a + b, *p)
             assert via_two == pytest.approx(direct, abs=1e-12)
 
 
