@@ -29,7 +29,7 @@ print("  log-likelihood: %.3f" % trellis.loglik)
 trellis_plain = forward_backward(model, seq, use_odometry=False)
 print("  observation-only log-likelihood: %.3f" % trellis_plain.loglik)
 
-post = posteriors(trellis, model, seq, use_odometry=True)
+post = posteriors(trellis, model, seq)
 decoded = post.gamma.argmax(axis=1)
 print("\nPosterior state decoding vs the hidden truth (first 20 steps):")
 print("  true   ", states[:20])

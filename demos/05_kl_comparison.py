@@ -21,7 +21,7 @@ print("Learning from one %d-step sequence, 3 runs per arm..." % len(seq))
 def arm(use_odometry, seed):
     cfg = LearnConfig(constraint_level=ConstraintLevel.ADDITIVE,
                       use_odometry=use_odometry, max_iters=200,
-                      trans_pseudocount=0.005, obs_pseudocount=0.005)
+                      pseudocount=0.005)
     results = learn_runs(seq, true_model.n_states, cfg, restarts=3, seed=seed,
                          obs_dims=true_model.obs_dims)
     kls, iters = [], []

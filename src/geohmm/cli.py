@@ -42,6 +42,9 @@ _LEVELS = {"none": ConstraintLevel.UNCONSTRAINED,
            "additive": ConstraintLevel.ADDITIVE}
 _MODES = {"global": CoordinateMode.GLOBAL,
           "relative": CoordinateMode.RELATIVE}
+# The learn option that sets each validated LearnConfig field.
+_LEARN_OPTIONS = {"pseudocount": "--smoothing", "max_iters": "--max-iters",
+                  "density_floor": "--density-floor"}
 
 
 class CliError(Exception):
@@ -127,18 +130,19 @@ def cmd_make_loop(args, argv):
 
 
 def _learn_config(args, mode):
-    return LearnConfig(
-        constraint_level=_LEVELS[args.constraints],
-        mode=mode,
-        use_odometry=not args.no_odometry,
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        density_floor=args.density_floor,
-        held_weight_threshold=args.tau,
-        trans_pseudocount=args.smoothing,
-        obs_pseudocount=args.smoothing,
-        antisym_burn_in=args.burn_in,
-    )
+    try:
+        return LearnConfig(
+            constraint_level=_LEVELS[args.constraints],
+            mode=mode,
+            use_odometry=not args.no_odometry,
+            max_iters=args.max_iters,
+            pseudocount=args.smoothing,
+            density_floor=args.density_floor,
+        )
+    except ValueError as exc:
+        # LearnConfig's messages start with the field name.
+        field, _, rest = str(exc).partition(" ")
+        raise CliError("%s %s" % (_LEARN_OPTIONS[field], rest))
 
 
 def _bucket_config(args, seq):
@@ -333,13 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--seed", type=int)
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--rel-tol", type=float, default=1e-6)
-    p.add_argument("--tau", type=float, default=1.0,
-                   help="held-entry weight threshold for heading projection")
     p.add_argument("--smoothing", type=float, default=0.0,
                    help="pseudocount for A and B updates")
-    p.add_argument("--burn-in", type=int, default=0,
-                   help="anti-symmetric iterations before additivity")
     p.add_argument("--density-floor", type=float,
                    help="floor for reading densities (for noisy real data)")
     p.add_argument("--sigma-x", type=float)

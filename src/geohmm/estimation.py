@@ -23,6 +23,7 @@ receive no posterior weight keep their previous parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,24 +36,41 @@ from .model import (VAR_FLOOR, ConstraintLevel, CoordinateMode,
                     embed_relations)
 
 
+# Fixed tuning of the EM loop: the relative loglik gain below which a run
+# has converged, the pseudo-observations at the previous parameters blended
+# into every spread refit, and the expected transition count from which the
+# heading projection holds a pair's raw estimate.
+REL_TOL = 1e-6
+SPREAD_DAMPING = 1.0
+HELD_WEIGHT = 1.0
+
+
 @dataclass
 class LearnConfig:
-    """Knobs for the EM loop; defaults suit desk-scale experiments."""
+    """Knobs for the EM loop; defaults suit desk-scale experiments.
+
+    constraint_level: update rule for the relations (none/antisym/additive).
+    mode: coordinate convention; None inherits the initial model's.
+    use_odometry: False runs plain Baum-Welch on the observations alone.
+    max_iters: most M-steps a run takes.
+    pseudocount: Dirichlet mass added per cell of the A and B updates.
+    density_floor: floor for reading densities in the E-step; None for none.
+    """
 
     constraint_level: ConstraintLevel = ConstraintLevel.ANTISYMMETRIC
-    mode: CoordinateMode | None = None      # None: inherit from the model
+    mode: CoordinateMode | None = None
     use_odometry: bool = True
     max_iters: int = 200
-    rel_tol: float = 1e-6
-    var_floor: float = VAR_FLOOR
-    kappa_max: float = KAPPA_MAX
-    spread_damping: float = 1.0
-    trans_pseudocount: float = 0.0
-    obs_pseudocount: float = 0.0
-    held_weight_threshold: float = 1.0
+    pseudocount: float = 0.0
     density_floor: float | None = None
-    antisym_burn_in: int = 0    # additive level only: antisym-only iterations first
-    rng_seed: int = 0
+
+    def __post_init__(self):
+        # Messages start with the field name, which the CLI maps to its option.
+        for name in ("pseudocount", "max_iters", "density_floor"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ValueError("%s must be finite and >= 0, got %r"
+                                 % (name, value))
 
 
 @dataclass
@@ -121,7 +139,7 @@ def _lagged_theta_means(s0, ssin, scos, kappa_old, mu_old):
 
 
 def _spread_updates(post: Posteriors, R_old, mu_x, mu_y, mu_theta,
-                    var_floor, kappa_max, damping: float = 0.0):
+                    damping: float = 0.0):
     """Variances against the new means (normal dims) and concentrations
     against the new mean directions (heading), per direction.
 
@@ -141,7 +159,7 @@ def _spread_updates(post: Posteriors, R_old, mu_x, mu_y, mu_theta,
         num = s2 - 2.0 * mu * s1 + mu * mu * s0
         out = np.array(old, copy=True)
         out[live] = np.maximum(
-            (num[live] + damping * old[live]) / denom[live], var_floor)
+            (num[live] + damping * old[live]) / denom[live], VAR_FLOOR)
         return out
 
     var_x = fit_var(sx, sxx, mu_x, R_old.var_x)
@@ -157,8 +175,7 @@ def _spread_updates(post: Posteriors, R_old, mu_x, mu_y, mu_theta,
                             + damping * old_resultant[live]) / denom[live])
     kappa = np.array(R_old.kappa_theta, copy=True)
     kappa[live] = np.minimum(
-        resultant_to_kappa(np.clip(resultant[live], 0.0, 1.0)),
-        kappa_max)
+        resultant_to_kappa(np.clip(resultant[live], 0.0, 1.0)), KAPPA_MAX)
     # Diagonals are pinned, not reestimated.
     n = s0.shape[0]
     idx = np.arange(n)
@@ -175,8 +192,6 @@ def _rotation(theta):
 
 def update_relations_antisym(post: Posteriors, R_old: RelationMatrix,
                              mode: CoordinateMode,
-                             var_floor: float = VAR_FLOOR,
-                             kappa_max: float = KAPPA_MAX,
                              damping: float = 0.0) -> RelationMatrix:
     """One lag-behind anti-symmetric reestimation of the relation matrix.
 
@@ -228,13 +243,11 @@ def update_relations_antisym(post: Posteriors, R_old: RelationMatrix,
                 mu_x[j, i], mu_y[j, i] = back
 
     var_x, var_y, kappa = _spread_updates(
-        post, R_old, mu_x, mu_y, mu_theta, var_floor, kappa_max, damping)
+        post, R_old, mu_x, mu_y, mu_theta, damping)
     return RelationMatrix(mu_x, mu_y, mu_theta, var_x, var_y, kappa)
 
 
 def update_relations_unconstrained(post: Posteriors, R_old: RelationMatrix,
-                                   var_floor: float = VAR_FLOOR,
-                                   kappa_max: float = KAPPA_MAX,
                                    damping: float = 0.0) -> RelationMatrix:
     """Independent per-direction reestimation (diagonal still pinned)."""
     s0, sx, sy, _, _, ssin, scos = post.pair
@@ -247,11 +260,11 @@ def update_relations_unconstrained(post: Posteriors, R_old: RelationMatrix,
     for m in (mu_x, mu_y, mu_theta):
         np.fill_diagonal(m, 0.0)
     var_x, var_y, kappa = _spread_updates(
-        post, R_old, mu_x, mu_y, mu_theta, var_floor, kappa_max, damping)
+        post, R_old, mu_x, mu_y, mu_theta, damping)
     return RelationMatrix(mu_x, mu_y, mu_theta, var_x, var_y, kappa)
 
 
-def constrained_two_normal_mle(P, Q, var_floor: float = VAR_FLOOR):
+def constrained_two_normal_mle(P, Q):
     """ML estimate of (mu, var_P, var_Q) for two normal samples whose
     means are constrained to be negatives of each other.
 
@@ -271,7 +284,7 @@ def constrained_two_normal_mle(P, Q, var_floor: float = VAR_FLOOR):
 
     if vp == 0.0 and vq == 0.0:
         if q_bar == -p_bar and not (n == 1 and k == 1):
-            return float(p_bar), var_floor, var_floor
+            return float(p_bar), VAR_FLOOR, VAR_FLOOR
         raise ValueError("degenerate zero-variance samples")
     if vp == 0.0 or vq == 0.0:
         raise ValueError("degenerate zero-variance sample")
@@ -292,7 +305,7 @@ def constrained_two_normal_mle(P, Q, var_floor: float = VAR_FLOOR):
     best = real[np.argmax([profile_loglik(m) for m in real])]
     sp2 = vp + (p_bar - best) ** 2
     sq2 = vq + (q_bar + best) ** 2
-    return float(best), float(max(sp2, var_floor)), float(max(sq2, var_floor))
+    return float(best), float(max(sp2, VAR_FLOOR)), float(max(sq2, VAR_FLOOR))
 
 
 class _OffsetUnionFind:
@@ -459,8 +472,8 @@ def embed_positions(dx, dy, weight_x, weight_y, theta,
 
 
 def update_relations_additive(post: Posteriors, R_old: RelationMatrix,
-                              mode: CoordinateMode, cfg: LearnConfig,
-                              theta_ref=None) -> tuple:
+                              mode: CoordinateMode, theta_ref=None,
+                              damping: float = 0.0) -> tuple:
     """Fully additive reestimation via per-state coordinates.
 
     Headings: lag-behind anti-symmetric estimates projected onto an
@@ -475,8 +488,7 @@ def update_relations_additive(post: Posteriors, R_old: RelationMatrix,
     s0, sx, sy, _, _, ssin, scos = post.pair
     raw_theta = _lagged_theta_means(s0, ssin, scos, R_old.kappa_theta,
                                     R_old.mu_theta)
-    theta, mu_theta = project_headings(raw_theta, s0,
-                                       cfg.held_weight_threshold, theta_ref)
+    theta, mu_theta = project_headings(raw_theta, s0, HELD_WEIGHT, theta_ref)
 
     live = s0 > 0.0
     vbar_x = np.divide(sx, s0, out=np.zeros_like(sx), where=live)
@@ -488,8 +500,7 @@ def update_relations_additive(post: Posteriors, R_old: RelationMatrix,
     mu_x, mu_y, mu_theta_embed = embed_relations(pos_x, pos_y, theta, mode)
 
     var_x, var_y, kappa = _spread_updates(
-        post, R_old, mu_x, mu_y, mu_theta_embed,
-        cfg.var_floor, cfg.kappa_max, cfg.spread_damping)
+        post, R_old, mu_x, mu_y, mu_theta_embed, damping)
     rel = RelationMatrix(mu_x, mu_y, mu_theta_embed, var_x, var_y, kappa)
     return rel, theta
 
@@ -499,7 +510,7 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
     """Generalized-EM loop: E-step posteriors, M-step constrained updates.
 
     Stops when the relative log-likelihood improvement falls below
-    cfg.rel_tol or after cfg.max_iters M-steps; the report keeps the trace.
+    REL_TOL or after cfg.max_iters M-steps; the report keeps the trace.
 
     An M-step that lowers the log-likelihood is rejected and retried
     with the relation matrix held at its previous (still consistent)
@@ -531,32 +542,25 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
     theta_ref = None
 
     for it in range(1, cfg.max_iters + 1):
-        post = posteriors(trellis, model, e, use_odometry=cfg.use_odometry)
-        new_A = update_transitions(post, model.A, cfg.trans_pseudocount)
-        new_B = update_observations(post, e, model.B, cfg.obs_pseudocount)
-        relations = model.relations
-        if cfg.use_odometry:
-            level = cfg.constraint_level
-            if (level is ConstraintLevel.ADDITIVE
-                    and it <= cfg.antisym_burn_in):
-                level = ConstraintLevel.ANTISYMMETRIC
-            if level is ConstraintLevel.UNCONSTRAINED:
-                relations = update_relations_unconstrained(
-                    post, model.relations, cfg.var_floor, cfg.kappa_max,
-                    cfg.spread_damping)
-            elif level is ConstraintLevel.ANTISYMMETRIC:
-                relations = update_relations_antisym(
-                    post, model.relations, mode, cfg.var_floor,
-                    cfg.kappa_max, cfg.spread_damping)
-            else:
-                relations, theta_ref = update_relations_additive(
-                    post, model.relations, mode, cfg, theta_ref)
+        post = posteriors(trellis, model, e)
+        new_A = update_transitions(post, model.A, cfg.pseudocount)
+        new_B = update_observations(post, e, model.B, cfg.pseudocount)
+        R = model.relations
+        if not cfg.use_odometry:
+            relations = R
+        elif cfg.constraint_level is ConstraintLevel.UNCONSTRAINED:
+            relations = update_relations_unconstrained(post, R, SPREAD_DAMPING)
+        elif cfg.constraint_level is ConstraintLevel.ANTISYMMETRIC:
+            relations = update_relations_antisym(post, R, mode, SPREAD_DAMPING)
+        else:
+            relations, theta_ref = update_relations_additive(
+                post, R, mode, theta_ref, SPREAD_DAMPING)
         candidate = model.replace(A=new_A, B=new_B, relations=relations)
         new_trellis = e_step(candidate)
         previous = trace[-1]
         if new_trellis.loglik < previous:
             violations.append((it, float(previous - new_trellis.loglik)))
-            candidate = candidate.replace(relations=model.relations)
+            candidate = candidate.replace(relations=R)
             new_trellis = e_step(candidate)
             if new_trellis.loglik < previous:
                 converged = True
@@ -565,7 +569,7 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
             on_iteration(it, candidate)
         model, trellis = candidate, new_trellis
         trace.append(trellis.loglik)
-        if trellis.loglik - previous < cfg.rel_tol * abs(previous):
+        if trellis.loglik - previous < REL_TOL * abs(previous):
             converged = True
             break
 

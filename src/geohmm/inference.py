@@ -283,18 +283,18 @@ def pair_statistics(xi: np.ndarray, readings: np.ndarray) -> np.ndarray:
     return (phi.T @ xi.reshape(len(xi), n * n)).reshape(7, n, n)
 
 
-def posteriors(trellis: Trellis, model: GeoHmm, e: ExperienceSequence,
-               use_odometry: bool = True) -> Posteriors:
+def posteriors(trellis: Trellis, model: GeoHmm,
+               e: ExperienceSequence) -> Posteriors:
     """Gamma and expected pair statistics from a trellis computed for the
-    same inputs.
+    same inputs, with or without odometry as the trellis was.
 
     xi[t] = alpha[t, :, None] * step[t] * v[t] with v = (emit * beta /
     Z)[1:]. Without odometry every step is A, so pair[k] = A * (U_k.T @ v)
     with U_k = w_k(r) * alpha[:-1], and no (T-1, N, N) array is built.
     """
     T, N = len(e), model.n_states
-    if trellis.alpha.shape != (T, N) or trellis.use_odometry != use_odometry:
-        raise ValueError("trellis does not match the given model/sequence/flag")
+    if trellis.alpha.shape != (T, N):
+        raise ValueError("trellis does not match the given model/sequence")
 
     ab = trellis.alpha * trellis.beta
     mass = ab.sum(axis=1)
@@ -302,7 +302,7 @@ def posteriors(trellis: Trellis, model: GeoHmm, e: ExperienceSequence,
 
     v = trellis.emit[1:] * trellis.beta[1:]
     v /= (trellis.scales[1:] * mass[1:])[:, None]                # (T-1, N)
-    if use_odometry:
+    if trellis.use_odometry:
         xi = trellis.alpha[:-1, :, None] * trellis.step
         xi *= v[:, None, :]
         return Posteriors(gamma=gamma, pair=pair_statistics(xi, e.readings))

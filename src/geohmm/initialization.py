@@ -22,7 +22,7 @@ import numpy as np
 from .circstats import (TWO_PI, mean_resultant_length, resultant_to_kappa,
                         wrap_angle)
 from .model import (CoordinateMode, ExperienceSequence, GeoHmm,
-                    RelationMatrix, embed_relations)
+                    RelationMatrix, _rotate_xy, embed_relations)
 
 SMOOTHING = 0.05
 
@@ -205,16 +205,12 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
         elif n_used < n_max:
             nxt = n_used
             n_used += 1
-            mean = np.asarray(buckets[bucket_id].mean, dtype=float)
+            dx, dy, dtheta = np.asarray(buckets[bucket_id].mean, dtype=float)
             if mode is CoordinateMode.RELATIVE:
-                c, s = np.cos(coords[current, 2]), np.sin(coords[current, 2])
-                step = np.array([mean[0] * c - mean[1] * s,
-                                 mean[0] * s + mean[1] * c, mean[2]])
-            else:
-                step = mean
-            coords[nxt, 0] = coords[current, 0] + step[0]
-            coords[nxt, 1] = coords[current, 1] + step[1]
-            coords[nxt, 2] = wrap_angle(coords[current, 2] + step[2])
+                dx, dy = _rotate_xy(coords[current, 2], dx, dy)
+            coords[nxt, 0] = coords[current, 0] + dx
+            coords[nxt, 1] = coords[current, 1] + dy
+            coords[nxt, 2] = wrap_angle(coords[current, 2] + dtheta)
             row_cache.clear()
         else:
             nxt = nearest
@@ -297,20 +293,18 @@ def init_model(e: ExperienceSequence, n: int, cfg: BucketConfig,
 
 
 def random_model(n: int, obs_dims, rng: np.random.Generator,
-                 mode: CoordinateMode = CoordinateMode.GLOBAL,
-                 position_scale: float = 1.0) -> GeoHmm:
-    """Uniform-plus-jitter random model (the classic restart baseline)."""
+                 mode: CoordinateMode = CoordinateMode.GLOBAL) -> GeoHmm:
+    """Uniform-plus-jitter random model (the classic restart baseline):
+    standard normal positions, uniform headings, unit variances."""
     A = rng.dirichlet(np.ones(n), size=n)
     B = tuple(rng.dirichlet(np.ones(size), size=n).T for size in obs_dims)
-    x = rng.normal(0.0, position_scale, size=n)
-    y = rng.normal(0.0, position_scale, size=n)
+    x = rng.normal(0.0, 1.0, size=n)
+    y = rng.normal(0.0, 1.0, size=n)
     theta = rng.uniform(-np.pi, np.pi, size=n)
     x[0] = y[0] = theta[0] = 0.0
     mu_x, mu_y, mu_theta = embed_relations(x, y, theta, mode)
-    var = max(position_scale ** 2, 1.0)
-    relations = RelationMatrix(mu_x, mu_y, mu_theta,
-                               np.full((n, n), var), np.full((n, n), var),
-                               np.full((n, n), 0.5))
+    relations = RelationMatrix(mu_x, mu_y, mu_theta, np.ones((n, n)),
+                               np.ones((n, n)), np.full((n, n), 0.5))
     return GeoHmm(n_states=n, obs_dims=tuple(obs_dims), A=A, B=B,
                   start_state=0, relations=relations, mode=mode)
 

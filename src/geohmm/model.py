@@ -337,12 +337,6 @@ class ConsistencyReport:
         return "\n".join(lines)
 
 
-def _transport_to_origin_frame(mu_theta_ij, vx, vy):
-    # Moves a frame-j vector into frame i under the relative convention
-    # used by embed_relations (frames rotated by -theta).
-    return _rotate_xy(mu_theta_ij, vx, vy)
-
-
 def check_consistency(model: GeoHmm, level: ConstraintLevel,
                       tol: float = 1e-9) -> ConsistencyReport:
     """List every constraint violation beyond tol at the given level.
@@ -381,7 +375,10 @@ def check_consistency(model: GeoHmm, level: ConstraintLevel,
     # Pairs i < j: mu[i, j] against mu[j, i].
     t_res = np.abs(wrap_angle(mu_t + mu_t.T))
     if relative:
-        bx, by = _transport_to_origin_frame(mu_t, mu_x.T, mu_y.T)
+        # Rotating by mu_theta[i, j] moves a frame-j vector into frame i
+        # under the relative convention of embed_relations (frames rotated
+        # by -theta).
+        bx, by = _rotate_xy(mu_t, mu_x.T, mu_y.T)
         xy_res = [np.hypot(mu_x + bx, mu_y + by)]
     else:
         xy_res = [np.abs(mu_x + mu_x.T), np.abs(mu_y + mu_y.T)]
@@ -396,8 +393,8 @@ def check_consistency(model: GeoHmm, level: ConstraintLevel,
     t_res = np.abs(wrap_angle(mu_t[:, :, None] + mu_t[None, :, :]
                               - mu_t[:, None, :]))
     if relative:
-        bx, by = _transport_to_origin_frame(mu_t[:, :, None],
-                                            mu_x[None, :, :], mu_y[None, :, :])
+        bx, by = _rotate_xy(mu_t[:, :, None], mu_x[None, :, :],
+                            mu_y[None, :, :])
         xy_res = [np.hypot(mu_x[:, :, None] + bx - mu_x[:, None, :],
                            mu_y[:, :, None] + by - mu_y[:, None, :])]
     else:

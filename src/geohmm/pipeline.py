@@ -30,17 +30,16 @@ class RunResult:
         return self.report.loglik_trace[-1]
 
 
-def default_bucket_config(e: ExperienceSequence,
-                          sigma_scale: float = 0.25) -> BucketConfig:
+def default_bucket_config(e: ExperienceSequence) -> BucketConfig:
     """Bucketing deviations scaled from the spread of the readings.
 
-    A fraction of the per-dimension spread works well when the true
+    An eighth of the per-dimension span works well when the true
     per-transition noise is unknown; the heading deviation is given in
     radians and capped below pi/4 so distinct turns stay separable.
     """
     spans = e.readings.max(axis=0) - e.readings.min(axis=0)
-    sigma_x = max(float(spans[0]) * sigma_scale / 2.0, 1e-3)
-    sigma_y = max(float(spans[1]) * sigma_scale / 2.0, 1e-3)
+    sigma_x = max(float(spans[0]) / 8.0, 1e-3)
+    sigma_y = max(float(spans[1]) / 8.0, 1e-3)
     return BucketConfig(sigma_x=sigma_x, sigma_y=sigma_y,
                         sigma_theta=min(np.pi / 4.0, 0.35))
 

@@ -68,7 +68,7 @@ def test_criterion_1_oracle_equivalence():
             want_ll, want_gamma, want_xi = brute_force_posteriors(
                 model, e, use_odometry)
             trellis = forward_backward(model, e, use_odometry=use_odometry)
-            post = posteriors(trellis, model, e, use_odometry=use_odometry)
+            post = posteriors(trellis, model, e)
             want_pair = reference_pair_statistics(want_xi, e.readings)
             worst = max(worst,
                         abs(trellis.loglik - want_ll),
@@ -252,8 +252,7 @@ def _learn_config(use_odometry):
         constraint_level=ConstraintLevel.ADDITIVE,
         use_odometry=use_odometry,
         max_iters=200,
-        trans_pseudocount=EXPERIMENT_SMOOTHING,
-        obs_pseudocount=EXPERIMENT_SMOOTHING,
+        pseudocount=EXPERIMENT_SMOOTHING,
     )
 
 

@@ -159,6 +159,48 @@ class TestLearn:
                      "--initial", str(loop_model_path), "--max-iters", "5"])
         assert code == EXIT_IMPOSSIBLE
 
+    @pytest.mark.parametrize("option, value", [("--smoothing", "-0.5"),
+                                               ("--max-iters", "-3"),
+                                               ("--density-floor", "nan")])
+    def test_invalid_learn_option_rejected_up_front(self, tmp_path, capsys,
+                                                    experience_path, option,
+                                                    value):
+        out = tmp_path / "m.json"
+        code = main(["learn", str(experience_path), "-o", str(out),
+                     "-n", "16", option, value])
+        assert code == EXIT_INPUT
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNoDeadKnobs:
+    """Every learning knob is read somewhere: a field or option that
+    nothing reads is a knob that does nothing."""
+
+    def test_every_learn_config_field_is_read(self):
+        import dataclasses
+        import pathlib
+
+        from geohmm.estimation import LearnConfig
+        src = pathlib.Path(__file__).resolve().parent.parent / "src" / "geohmm"
+        text = "".join(p.read_text() for p in sorted(src.glob("*.py")))
+        unread = [f.name for f in dataclasses.fields(LearnConfig)
+                  if "cfg.%s" % f.name not in text]
+        assert not unread
+
+    def test_every_learn_option_is_read(self):
+        import argparse
+        import inspect
+
+        from geohmm import cli
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        text = inspect.getsource(cli)
+        unread = [a.dest for a in sub.choices["learn"]._actions
+                  if not isinstance(a, argparse._HelpAction)
+                  and "args.%s" % a.dest not in text]
+        assert not unread
+
 
 class TestCheck:
     def test_consistent_model_exit_zero(self, loop_model_path):

@@ -408,9 +408,8 @@ class TestUpdateRelationsAdditive:
 
     def test_noise_free_embedding_recovered(self):
         post = self.make_square_posteriors()
-        cfg = LearnConfig(constraint_level=ConstraintLevel.ADDITIVE)
         R, theta = update_relations_additive(
-            post, RelationMatrix.zero(4, var=1.0), CoordinateMode.GLOBAL, cfg)
+            post, RelationMatrix.zero(4, var=1.0), CoordinateMode.GLOBAL)
         assert R.mu_x[0, 1] == pytest.approx(1.0, abs=1e-9)
         assert R.mu_y[1, 2] == pytest.approx(1.0, abs=1e-9)
         assert R.mu_x[0, 2] == pytest.approx(1.0, abs=1e-9)
@@ -418,9 +417,8 @@ class TestUpdateRelationsAdditive:
 
     def test_corrupted_low_weight_relation_replaced_by_leg_sum(self):
         post = self.make_square_posteriors(corrupt_weight=1e-7)
-        cfg = LearnConfig(constraint_level=ConstraintLevel.ADDITIVE)
         R, _ = update_relations_additive(
-            post, RelationMatrix.zero(4, var=1.0), CoordinateMode.GLOBAL, cfg)
+            post, RelationMatrix.zero(4, var=1.0), CoordinateMode.GLOBAL)
         assert R.mu_x[0, 2] == pytest.approx(1.0, abs=1e-5)
         assert R.mu_y[0, 2] == pytest.approx(1.0, abs=1e-5)
 
@@ -437,10 +435,8 @@ class TestUpdateRelationsAdditive:
         readings[:, 2] = wrap_angle(readings[:, 2])
         post = posteriors_from_xi(xi, readings)
         R_old = RelationMatrix.zero(2, var=1.3, kappa=2.0)
-        cfg = LearnConfig(constraint_level=ConstraintLevel.ADDITIVE,
-                          spread_damping=0.0)
         R_add, _ = update_relations_additive(post, R_old,
-                                             CoordinateMode.GLOBAL, cfg)
+                                             CoordinateMode.GLOBAL)
         R_anti = update_relations_antisym(post, R_old, CoordinateMode.GLOBAL)
         np.testing.assert_allclose(R_add.mu_x, R_anti.mu_x, atol=1e-9)
         np.testing.assert_allclose(R_add.mu_y, R_anti.mu_y, atol=1e-9)
@@ -457,8 +453,7 @@ class TestUpdateRelationsAdditive:
         trellis = forward_backward(model, e)
         from geohmm.inference import posteriors as post_fn
         post = post_fn(trellis, model, e)
-        cfg = LearnConfig(constraint_level=ConstraintLevel.ADDITIVE)
-        R, _ = update_relations_additive(post, model.relations, mode, cfg)
+        R, _ = update_relations_additive(post, model.relations, mode)
         check_model = GeoHmm(n_states=4, obs_dims=model.obs_dims, A=model.A,
                              B=model.B, start_state=model.start_state,
                              relations=R, mode=mode)
@@ -564,6 +559,54 @@ class TestEmLearn:
                                       start.relations.mu_x)
 
 
+class TestPinnedAnswers:
+    """em_learn's answers on the T=800 loop sequence, pinned: a change
+    that alters them is a change in behaviour. Pseudocount 0, so the
+    pins hold whatever objective judges smoothed steps."""
+
+    @pytest.mark.parametrize("mode, level, iterations, final", [
+        (CoordinateMode.GLOBAL, ConstraintLevel.ADDITIVE, 5,
+         -184.5675752299954),
+        (CoordinateMode.RELATIVE, ConstraintLevel.ANTISYMMETRIC, 25,
+         -411.59179001618696),
+    ])
+    def test_from_initializer(self, mode, level, iterations, final):
+        seq = sample_sequence(make_loop_model(LoopSpec(mode=mode)), 800,
+                              np.random.default_rng(11))
+        init = init_model(seq, 16, default_bucket_config(seq), mode=mode)
+        _, report = em_learn(seq, init, LearnConfig(constraint_level=level,
+                                                    max_iters=30))
+        assert report.iterations_run == iterations
+        assert report.converged
+        assert report.monotonicity_violations == []
+        assert report.loglik_trace[-1] == pytest.approx(final, rel=1e-12)
+
+    def test_baseline_from_random_model(self):
+        true = make_loop_model(LoopSpec())
+        seq = sample_sequence(true, 800, np.random.default_rng(11))
+        start = random_model(16, true.obs_dims, np.random.default_rng(12))
+        _, report = em_learn(seq, start, LearnConfig(use_odometry=False,
+                                                     max_iters=30))
+        assert report.iterations_run == 30
+        assert not report.converged
+        assert report.monotonicity_violations == []
+        assert report.loglik_trace[-1] == pytest.approx(-1768.8536713426963,
+                                                        rel=1e-12)
+
+
+class TestLearnConfigValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"pseudocount": -0.5}, {"pseudocount": float("inf")},
+        {"pseudocount": float("nan")}, {"max_iters": -3},
+        {"density_floor": -1.0}, {"density_floor": float("nan")}])
+    def test_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            LearnConfig(**kwargs)
+
+    def test_edges_accepted(self):
+        LearnConfig(pseudocount=0.0, max_iters=0, density_floor=0.0)
+
+
 class TestResultantClamp:
     def test_negative_resultant_floors_kappa_at_zero(self):
         # readings antipodal to the (kept) zero heading mean: the raw
@@ -585,5 +628,5 @@ class TestResultantClamp:
         from geohmm.estimation import _spread_updates
         mu_force = np.zeros((2, 2))   # mean 0 while all readings near pi
         var_x, var_y, kappa = _spread_updates(
-            post, R_old, mu_force, mu_force, mu_force, 1e-6, 1e4)
+            post, R_old, mu_force, mu_force, mu_force)
         assert kappa[0, 1] == 0.0

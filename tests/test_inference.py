@@ -335,7 +335,7 @@ class TestPosteriors:
         e = random_experience(model, 4, rng)
         _, want_gamma, want_xi = brute_force_posteriors(model, e, use_odometry)
         trellis = forward_backward(model, e, use_odometry=use_odometry)
-        post = posteriors(trellis, model, e, use_odometry=use_odometry)
+        post = posteriors(trellis, model, e)
         np.testing.assert_allclose(post.gamma, want_gamma, atol=1e-10)
         np.testing.assert_allclose(
             post.pair, reference_pair_statistics(want_xi, e.readings),
@@ -363,7 +363,7 @@ class TestPosteriors:
         model = random_geohmm(3, rng)
         e = random_experience(model, 1, rng)
         trellis = forward_backward(model, e, use_odometry=use_odometry)
-        post = posteriors(trellis, model, e, use_odometry=use_odometry)
+        post = posteriors(trellis, model, e)
         assert post.pair.shape == (7, 3, 3)
         assert not post.pair.any()
 
@@ -372,11 +372,9 @@ class TestPosteriors:
         model = random_geohmm(2, rng)
         e = random_experience(model, 5, rng)
         trellis = forward_backward(model, e, use_odometry=True)
-        with pytest.raises(ValueError):
-            posteriors(trellis, model, e, use_odometry=False)
         other = random_experience(model, 6, rng)
         with pytest.raises(ValueError):
-            posteriors(trellis, model, other, use_odometry=True)
+            posteriors(trellis, model, other)
 
     def test_transition_mass_tracks_transition_prob(self):
         # raising A[i,j] (renormalized) should not shrink total xi[i,j]
@@ -409,7 +407,7 @@ class TestXiFreePosteriors:
                       sparse_geohmm(5, rng)):
             e = random_experience(model, T, rng)
             trellis = forward_backward(model, e, use_odometry)
-            got = posteriors(trellis, model, e, use_odometry)
+            got = posteriors(trellis, model, e)
             want = reference_posteriors(trellis, model, e)
             np.testing.assert_allclose(got.gamma, want.gamma, rtol=1e-12,
                                        atol=0)
@@ -426,7 +424,7 @@ class TestXiFreePosteriors:
         trellis = forward_backward(model, e, use_odometry=False)
         tracemalloc.start()
         try:
-            posteriors(trellis, model, e, use_odometry=False)
+            posteriors(trellis, model, e)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
