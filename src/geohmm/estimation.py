@@ -185,11 +185,6 @@ def _spread_updates(post: Posteriors, R_old, mu_x, mu_y, mu_theta,
     return var_x, var_y, kappa
 
 
-def _rotation(theta):
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def update_relations_antisym(post: Posteriors, R_old: RelationMatrix,
                              mode: CoordinateMode,
                              damping: float = 0.0) -> RelationMatrix:
@@ -199,49 +194,42 @@ def update_relations_antisym(post: Posteriors, R_old: RelationMatrix,
     variances (heading: previous concentrations) as weights; variances
     and concentrations are then refit against the new means. Pairs with
     no posterior weight in either direction keep their old entries.
+
+    The x, y means of a pair i < j are tied by mu[j, i] = -G mu[i, j],
+    G = R(mu_theta[j, i]) in relative mode and I in global mode, so
+    m = mu[i, j] solves (wf Df + wb G'DbG) m = Df sf - G'Db sb: pair
+    weights w, reading sums s and lagged inverse variances D of the
+    forward and backward directions.
     """
     s0, sx, sy, _, _, ssin, scos = post.pair
-    n = R_old.n_states
-    dataless = (s0 + s0.T) <= PAIR_WEIGHT_TINY
-
     mu_theta = _lagged_theta_means(s0, ssin, scos, R_old.kappa_theta,
                                    R_old.mu_theta)
 
-    if mode is CoordinateMode.GLOBAL:
-        def antisym_mean(s_val, var_old, mu_old):
-            info = 1.0 / var_old
-            num = s_val * info - (s_val * info).T
-            den = s0 * info + (s0 * info).T
-            mu = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-            mu = np.where(dataless, mu_old, mu)
-            np.fill_diagonal(mu, 0.0)
-            return mu
+    i, j = np.triu_indices(R_old.n_states, 1)
+    live = (s0[i, j] + s0[j, i]) > PAIR_WEIGHT_TINY
+    i, j = i[live], j[live]
+    wf, wb = s0[i, j], s0[j, i]
+    fx, fy = 1.0 / R_old.var_x[i, j], 1.0 / R_old.var_y[i, j]
+    bx, by = 1.0 / R_old.var_x[j, i], 1.0 / R_old.var_y[j, i]
+    turn = mu_theta[j, i]
+    # (c, s) is G's first column; G'DbG = [[p, q], [q, r]] in closed form.
+    c, s = _rotate_xy(turn, 1.0, 0.0, mode)
+    p = wf * fx + wb * (bx * c * c + by * s * s)
+    q = wb * (by - bx) * c * s
+    r = wf * fy + wb * (bx * s * s + by * c * c)
+    gx, gy = _rotate_xy(-turn, bx * sx[j, i], by * sy[j, i], mode)
+    u = fx * sx[i, j] - gx
+    v = fy * sy[i, j] - gy
+    # Elimination on the symmetric positive definite system; in global
+    # mode q = 0 and it gives exactly m = (u / p, v / r).
+    ell = q / p
+    m_y = (v - ell * u) / (r - ell * q)
+    m_x = (u - q * m_y) / p
+    back_x, back_y = _rotate_xy(turn, m_x, m_y, mode)
 
-        mu_x = antisym_mean(sx, R_old.var_x, R_old.mu_x)
-        mu_y = antisym_mean(sy, R_old.var_y, R_old.mu_y)
-    else:
-        mu_x = R_old.mu_x.copy()
-        mu_y = R_old.mu_y.copy()
-        for i in range(n):
-            for j in range(i + 1, n):
-                wf, wb = s0[i, j], s0[j, i]
-                if dataless[i, j]:
-                    continue
-                # Backward mean is tied to the forward one through the
-                # frame rotation: mu[j,i] = -G mu[i,j], G = R(mu_theta[j,i]).
-                G = _rotation(mu_theta[j, i])
-                Df = np.diag(1.0 / np.array([R_old.var_x[i, j],
-                                             R_old.var_y[i, j]]))
-                Db = np.diag(1.0 / np.array([R_old.var_x[j, i],
-                                             R_old.var_y[j, i]]))
-                lhs = wf * Df + wb * G.T @ Db @ G
-                rhs = (Df @ np.array([sx[i, j], sy[i, j]])
-                       - G.T @ Db @ np.array([sx[j, i], sy[j, i]]))
-                m = np.linalg.solve(lhs, rhs)
-                mu_x[i, j], mu_y[i, j] = m
-                back = -G @ m
-                mu_x[j, i], mu_y[j, i] = back
-
+    mu_x, mu_y = R_old.mu_x.copy(), R_old.mu_y.copy()
+    mu_x[i, j], mu_y[i, j] = m_x, m_y
+    mu_x[j, i], mu_y[j, i] = -back_x, -back_y
     var_x, var_y, kappa = _spread_updates(
         post, R_old, mu_x, mu_y, mu_theta, damping)
     return RelationMatrix(mu_x, mu_y, mu_theta, var_x, var_y, kappa)
@@ -462,8 +450,7 @@ def embed_positions(dx, dy, weight_x, weight_y, theta,
     off-diagonal pair with positive weight is one least-squares target
     of solve_positions, with state 0 at the origin.
     """
-    if mode is CoordinateMode.RELATIVE:
-        dx, dy = _rotate_xy(np.asarray(theta)[:, None], dx, dy)
+    dx, dy = _rotate_xy(np.asarray(theta)[:, None], dx, dy, mode)
     n = len(theta)
     i, j = np.nonzero(~np.eye(n, dtype=bool))
     x = solve_positions(np.column_stack([i, j, dx[i, j], weight_x[i, j]]), n)

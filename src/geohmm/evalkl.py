@@ -54,8 +54,11 @@ def kl_sampled(true_model: GeoHmm, learned: GeoHmm, seq_length: int = 1000,
     scaled alpha) and the (n, ~sqrt(L), N, N) block products, scored one
     model at a time (about 4 MB at n=10, L=1000, N=16). If the learned
     model assigns zero probability to any sampled sequence, the estimate
-    is flagged +inf.
+    is flagged +inf. Both n_sequences and seq_length must be at least 1.
     """
+    if n_sequences < 1 or seq_length < 1:
+        raise ValueError("n_sequences and seq_length must be at least 1, "
+                         "got %r and %r" % (n_sequences, seq_length))
     if rng is None:
         rng = np.random.default_rng(0)
     _check_alphabets(true_model, learned)

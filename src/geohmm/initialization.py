@@ -67,7 +67,6 @@ class TaggingResult:
     state_sequence: np.ndarray          # (T,) state indices
     coordinates: np.ndarray             # (n_used, 3) embedding of used states
     n_used: int
-    relation_means: dict                # (i, j) -> (dx, dy, dtheta), populated only
     bucket_assoc: dict                  # bucket id -> set of (i, j) entries
     pair_buckets: dict                  # (i, j) -> bucket id that populated it
 
@@ -206,8 +205,7 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
             nxt = n_used
             n_used += 1
             dx, dy, dtheta = np.asarray(buckets[bucket_id].mean, dtype=float)
-            if mode is CoordinateMode.RELATIVE:
-                dx, dy = _rotate_xy(coords[current, 2], dx, dy)
+            dx, dy = _rotate_xy(coords[current, 2], dx, dy, mode)
             coords[nxt, 0] = coords[current, 0] + dx
             coords[nxt, 1] = coords[current, 1] + dy
             coords[nxt, 2] = wrap_angle(coords[current, 2] + dtheta)
@@ -218,15 +216,9 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
         sequence.append(nxt)
         current = nxt
 
-    mx, my, mtheta = embed_relations(coords[:n_used, 0], coords[:n_used, 1],
-                                     coords[:n_used, 2], mode)
-    rows = np.stack([mx, my, mtheta], axis=-1)
-    means = {(i, j): rows[i, j].copy()
-             for i in range(n_used) for j in range(n_used)}
     return TaggingResult(state_sequence=np.asarray(sequence, dtype=int),
                          coordinates=coords[:n_used].copy(), n_used=n_used,
-                         relation_means=means, bucket_assoc=assoc,
-                         pair_buckets=pair_buckets)
+                         bucket_assoc=assoc, pair_buckets=pair_buckets)
 
 
 def init_model(e: ExperienceSequence, n: int, cfg: BucketConfig,

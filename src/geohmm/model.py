@@ -17,6 +17,7 @@ both modes.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +27,10 @@ from .circstats import (KAPPA_MAX, LOG_TWO_PI, TWO_PI, log_bessel_i0,
 
 VAR_FLOOR = 1e-6
 
-# Defaults for diagonal (self-transition) entries: zero mean, small but
-# non-degenerate spread.
-DIAG_VAR_DEFAULT = 1e-2
-DIAG_KAPPA_DEFAULT = 50.0
+# Spread of the diagonal (self-transition) entries of RelationMatrix.zero:
+# zero mean, small but non-degenerate spread.
+DIAG_VAR = 1e-2
+DIAG_KAPPA = 50.0
 
 STOCHASTIC_TOL = 1e-9
 
@@ -94,15 +95,14 @@ class RelationMatrix:
         return self.mu_x.shape[0]
 
     @classmethod
-    def zero(cls, n: int, var: float = 1.0, kappa: float = 1.0,
-             diag_var: float = DIAG_VAR_DEFAULT,
-             diag_kappa: float = DIAG_KAPPA_DEFAULT) -> "RelationMatrix":
+    def zero(cls, n: int, var: float = 1.0,
+             kappa: float = 1.0) -> "RelationMatrix":
         """All-zero means with uniform off-diagonal spread parameters."""
         zeros = np.zeros((n, n))
         var_m = np.full((n, n), float(var))
         kap_m = np.full((n, n), float(kappa))
-        np.fill_diagonal(var_m, diag_var)
-        np.fill_diagonal(kap_m, diag_kappa)
+        np.fill_diagonal(var_m, DIAG_VAR)
+        np.fill_diagonal(kap_m, DIAG_KAPPA)
         return cls(zeros.copy(), zeros.copy(), zeros.copy(),
                    var_m.copy(), var_m.copy(), kap_m)
 
@@ -241,8 +241,12 @@ class ExperienceSequence:
                                   self.readings[:length - 1])
 
 
-def _rotate_xy(theta, x, y):
-    """Vectorized rotation of stacked (x, y) by angles theta."""
+def _rotate_xy(theta, x, y, mode: CoordinateMode):
+    """Carry stacked (x, y) between frames that differ by angles theta:
+    a rotation in relative mode, the identity in global mode, where every
+    state shares one frame. The one place the two conventions differ."""
+    if mode is CoordinateMode.GLOBAL:
+        return x, y
     c, s = np.cos(theta), np.sin(theta)
     return x * c - y * s, x * s + y * c
 
@@ -302,8 +306,7 @@ def embed_relations(x, y, theta, mode: CoordinateMode) -> tuple:
     dx = x[None, :] - x[:, None]
     dy = y[None, :] - y[:, None]
     dtheta = wrap_angle(theta[None, :] - theta[:, None])
-    if mode is CoordinateMode.RELATIVE:
-        dx, dy = _rotate_xy(-theta[:, None], dx, dy)
+    dx, dy = _rotate_xy(-theta[:, None], dx, dy, mode)
     return dx, dy, dtheta
 
 
@@ -341,21 +344,44 @@ def check_consistency(model: GeoHmm, level: ConstraintLevel,
                       tol: float = 1e-9) -> ConsistencyReport:
     """List every constraint violation beyond tol at the given level.
 
-    Angular residuals are wrapped before comparison. An empty report means
-    the model's mean relations are consistent at that level. Diagonal
-    violations come first, per component; then antisymmetry and
-    additivity ones, each by index tuple in lexicographic order, then by
-    component.
+    Both constraints are the chain identity mu[i, j] + turn(mu[j, k]) =
+    mu[i, k], where turn carries a frame-j vector into frame i (rotation
+    by mu_theta[i, j] in relative mode, none in global mode): additivity
+    over distinct triples, antisymmetry as the chain (i, j, i) over
+    pairs i < j, whose diagonal term is zero. Angular residuals are
+    wrapped; x and y are reported as one distance in relative mode and
+    one by one in global mode. An empty report means the model's mean
+    relations are consistent at that level. Diagonal violations come
+    first, per component; then antisymmetry and additivity ones, each by
+    index tuple in lexicographic order, then by component. tol must be
+    finite and >= 0.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and >= 0, got %r" % (tol,))
     rep = ConsistencyReport(level=level, tol=tol)
     R = model.relations
     n = model.n_states
+    mu = np.stack([R.mu_x, R.mu_y, R.mu_theta])
+    relative = model.mode is CoordinateMode.RELATIVE
+    components = ("theta", "xy") if relative else ("theta", "x", "y")
+
+    def chain(ij, jk, ik):
+        # Residual components of the chain i -> j -> k against i -> k,
+        # stacked last; each link stacks the x, y and theta means first,
+        # broadcast over the index grid.
+        (x1, y1, t1), (x2, y2, t2), (x3, y3, t3) = ij, jk, ik
+        bx, by = _rotate_xy(t1, x2, y2, model.mode)
+        ex = x1 + bx - x3
+        ey = y1 + by - y3
+        t_res = np.abs(wrap_angle(t1 + t2 - t3))
+        xy = [np.hypot(ex, ey)] if relative else [np.abs(ex), np.abs(ey)]
+        return np.stack([t_res] + xy, axis=-1)
 
     def record(kind, components, residuals, mask):
         # residuals: index grid with the components stacked last; mask
         # selects the index tuples that carry a constraint.
-        residuals = np.stack(residuals, axis=-1)
-        hits = np.argwhere(mask[..., None] & (residuals > tol))
+        hits = np.argwhere(residuals > tol)
+        hits = hits[mask[tuple(hits[:, :-1].T)]]
         rep.violations.extend(
             ConsistencyViolation(kind, components[hit[-1]],
                                  tuple(int(i) for i in hit[:-1]),
@@ -363,44 +389,22 @@ def check_consistency(model: GeoHmm, level: ConstraintLevel,
             for hit in hits)
 
     every = np.ones(n, dtype=bool)
-    for comp, arr in (("x", R.mu_x), ("y", R.mu_y), ("theta", R.mu_theta)):
-        record("diagonal", (comp,), [np.abs(np.diagonal(arr))], every)
+    for comp, arr in zip(("x", "y", "theta"), mu):
+        record("diagonal", (comp,), np.abs(np.diagonal(arr))[:, None], every)
     if level is ConstraintLevel.UNCONSTRAINED:
         return rep
 
-    relative = model.mode is CoordinateMode.RELATIVE
-    components = ("theta", "xy") if relative else ("theta", "x", "y")
-    mu_x, mu_y, mu_t = R.mu_x, R.mu_y, R.mu_theta
-
-    # Pairs i < j: mu[i, j] against mu[j, i].
-    t_res = np.abs(wrap_angle(mu_t + mu_t.T))
-    if relative:
-        # Rotating by mu_theta[i, j] moves a frame-j vector into frame i
-        # under the relative convention of embed_relations (frames rotated
-        # by -theta).
-        bx, by = _rotate_xy(mu_t, mu_x.T, mu_y.T)
-        xy_res = [np.hypot(mu_x + bx, mu_y + by)]
-    else:
-        xy_res = [np.abs(mu_x + mu_x.T), np.abs(mu_y + mu_y.T)]
+    # Pairs [i, j]: the chain (i, j, i).
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    record("antisymmetry", components, [t_res] + xy_res, upper)
-
+    record("antisymmetry", components,
+           chain(mu, mu.transpose(0, 2, 1),
+                 np.diagonal(mu, axis1=1, axis2=2)[:, :, None]), upper)
     if level is ConstraintLevel.ANTISYMMETRIC:
         return rep
 
-    # Triples (i, j, k) of distinct states, indexed [i, j, k]:
-    # mu[i, j] + mu[j, k] against mu[i, k].
-    t_res = np.abs(wrap_angle(mu_t[:, :, None] + mu_t[None, :, :]
-                              - mu_t[:, None, :]))
-    if relative:
-        bx, by = _rotate_xy(mu_t[:, :, None], mu_x[None, :, :],
-                            mu_y[None, :, :])
-        xy_res = [np.hypot(mu_x[:, :, None] + bx - mu_x[:, None, :],
-                           mu_y[:, :, None] + by - mu_y[:, None, :])]
-    else:
-        xy_res = [np.abs(a[:, :, None] + a[None, :, :] - a[:, None, :])
-                  for a in (mu_x, mu_y)]
+    # Triples [i, j, k] of distinct states.
     off = ~np.eye(n, dtype=bool)
     distinct = off[:, :, None] & off[None, :, :] & off[:, None, :]
-    record("additivity", components, [t_res] + xy_res, distinct)
+    record("additivity", components,
+           chain(mu[:, :, :, None], mu[:, None], mu[:, :, None, :]), distinct)
     return rep

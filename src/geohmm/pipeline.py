@@ -34,14 +34,14 @@ def default_bucket_config(e: ExperienceSequence) -> BucketConfig:
     """Bucketing deviations scaled from the spread of the readings.
 
     An eighth of the per-dimension span works well when the true
-    per-transition noise is unknown; the heading deviation is given in
-    radians and capped below pi/4 so distinct turns stay separable.
+    per-transition noise is unknown; the heading deviation is a fixed
+    0.35 rad, below pi/4 so distinct turns stay separable.
     """
     spans = e.readings.max(axis=0) - e.readings.min(axis=0)
     sigma_x = max(float(spans[0]) / 8.0, 1e-3)
     sigma_y = max(float(spans[1]) / 8.0, 1e-3)
     return BucketConfig(sigma_x=sigma_x, sigma_y=sigma_y,
-                        sigma_theta=min(np.pi / 4.0, 0.35))
+                        sigma_theta=0.35)
 
 
 def learn_runs(e: ExperienceSequence, n_states: int, cfg: LearnConfig,

@@ -24,6 +24,9 @@ OBS_ALPHABET = 4
 OBS_DIMS = 3  # front, left, right
 
 FORWARD_PROB = 0.9
+# A door on the left of every DOOR_PERIOD-th state, starting at DOOR_OFFSET.
+DOOR_PERIOD = 3
+DOOR_OFFSET = 1
 
 
 @dataclass
@@ -37,8 +40,6 @@ class LoopSpec:
     sigma_x: float = 0.15
     sigma_y: float = 0.15
     kappa: float = 150.0
-    door_period: int = 3    # a door every so many states on the left; 0: none
-    door_offset: int = 1
     mode: CoordinateMode = CoordinateMode.GLOBAL
 
     def __post_init__(self):
@@ -103,10 +104,8 @@ def _loop_true_symbols(spec: LoopSpec) -> np.ndarray:
             if k == count - 1:
                 out.append((OBS_WALL, OBS_OPEN, OBS_WALL))
             else:
-                left = OBS_WALL
-                if (spec.door_period
-                        and index % spec.door_period == spec.door_offset):
-                    left = OBS_DOOR
+                left = (OBS_DOOR if index % DOOR_PERIOD == DOOR_OFFSET
+                        else OBS_WALL)
                 out.append((OBS_OPEN, left, OBS_WALL))
             index += 1
     return np.asarray(out, dtype=int)

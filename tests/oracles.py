@@ -249,6 +249,43 @@ def reference_update_observations(gamma, observations, prev_B,
     return tuple(out)
 
 
+def reference_antisym_means(post: Posteriors, R_old: RelationMatrix,
+                             mu_theta, mode: CoordinateMode) -> tuple:
+    """x, y means of update_relations_antisym, one np.linalg.solve per pair.
+
+    For each pair i < j with weight in some direction, the backward mean
+    is tied to the forward one by mu[j, i] = -G mu[i, j], with
+    G = R(mu_theta[j, i]) in relative mode and G = I in global mode; the
+    forward mean solves the weighted normal equations of both directions
+    with the lagged variances. Dataless pairs keep their old means.
+    """
+    s0, sx, sy = post.pair[0], post.pair[1], post.pair[2]
+    n = R_old.n_states
+    mu_x = R_old.mu_x.copy()
+    mu_y = R_old.mu_y.copy()
+    for i in range(n):
+        for j in range(i + 1, n):
+            wf, wb = s0[i, j], s0[j, i]
+            if wf + wb <= 1e-12:
+                continue
+            if mode is CoordinateMode.RELATIVE:
+                c, s = np.cos(mu_theta[j, i]), np.sin(mu_theta[j, i])
+                G = np.array([[c, -s], [s, c]])
+            else:
+                G = np.eye(2)
+            Df = np.diag(1.0 / np.array([R_old.var_x[i, j],
+                                         R_old.var_y[i, j]]))
+            Db = np.diag(1.0 / np.array([R_old.var_x[j, i],
+                                         R_old.var_y[j, i]]))
+            lhs = wf * Df + wb * G.T @ Db @ G
+            rhs = (Df @ np.array([sx[i, j], sy[i, j]])
+                   - G.T @ Db @ np.array([sx[j, i], sy[j, i]]))
+            m = np.linalg.solve(lhs, rhs)
+            mu_x[i, j], mu_y[i, j] = m
+            mu_x[j, i], mu_y[j, i] = -G @ m
+    return mu_x, mu_y
+
+
 def path_count_model(true_model: GeoHmm, path, observations,
                      pseudocount: float) -> GeoHmm:
     """Maximum-likelihood model of a sequence whose hidden path is known.
@@ -374,7 +411,8 @@ def reference_check_consistency(model: GeoHmm, level: ConstraintLevel,
             t_res = abs(wrap_angle(mu_t[i, j] + mu_t[j, i]))
             record("antisymmetry", "theta", (i, j), t_res)
             if relative:
-                bx, by = _rotate_xy(mu_t[i, j], mu_x[j, i], mu_y[j, i])
+                bx, by = _rotate_xy(mu_t[i, j], mu_x[j, i], mu_y[j, i],
+                                    model.mode)
                 xy_res = np.hypot(mu_x[i, j] + bx, mu_y[i, j] + by)
                 record("antisymmetry", "xy", (i, j), xy_res)
             else:
@@ -394,7 +432,8 @@ def reference_check_consistency(model: GeoHmm, level: ConstraintLevel,
                 t_res = abs(wrap_angle(mu_t[i, j] + mu_t[j, k] - mu_t[i, k]))
                 record("additivity", "theta", (i, j, k), t_res)
                 if relative:
-                    bx, by = _rotate_xy(mu_t[i, j], mu_x[j, k], mu_y[j, k])
+                    bx, by = _rotate_xy(mu_t[i, j], mu_x[j, k], mu_y[j, k],
+                                        model.mode)
                     xy_res = np.hypot(mu_x[i, j] + bx - mu_x[i, k],
                                       mu_y[i, j] + by - mu_y[i, k])
                     record("additivity", "xy", (i, j, k), xy_res)
@@ -465,18 +504,6 @@ def reference_bucketize(readings, cfg: BucketConfig) -> tuple:
             assignment[t] = n_buckets
             n_buckets += 1
     return buckets, assignment
-
-
-def pair_mean(coords, i, j, mode) -> np.ndarray:
-    """Mean relation (dx, dy, dtheta) of states i -> j at the given
-    per-state coordinates, one pair at a time."""
-    dx = coords[j, 0] - coords[i, 0]
-    dy = coords[j, 1] - coords[i, 1]
-    dtheta = wrap_angle(coords[j, 2] - coords[i, 2])
-    if mode is CoordinateMode.RELATIVE:
-        c, s = np.cos(-coords[i, 2]), np.sin(-coords[i, 2])
-        dx, dy = dx * c - dy * s, dx * s + dy * c
-    return np.array([dx, dy, dtheta])
 
 
 def reference_tag_states(readings, buckets, assignment, n_max: int,
@@ -569,11 +596,6 @@ def reference_tag_states(readings, buckets, assignment, n_max: int,
         sequence.append(nxt)
         current = nxt
 
-    means = {}
-    for i in range(n_used):
-        for j in range(n_used):
-            means[(i, j)] = pair_mean(coords, i, j, mode)
     return TaggingResult(state_sequence=np.asarray(sequence, dtype=int),
                          coordinates=coords[:n_used].copy(), n_used=n_used,
-                         relation_means=means, bucket_assoc=assoc,
-                         pair_buckets=pair_buckets)
+                         bucket_assoc=assoc, pair_buckets=pair_buckets)

@@ -188,7 +188,7 @@ class TestNoDeadKnobs:
                   if "cfg.%s" % f.name not in text]
         assert not unread
 
-    def test_every_learn_option_is_read(self):
+    def test_every_subcommand_option_is_read(self):
         import argparse
         import inspect
 
@@ -196,9 +196,13 @@ class TestNoDeadKnobs:
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         text = inspect.getsource(cli)
-        unread = [a.dest for a in sub.choices["learn"]._actions
+        unread = [(name, a.dest) for name, p in sub.choices.items()
+                  for a in p._actions
                   if not isinstance(a, argparse._HelpAction)
                   and "args.%s" % a.dest not in text]
+        assert sorted(sub.choices) == ["check", "eval-kl", "learn",
+                                       "make-loop", "render", "replay",
+                                       "simulate"]
         assert not unread
 
 
@@ -213,6 +217,19 @@ class TestCheck:
         save_model(model, str(bad))
         assert main(["check", str(bad), "--level", "antisym"]) \
             == EXIT_INCONSISTENT
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_invalid_tol_is_input_error(self, tmp_path, loop_model_path,
+                                        tol, capsys):
+        model = load_model(str(loop_model_path))
+        model.relations.mu_x[0, 1] += 5.0   # break anti-symmetry
+        bad = tmp_path / "bad.json"
+        save_model(model, str(bad))
+        out = tmp_path / "check.json"
+        assert main(["check", str(bad), "--level", "antisym", "--tol", tol,
+                     "-o", str(out)]) == EXIT_INPUT
+        assert "tol" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_json_format(self, loop_model_path, capsys):
         assert main(["check", str(loop_model_path), "--format",
@@ -243,6 +260,15 @@ class TestEvalKl:
         save_model(tiny, str(small))
         assert main(["eval-kl", str(loop_model_path),
                      str(small)]) == EXIT_INPUT
+
+
+    @pytest.mark.parametrize("flag", ["-n", "-L"])
+    def test_empty_sample_is_input_error(self, tmp_path, loop_model_path,
+                                         flag):
+        out = tmp_path / "kl.json"
+        assert main(["eval-kl", str(loop_model_path), str(loop_model_path),
+                     flag, "0", "-o", str(out)]) == EXIT_INPUT
+        assert not out.exists()
 
 
 class TestRenderAndReplay:

@@ -16,7 +16,8 @@ from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
 from geohmm.initialization import init_model, random_model
 from geohmm.pipeline import default_bucket_config
 from oracles import (random_experience, random_geohmm,
-                     reference_solve_positions, reference_update_observations)
+                     reference_antisym_means, reference_solve_positions,
+                     reference_update_observations)
 
 
 def posteriors_from_xi(xi, readings=None):
@@ -242,15 +243,50 @@ class TestUpdateRelationsAntisym:
         # dataless reverse direction keeps its previous variance
         assert R.var_x[1, 0] == 1.0
 
-    def test_zero_weight_pairs_keep_old_values(self):
+    @pytest.mark.parametrize("mode", list(CoordinateMode))
+    def test_zero_weight_pairs_keep_old_values(self, mode):
         xi = np.zeros((2, 3, 3))
         xi[:, 0, 1] = 1.0
         readings = np.array([[1.0, 0, 0], [1.2, 0, 0]])
         R_old = RelationMatrix.zero(3, var=1.0)
         R_old.mu_x[1, 2], R_old.mu_x[2, 1] = 7.0, -7.0
+        R_old.mu_y[1, 2], R_old.mu_y[2, 1] = 2.0, -3.0
+        R_old.mu_theta[1, 2], R_old.mu_theta[2, 1] = 0.4, -0.4
         R = update_relations_antisym(posteriors_from_xi(xi, readings),
-                                     R_old, CoordinateMode.GLOBAL)
-        assert R.mu_x[1, 2] == 7.0 and R.mu_x[2, 1] == -7.0
+                                     R_old, mode)
+        for name in ("mu_x", "mu_y", "mu_theta"):
+            got, old = getattr(R, name), getattr(R_old, name)
+            assert got[1, 2] == old[1, 2] and got[2, 1] == old[2, 1]
+
+    @pytest.mark.parametrize("mode", list(CoordinateMode))
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    @pytest.mark.parametrize("near_pi", [False, True])
+    def test_matches_per_pair_reference(self, mode, n, near_pi):
+        rng = np.random.default_rng(n)
+        T1 = 60
+        # Pairs i < j in turn seen both ways, forward only, backward
+        # only and not at all.
+        i, j = np.triu_indices(n, 1)
+        kind = rng.permutation(np.arange(len(i)) % 4)
+        seen = np.zeros((n, n), dtype=bool)
+        seen[i[kind <= 1], j[kind <= 1]] = True
+        seen[j[kind % 2 == 0], i[kind % 2 == 0]] = True
+        xi = rng.uniform(size=(T1, n, n)) * seen
+        dtheta = (wrap_angle(np.pi + rng.normal(0.0, 0.05, size=T1))
+                  if near_pi else rng.uniform(-np.pi, np.pi, size=T1))
+        readings = np.column_stack([rng.normal(1.0, 1.5, size=T1),
+                                    rng.normal(-0.5, 1.5, size=T1), dtheta])
+        post = posteriors_from_xi(xi, readings)
+        # independent per-direction var_x and var_y
+        R_old = random_geohmm(n, rng, mode=mode).relations
+        R = update_relations_antisym(post, R_old, mode)
+        if near_pi:
+            live = (post.pair[0] + post.pair[0].T) > 0
+            assert np.all(np.abs(R.mu_theta[live]) > 2.5)
+        want_x, want_y = reference_antisym_means(post, R_old, R.mu_theta,
+                                                 mode)
+        np.testing.assert_allclose(R.mu_x, want_x, rtol=1e-12)
+        np.testing.assert_allclose(R.mu_y, want_y, rtol=1e-12)
 
     @pytest.mark.parametrize("mode", [CoordinateMode.GLOBAL,
                                       CoordinateMode.RELATIVE])

@@ -65,6 +65,15 @@ class TestKlSampled:
         with pytest.raises(ValueError):
             kl_sampled(a, b)
 
+    @pytest.mark.parametrize("length, count", [(100, 0), (0, 3), (-1, 3)])
+    def test_empty_sample_rejected_before_sampling(self, length, count):
+        model = bernoulli_hmm(0.5)
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="at least 1"):
+            kl_sampled(model, model, length, count, rng)
+        assert rng.bit_generator.state == state
+
     def test_deterministic_given_seed(self):
         true = make_loop_model(LoopSpec())
         e1 = kl_sampled(true, true, 100, 3, np.random.default_rng(7))

@@ -16,7 +16,8 @@ from geohmm.inference import forward_backward
 from geohmm.initialization import (BucketConfig, bucketize, init_model,
                                    perturb_model, random_model, tag_states)
 from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
-                          GeoHmm, RelationMatrix, check_consistency)
+                          GeoHmm, RelationMatrix, check_consistency,
+                          embed_relations)
 from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
 from geohmm.pipeline import default_bucket_config
 from oracles import (bucket_add, reference_bucketize, reference_tag_states,
@@ -121,7 +122,9 @@ class TestTagStates:
         buckets, assignment = bucketize(readings, cfg)
         result = tag_states(readings, buckets, assignment, 4, cfg)
         want = -sum(np.array(BUCKET_MEANS_DEG[k]) for k in range(3))
-        got = result.relation_means[(3, 0)]
+        c = result.coordinates
+        got = np.array([m[3, 0] for m in embed_relations(
+            c[:, 0], c[:, 1], c[:, 2], CoordinateMode.GLOBAL)])
         assert got[0] == pytest.approx(want[0], abs=1e-9)
         assert got[1] == pytest.approx(want[1], abs=1e-9)
         assert got[2] == pytest.approx(wrap_angle(np.radians(want[2])),
@@ -144,11 +147,10 @@ class TestTagStates:
         buckets, assignment = bucketize(readings, cfg)
         result = tag_states(readings, buckets, assignment, 4, cfg)
         n = result.n_used
-        mu = {name: np.zeros((n, n)) for name in ("x", "y", "t")}
-        for (i, j), v in result.relation_means.items():
-            mu["x"][i, j], mu["y"][i, j], mu["t"][i, j] = v
-        rel = RelationMatrix(mu["x"], mu["y"], mu["t"], np.ones((n, n)),
-                             np.ones((n, n)), np.ones((n, n)))
+        c = result.coordinates
+        mu = embed_relations(c[:, 0], c[:, 1], c[:, 2], CoordinateMode.GLOBAL)
+        rel = RelationMatrix(*mu, np.ones((n, n)), np.ones((n, n)),
+                             np.ones((n, n)))
         model = GeoHmm(n_states=n, obs_dims=(2,), A=np.full((n, n), 1 / n),
                        B=(np.full((2, n), 0.5),), start_state=0,
                        relations=rel)
@@ -222,9 +224,6 @@ class TestMatchesReference:
             assert tags.coordinates.tobytes() == want.coordinates.tobytes()
             assert tags.bucket_assoc == want.bucket_assoc
             assert tags.pair_buckets == want.pair_buckets
-            assert tags.relation_means.keys() == want.relation_means.keys()
-            for key, value in want.relation_means.items():
-                assert tags.relation_means[key].tobytes() == value.tobytes()
 
 
 class TestInitModel:

@@ -23,11 +23,13 @@ def simple_model(n=2, mode=CoordinateMode.GLOBAL, relations=None):
 
 
 class TestRotateXy:
+    REL = CoordinateMode.RELATIVE
+
     def test_identity(self):
-        assert _rotate_xy(0.0, 3.0, 4.0) == pytest.approx((3.0, 4.0))
+        assert _rotate_xy(0.0, 3.0, 4.0, self.REL) == pytest.approx((3.0, 4.0))
 
     def test_quarter_turn(self):
-        x, y = _rotate_xy(np.pi / 2, 1.0, 0.0)
+        x, y = _rotate_xy(np.pi / 2, 1.0, 0.0, self.REL)
         assert (x, y) == pytest.approx((0.0, 1.0), abs=1e-12)
 
     def test_composition_is_summed_rotation(self):
@@ -35,9 +37,14 @@ class TestRotateXy:
         for _ in range(30):
             a, b = rng.uniform(-np.pi, np.pi, size=2)
             p = tuple(rng.normal(size=2))
-            via_two = _rotate_xy(b, *_rotate_xy(a, *p))
-            direct = _rotate_xy(a + b, *p)
+            via_two = _rotate_xy(b, *_rotate_xy(a, *p, self.REL), self.REL)
+            direct = _rotate_xy(a + b, *p, self.REL)
             assert via_two == pytest.approx(direct, abs=1e-12)
+
+    def test_global_mode_returns_input_unchanged(self):
+        x, y = np.array([3.0, -0.5]), np.array([4.0, 2.0])
+        gx, gy = _rotate_xy(np.pi / 3, x, y, CoordinateMode.GLOBAL)
+        assert gx is x and gy is y
 
 
 class TestRelationDensity:
@@ -180,6 +187,14 @@ class TestCheckConsistency:
                 want = reference_check_consistency(m, level, tol)
                 assert got.violations == want.violations
                 assert (got.level, got.tol) == (want.level, want.tol)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, -np.inf])
+    def test_invalid_tol_rejected(self, tol):
+        rel = RelationMatrix.zero(2)
+        rel.mu_x[0, 1] = 5.0
+        with pytest.raises(ValueError, match="tol"):
+            check_consistency(simple_model(2, relations=rel),
+                              ConstraintLevel.ANTISYMMETRIC, tol)
 
 
 class TestValidation:
