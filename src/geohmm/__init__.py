@@ -6,9 +6,9 @@ from .estimation import (LearnConfig, LearnReport, constrained_two_normal_mle,
                          em_learn, project_headings, solve_positions,
                          update_observations, update_relations_additive,
                          update_relations_antisym, update_transitions)
-from .evalkl import KlEstimate, kl_exact_small, kl_sampled
+from .evalkl import KlEstimate, kl_sampled
 from .inference import (Posteriors, Trellis, forward_backward, loglik,
-                        obs_prob, pair_statistics, posteriors)
+                        pair_statistics, posteriors)
 from .initialization import (BucketConfig, bucketize, init_model,
                              perturb_model, random_model, tag_states)
 from .io import load_experience, load_model, save_experience, save_model
@@ -33,12 +33,12 @@ __all__ = [
     "bessel_ratio", "best_index", "best_run", "bucketize", "check_consistency",
     "constrained_two_normal_mle", "default_bucket_config", "em_learn",
     "embed_model_positions", "embed_relations", "forward_backward",
-    "init_model", "kl_exact_small", "kl_sampled", "learn_runs",
-    "load_experience", "load_model", "loglik", "make_loop_model", "obs_prob",
-    "pair_statistics", "perturb_model", "posteriors", "project_headings",
-    "random_model", "relation_density", "render_svg", "resultant_to_kappa",
-    "sample_path", "sample_sequence", "save_experience", "save_model",
-    "solve_positions", "tag_states", "update_observations",
-    "update_relations_additive", "update_relations_antisym",
-    "update_transitions", "vm_density", "vm_sample", "wrap_angle",
+    "init_model", "kl_sampled", "learn_runs", "load_experience",
+    "load_model", "loglik", "make_loop_model", "pair_statistics",
+    "perturb_model", "posteriors", "project_headings", "random_model",
+    "relation_density", "render_svg", "resultant_to_kappa", "sample_path",
+    "sample_sequence", "save_experience", "save_model", "solve_positions",
+    "tag_states", "update_observations", "update_relations_additive",
+    "update_relations_antisym", "update_transitions", "vm_density",
+    "vm_sample", "wrap_angle",
 ]

@@ -1,5 +1,6 @@
 """Sampled KL divergence between the observation-string distributions of
-two models, plus an exhaustive variant for tiny instances.
+two models. The exhaustive variant for tiny instances, which checks this
+estimate, is a test oracle (tests/oracles.py::kl_exact_small).
 
 Odometric readings are ignored on both sides, so models learned with and
 without odometry are compared on equal, purely topological footing.
@@ -8,7 +9,6 @@ Values are natural-log (nats) per symbol.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,9 +16,7 @@ import numpy as np
 
 from .inference import loglik
 from .model import ExperienceSequence, GeoHmm, ImpossibleSequenceError
-from .simgen import sample_sequence
-
-EXACT_TERM_GUARD = 10_000_000
+from .simgen import sample_observations
 
 
 @dataclass
@@ -48,11 +46,15 @@ def kl_sampled(true_model: GeoHmm, learned: GeoHmm, seq_length: int = 1000,
                rng: np.random.Generator | None = None) -> KlEstimate:
     """Monte Carlo per-symbol KL divergence estimate.
 
-    All n_sequences sequences are drawn from the true model first, then
-    both models score the batch with the forward-only `loglik`, odometry
-    ignored. Peak memory is two (n, L, N) float64 tables (emissions and
-    scaled alpha) and the (n, ~sqrt(L), N, N) block products, scored one
-    model at a time (about 4 MB at n=10, L=1000, N=16). If the learned
+    All n_sequences observation strings are drawn from the true model
+    first by `simgen.sample_observations`, readings never drawn: one
+    rng.random((n, L - 1)) block of transition uniforms, then one
+    rng.random((n, L, D)) block of observation uniforms. Then both models
+    score the batch with the forward-only `loglik`. Peak memory is two
+    (n, L, N) float64 tables (emissions and scaled alpha) and the
+    (n, ~sqrt(L), N, N) block products, scored one model at a time (about
+    4 MB at n=10, L=1000, N=16); the (n, L, D) uniforms and the gathered
+    (n, L, K) CDF rows of one dimension are smaller. If the learned
     model assigns zero probability to any sampled sequence, the estimate
     is flagged +inf. Both n_sequences and seq_length must be at least 1.
     """
@@ -62,8 +64,10 @@ def kl_sampled(true_model: GeoHmm, learned: GeoHmm, seq_length: int = 1000,
     if rng is None:
         rng = np.random.default_rng(0)
     _check_alphabets(true_model, learned)
-    seqs = [sample_sequence(true_model, seq_length, rng)
-            for _ in range(n_sequences)]
+    no_readings = np.zeros((seq_length - 1, 3))
+    seqs = [ExperienceSequence(observations=obs, readings=no_readings)
+            for obs in sample_observations(true_model, seq_length,
+                                           n_sequences, rng)]
     ll_true = loglik(true_model, seqs)
     rejected = np.flatnonzero(ll_true == -np.inf)
     if rejected.size:
@@ -81,31 +85,3 @@ def kl_sampled(true_model: GeoHmm, learned: GeoHmm, seq_length: int = 1000,
                  if len(diffs) > 1 else 0.0)
     return KlEstimate(value=float(diffs.mean()), n_sequences=n_sequences,
                       seq_length=seq_length, std_error=std_error)
-
-
-def kl_exact_small(true_model: GeoHmm, learned: GeoHmm, horizon: int) -> float:
-    """Exhaustive per-symbol KL over all observation strings of the given
-    horizon. Refuses instances beyond the enumeration guard."""
-    _check_alphabets(true_model, learned)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    n_vectors = int(np.prod(true_model.obs_dims))
-    terms = (n_vectors * true_model.n_states) ** horizon
-    if terms > EXACT_TERM_GUARD:
-        raise ValueError("instance too large for exact enumeration "
-                         "(%d terms > %d)" % (terms, EXACT_TERM_GUARD))
-
-    symbol_space = list(itertools.product(
-        *[range(size) for size in true_model.obs_dims]))
-    total = 0.0
-    for string in itertools.product(symbol_space, repeat=horizon):
-        seq = ExperienceSequence(observations=np.asarray(string, dtype=int),
-                                 readings=np.zeros((horizon - 1, 3)))
-        lp_true = float(loglik(true_model, [seq])[0])
-        if lp_true == -math.inf:
-            continue
-        lp_learned = float(loglik(learned, [seq])[0])
-        if lp_learned == -math.inf:
-            return math.inf
-        total += math.exp(lp_true) * (lp_true - lp_learned)
-    return total / horizon

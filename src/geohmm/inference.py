@@ -83,21 +83,6 @@ class Posteriors:
     pair: np.ndarray           # (7, N, N): s0, sx, sy, sxx, syy, ssin, scos
 
 
-def obs_prob(model: GeoHmm, state: int, v) -> float:
-    """Probability of observation vector v in the given state."""
-    v = np.asarray(v, dtype=int)
-    if v.shape != (model.n_obs_dims,):
-        raise ValueError("observation vector must have length %d"
-                         % model.n_obs_dims)
-    out = 1.0
-    for i, b in enumerate(model.B):
-        if not 0 <= v[i] < model.obs_dims[i]:
-            raise ValueError("symbol %d out of alphabet on dimension %d"
-                             % (v[i], i))
-        out *= b[v[i], state]
-    return float(out)
-
-
 def emission_probs(model: GeoHmm, e: ExperienceSequence) -> np.ndarray:
     """(T, N) matrix of per-state observation-vector probabilities."""
     obs = e.observations

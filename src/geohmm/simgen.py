@@ -139,7 +139,7 @@ def make_loop_model(spec: LoopSpec) -> GeoHmm:
                   mode=spec.mode)
 
 
-def _cdf_rows(P: np.ndarray, what: str) -> list:
+def _cdf_rows(P: np.ndarray, what: str) -> np.ndarray:
     """Cumulative table of each row of P, as `Generator.choice` builds it.
 
     Raises ValueError where `choice` would: on a NaN or negative entry, or
@@ -153,7 +153,7 @@ def _cdf_rows(P: np.ndarray, what: str) -> list:
         raise ValueError("%s probabilities do not sum to 1" % what)
     cdf = np.cumsum(P, axis=1)
     cdf /= cdf[:, -1:]
-    return cdf.tolist()
+    return cdf
 
 
 def sample_path(model: GeoHmm, length: int,
@@ -171,8 +171,8 @@ def sample_path(model: GeoHmm, length: int,
     if length < 1:
         raise ValueError("length must be at least 1")
     R = model.relations
-    trans_cdf = _cdf_rows(model.A, "transition")
-    obs_cdf = [_cdf_rows(b.T, "observation") for b in model.B]
+    trans_cdf = _cdf_rows(model.A, "transition").tolist()
+    obs_cdf = [_cdf_rows(b.T, "observation").tolist() for b in model.B]
     mu_x, mu_y, mu_theta = (R.mu_x.tolist(), R.mu_y.tolist(),
                             R.mu_theta.tolist())
     sd_x, sd_y = np.sqrt(R.var_x).tolist(), np.sqrt(R.var_y).tolist()
@@ -204,3 +204,33 @@ def sample_sequence(model: GeoHmm, length: int,
     """Monte Carlo experience rollout of the model from its start state."""
     _, seq = sample_path(model, length, rng)
     return seq
+
+
+def sample_observations(model: GeoHmm, length: int, n: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """(n, length, D) observation strings of n rollouts; no readings.
+
+    Two draws fix the RNG stream: one rng.random((n, length - 1)) block of
+    transition uniforms, then one rng.random((n, length, D)) block of
+    observation uniforms. Each rollout walks its hidden chain from the start
+    state with bisect_right on the A rows' CDFs, then every symbol is
+    picked at once as (cdf[states] <= u).sum(-1), which is bisect_right.
+    The law of the strings is sample_path's; the draws are not.
+    """
+    if length < 1 or n < 1:
+        raise ValueError("length and n must be at least 1")
+    trans_cdf = _cdf_rows(model.A, "transition").tolist()
+    obs_cdf = [_cdf_rows(b.T, "observation") for b in model.B]
+    u_trans = rng.random((n, length - 1)).tolist()
+    u_obs = rng.random((n, length, len(obs_cdf)))
+    paths = []
+    for row in u_trans:
+        state = model.start_state
+        path = [state]
+        for u in row:
+            state = bisect_right(trans_cdf[state], u)
+            path.append(state)
+        paths.append(path)
+    states = np.array(paths, dtype=int)
+    return np.stack([(cdf[states] <= u_obs[..., d, None]).sum(-1)
+                     for d, cdf in enumerate(obs_cdf)], axis=-1)

@@ -6,12 +6,14 @@ paths, and component densities are written out longhand.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from geohmm.circstats import KAPPA_MAX, TWO_PI, wrap_angle
 from geohmm.estimation import _OffsetUnionFind
-from geohmm.inference import (Posteriors, Trellis, emission_probs,
+from geohmm.evalkl import _check_alphabets
+from geohmm.inference import (Posteriors, Trellis, emission_probs, loglik,
                               pair_statistics, relation_density_tensor)
 from geohmm.initialization import (ZERO_BUCKET, Bucket, BucketConfig,
                                    TaggingResult)
@@ -28,6 +30,24 @@ def normal_pdf(x, mu, var):
 def vm_pdf(theta, mu, kappa):
     from scipy.special import i0
     return np.exp(kappa * np.cos(theta - mu)) / (2 * np.pi * i0(kappa))
+
+
+EXACT_TERM_GUARD = 10_000_000
+
+
+def obs_prob(model: GeoHmm, state: int, v) -> float:
+    """Probability of observation vector v in the given state."""
+    v = np.asarray(v, dtype=int)
+    if v.shape != (model.n_obs_dims,):
+        raise ValueError("observation vector must have length %d"
+                         % model.n_obs_dims)
+    out = 1.0
+    for i, b in enumerate(model.B):
+        if not 0 <= v[i] < model.obs_dims[i]:
+            raise ValueError("symbol %d out of alphabet on dimension %d"
+                             % (v[i], i))
+        out *= b[v[i], state]
+    return float(out)
 
 
 def path_density(model: GeoHmm, e: ExperienceSequence, path,
@@ -161,6 +181,34 @@ def reference_loglik(model: GeoHmm, seqs) -> np.ndarray:
     out = log_scales.sum(axis=1)
     out[dead] = -np.inf
     return out
+
+
+def kl_exact_small(true_model: GeoHmm, learned: GeoHmm, horizon: int) -> float:
+    """Exhaustive per-symbol KL over all observation strings of the given
+    horizon. Refuses instances beyond the enumeration guard."""
+    _check_alphabets(true_model, learned)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    n_vectors = int(np.prod(true_model.obs_dims))
+    terms = (n_vectors * true_model.n_states) ** horizon
+    if terms > EXACT_TERM_GUARD:
+        raise ValueError("instance too large for exact enumeration "
+                         "(%d terms > %d)" % (terms, EXACT_TERM_GUARD))
+
+    symbol_space = list(itertools.product(
+        *[range(size) for size in true_model.obs_dims]))
+    total = 0.0
+    for string in itertools.product(symbol_space, repeat=horizon):
+        seq = ExperienceSequence(observations=np.asarray(string, dtype=int),
+                                 readings=np.zeros((horizon - 1, 3)))
+        lp_true = float(loglik(true_model, [seq])[0])
+        if lp_true == -math.inf:
+            continue
+        lp_learned = float(loglik(learned, [seq])[0])
+        if lp_learned == -math.inf:
+            return math.inf
+        total += math.exp(lp_true) * (lp_true - lp_learned)
+    return total / horizon
 
 
 def reference_pair_statistics(xi, readings):
@@ -379,6 +427,29 @@ def reference_sample_path(model: GeoHmm, length: int, rng):
         for i, b in enumerate(model.B):
             observations[t, i] = rng.choice(b.shape[0], p=b[:, nxt])
     return states, observations, readings
+
+
+def reference_sample_observations(model: GeoHmm, length: int, n: int, rng):
+    """sample_observations one step at a time: the same two uniform blocks,
+    (n, length - 1) for the transitions, then (n, length, D) for the
+    symbols, each uniform spent on one `Generator.choice`-style inverse
+    CDF (cumsum, divide by the total, searchsorted right)."""
+    def inverse_cdf(p, u):
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        return int(np.searchsorted(cdf, u, side="right"))
+
+    u_trans = rng.random((n, length - 1))
+    u_obs = rng.random((n, length, model.n_obs_dims))
+    out = np.zeros((n, length, model.n_obs_dims), dtype=int)
+    for k in range(n):
+        state = model.start_state
+        for t in range(length):
+            if t:
+                state = inverse_cdf(model.A[state], u_trans[k, t - 1])
+            for i, b in enumerate(model.B):
+                out[k, t, i] = inverse_cdf(b[:, state], u_obs[k, t, i])
+    return out
 
 
 def reference_check_consistency(model: GeoHmm, level: ConstraintLevel,

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from geohmm.evalkl import kl_exact_small, kl_sampled
-from geohmm.model import GeoHmm, RelationMatrix
-from geohmm.simgen import LoopSpec, make_loop_model
+from geohmm.evalkl import kl_sampled
+from geohmm.model import ExperienceSequence, GeoHmm, RelationMatrix
+from geohmm.simgen import LoopSpec, make_loop_model, sample_observations
+from oracles import kl_exact_small, reference_loglik
 
 
 def bernoulli_hmm(p):
@@ -91,9 +92,7 @@ class TestKlSampled:
         # standard error estimate is itself noisy at these counts
         assert 1.2 < small.std_error / big.std_error < 3.5
 
-
     def test_value_pinned(self):
-        # Pinned from the per-sequence forward_backward implementation.
         true = make_loop_model(LoopSpec())
         B = [b.copy() for b in true.B]
         B[0][:, 0] = [0.25, 0.25, 0.25, 0.25]
@@ -102,8 +101,20 @@ class TestKlSampled:
         A[3, [3, 4, 9]] = [0.5, 0.3, 0.2]
         worse = true.replace(A=A, B=tuple(B))
         est = kl_sampled(true, worse, 400, 6, np.random.default_rng(2013))
-        assert est.value == pytest.approx(0.09701664716375204, rel=1e-12)
-        assert est.std_error == pytest.approx(0.005878562794919219, rel=1e-9)
+        # The estimate is the sequential loglik oracle's on the strings
+        # that sample_observations draws from the same seed.
+        strings = sample_observations(true, 400, 6,
+                                      np.random.default_rng(2013))
+        seqs = [ExperienceSequence(observations=obs,
+                                   readings=np.zeros((399, 3)))
+                for obs in strings]
+        diffs = (reference_loglik(true, seqs)
+                 - reference_loglik(worse, seqs)) / 400
+        assert est.value == pytest.approx(diffs.mean(), rel=1e-12)
+        assert est.std_error == pytest.approx(
+            diffs.std(ddof=1) / np.sqrt(6), rel=1e-12)
+        assert est.value == pytest.approx(0.09148497444740418, rel=1e-12)
+        assert est.std_error == pytest.approx(0.00578347520889999, rel=1e-9)
 
 
 class TestKlExactSmall:

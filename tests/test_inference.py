@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from geohmm.circstats import KAPPA_MAX, wrap_angle
-from geohmm.inference import (forward_backward, loglik, obs_prob,
-                              pair_statistics, posteriors,
-                              relation_density_tensor)
+from geohmm.inference import (forward_backward, loglik, pair_statistics,
+                              posteriors, relation_density_tensor)
 from geohmm.model import (VAR_FLOOR, ExperienceSequence, GeoHmm,
                           ImpossibleSequenceError, RelationMatrix,
                           relation_log_density)
 from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
-from oracles import (brute_force_posteriors, path_density, random_experience,
-                     random_geohmm, reference_forward_backward,
-                     reference_loglik, reference_pair_statistics,
-                     reference_posteriors, reference_relation_density_tensor,
+from oracles import (brute_force_posteriors, obs_prob, path_density,
+                     random_experience, random_geohmm,
+                     reference_forward_backward, reference_loglik,
+                     reference_pair_statistics, reference_posteriors,
+                     reference_relation_density_tensor,
                      reference_relation_log_density)
 
 

@@ -7,9 +7,10 @@ from geohmm.circstats import KAPPA_MAX, circular_mean, wrap_angle
 from geohmm.inference import forward_backward
 from geohmm.model import (ConstraintLevel, CoordinateMode, GeoHmm,
                           RelationMatrix, check_consistency, embed_relations)
-from geohmm.simgen import (LoopSpec, make_loop_model, sample_path,
-                           sample_sequence)
-from oracles import random_geohmm, reference_sample_path
+from geohmm.simgen import (LoopSpec, make_loop_model, sample_observations,
+                           sample_path, sample_sequence)
+from oracles import (random_geohmm, reference_sample_observations,
+                     reference_sample_path)
 
 
 class TestMakeLoopModel:
@@ -202,3 +203,84 @@ class TestSamplePathStream:
         for sampler in (sample_path, reference_sample_path):
             with pytest.raises(ValueError):
                 sampler(model, 1, np.random.default_rng(0))
+
+
+class TestSampleObservations:
+    """The batched observation sampler: two uniform blocks, no readings."""
+
+    @pytest.mark.parametrize("length", [1, 2, 37, 1000])
+    @pytest.mark.parametrize("make", [lambda: make_loop_model(LoopSpec()),
+                                      _edge_model], ids=["loop", "edge"])
+    def test_byte_identical_to_reference(self, make, length):
+        model = make()
+        for seed in range(5):
+            rng, ref_rng = (np.random.default_rng(seed),
+                            np.random.default_rng(seed))
+            got = sample_observations(model, length, 3, rng)
+            want = reference_sample_observations(model, length, 3, ref_rng)
+            assert got.shape == (3, length, model.n_obs_dims)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_transition_and_symbol_frequencies(self):
+        # Dimension 0 reveals the state, so the strings show the transitions.
+        A = np.array([[0.7, 0.3], [0.2, 0.8]])
+        B = (np.eye(2), np.array([[0.5, 0.1], [0.3, 0.1], [0.2, 0.8]]))
+        model = GeoHmm(n_states=2, obs_dims=(2, 3), A=A, B=B, start_state=0,
+                       relations=RelationMatrix.zero(2))
+        obs = sample_observations(model, 10_000, 10,
+                                  np.random.default_rng(1))
+        states = obs[:, :, 0]
+        assert np.all(states[:, 0] == 0)
+        # Ten checks in one test: 4 standard errors keeps the family's
+        # false-alarm rate small.
+        for i in range(2):
+            from_i = states[:, :-1] == i
+            n_i = from_i.sum()
+            for j in range(2):
+                freq = (states[:, 1:][from_i] == j).mean()
+                se = np.sqrt(A[i, j] * (1 - A[i, j]) / n_i)
+                assert abs(freq - A[i, j]) <= 4 * se
+            in_i = states == i
+            for v in range(3):
+                p = B[1][v, i]
+                freq = (obs[:, :, 1][in_i] == v).mean()
+                se = np.sqrt(p * (1 - p) / in_i.sum())
+                assert abs(freq - p) <= 4 * se
+
+    @pytest.mark.parametrize("bad", ["nan", "negative", "off_one"])
+    def test_bad_transition_row_rejected(self, bad):
+        model = GeoHmm(n_states=3, obs_dims=(2,), A=np.full((3, 3), 1 / 3),
+                       B=(np.full((2, 3), 0.5),), start_state=1,
+                       relations=RelationMatrix.zero(3))
+        # set after validation, which would refuse them
+        model.A[0] = {"nan": [0.5, 0.5, np.nan],
+                      "negative": [0.5 + 1e-10, 0.5, -1e-10],
+                      "off_one": [0.5, 0.4, 0.0]}[bad]
+        with pytest.raises(ValueError):
+            sample_observations(model, 5, 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("column", [[1.0 + 1e-10, -1e-10], [np.nan, 1.0],
+                                        [0.5, 0.4]])
+    def test_bad_observation_column_rejected(self, column):
+        model = GeoHmm(n_states=2, obs_dims=(2,), A=np.full((2, 2), 0.5),
+                       B=(np.full((2, 2), 0.5),), start_state=0,
+                       relations=RelationMatrix.zero(2))
+        model.B[0][:, 1] = column   # set after validation
+        with pytest.raises(ValueError):
+            sample_observations(model, 1, 1, np.random.default_rng(0))
+
+    def test_one_string_of_one_symbol(self):
+        model = _edge_model()
+        got = sample_observations(model, 1, 1, np.random.default_rng(3))
+        want = reference_sample_observations(model, 1, 1,
+                                             np.random.default_rng(3))
+        assert got.shape == (1, 1, 2)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("length, n", [(0, 1), (1, 0), (-1, 2)])
+    def test_empty_sample_rejected(self, length, n):
+        model = make_loop_model(LoopSpec())
+        with pytest.raises(ValueError, match="at least 1"):
+            sample_observations(model, length, n, np.random.default_rng(0))
