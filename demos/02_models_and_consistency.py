@@ -10,8 +10,8 @@ import numpy as np
 
 from geohmm import (ConstraintLevel, CoordinateMode, LoopSpec,
                     check_consistency, embed_relations, load_model,
-                    make_loop_model, relation_density, save_model)
-from geohmm.model import RelationEntry
+                    make_loop_model, save_model)
+from geohmm.model import relation_log_density
 
 print("A 16-state corridor loop (the default experiment environment):")
 model = make_loop_model(LoopSpec())
@@ -21,10 +21,13 @@ report = check_consistency(model, ConstraintLevel.ADDITIVE, 1e-12)
 print("  additive-consistent at 1e-12:", report.consistent)
 
 print("\nRelation entry for the first corridor step:")
-entry = model.relations.entry(0, 1)
-print("  ", entry)
+R = model.relations
+reading = (R.mu_x[0, 1], R.mu_y[0, 1], R.mu_theta[0, 1])
+print("  mean (dx, dy, dtheta) = (%.3f, %.3f, %.3f), var (x, y) = (%.4f, "
+      "%.4f), kappa = %.1f" % (reading + (R.var_x[0, 1], R.var_y[0, 1],
+                                          R.kappa_theta[0, 1])))
 print("  density at the mean reading: %.4f"
-      % relation_density((entry.mu_x, entry.mu_y, entry.mu_theta), entry))
+      % np.exp(relation_log_density(reading, R))[0, 1])
 
 print("\nBreaking anti-symmetry by hand and re-checking:")
 model.relations.mu_x[0, 1] += 0.25

@@ -2,10 +2,10 @@
 
 from .circstats import (KAPPA_MAX, bessel_i0, bessel_ratio, resultant_to_kappa,
                         vm_density, vm_sample, wrap_angle)
-from .estimation import (LearnConfig, LearnReport, constrained_two_normal_mle,
-                         em_learn, project_headings, solve_positions,
-                         update_observations, update_relations_additive,
-                         update_relations_antisym, update_transitions)
+from .estimation import (LearnConfig, LearnReport, em_learn, project_headings,
+                         solve_positions, update_observations,
+                         update_relations_additive, update_relations_antisym,
+                         update_transitions)
 from .evalkl import KlEstimate, kl_sampled
 from .inference import (Posteriors, Trellis, forward_backward, loglik,
                         pair_statistics, posteriors)
@@ -14,9 +14,8 @@ from .initialization import (BucketConfig, bucketize, init_model,
 from .io import load_experience, load_model, save_experience, save_model
 from .model import (VAR_FLOOR, ConsistencyReport, ConstraintLevel,
                     CoordinateMode, ExperienceSequence, GeoHmm, GeoHmmError,
-                    ImpossibleSequenceError, ModelFormatError, RelationEntry,
-                    RelationMatrix, check_consistency, embed_relations,
-                    relation_density)
+                    ImpossibleSequenceError, ModelFormatError, RelationMatrix,
+                    check_consistency, embed_relations)
 from .pipeline import (RunResult, best_index, best_run, default_bucket_config,
                        learn_runs)
 from .render import embed_model_positions, render_svg
@@ -29,16 +28,15 @@ __all__ = [
     "ConstraintLevel", "CoordinateMode", "ExperienceSequence", "GeoHmm",
     "GeoHmmError", "ImpossibleSequenceError", "KlEstimate", "LearnConfig",
     "LearnReport", "LoopSpec", "ModelFormatError", "Posteriors",
-    "RelationEntry", "RelationMatrix", "RunResult", "Trellis", "bessel_i0",
-    "bessel_ratio", "best_index", "best_run", "bucketize", "check_consistency",
-    "constrained_two_normal_mle", "default_bucket_config", "em_learn",
-    "embed_model_positions", "embed_relations", "forward_backward",
-    "init_model", "kl_sampled", "learn_runs", "load_experience",
-    "load_model", "loglik", "make_loop_model", "pair_statistics",
-    "perturb_model", "posteriors", "project_headings", "random_model",
-    "relation_density", "render_svg", "resultant_to_kappa", "sample_path",
-    "sample_sequence", "save_experience", "save_model", "solve_positions",
-    "tag_states", "update_observations", "update_relations_additive",
-    "update_relations_antisym", "update_transitions", "vm_density",
-    "vm_sample", "wrap_angle",
+    "RelationMatrix", "RunResult", "Trellis", "bessel_i0", "bessel_ratio",
+    "best_index", "best_run", "bucketize", "check_consistency",
+    "default_bucket_config", "em_learn", "embed_model_positions",
+    "embed_relations", "forward_backward", "init_model", "kl_sampled",
+    "learn_runs", "load_experience", "load_model", "loglik",
+    "make_loop_model", "pair_statistics", "perturb_model", "posteriors",
+    "project_headings", "random_model", "render_svg", "resultant_to_kappa",
+    "sample_path", "sample_sequence", "save_experience", "save_model",
+    "solve_positions", "tag_states", "update_observations",
+    "update_relations_additive", "update_relations_antisym",
+    "update_transitions", "vm_density", "vm_sample", "wrap_angle",
 ]

@@ -252,50 +252,6 @@ def update_relations_unconstrained(post: Posteriors, R_old: RelationMatrix,
     return RelationMatrix(mu_x, mu_y, mu_theta, var_x, var_y, kappa)
 
 
-def constrained_two_normal_mle(P, Q):
-    """ML estimate of (mu, var_P, var_Q) for two normal samples whose
-    means are constrained to be negatives of each other.
-
-    Profiling the variances out of the joint likelihood leaves a cubic
-    stationarity condition in mu; the real root with the highest profile
-    likelihood is returned. Exactly consistent constant samples collapse
-    to zero variance: multi-point ones return floored variances, anything
-    else degenerate raises ValueError.
-    """
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    if P.size < 1 or Q.size < 1:
-        raise ValueError("both samples must be non-empty")
-    n, k = P.size, Q.size
-    p_bar, q_bar = P.mean(), Q.mean()
-    vp, vq = P.var(), Q.var()
-
-    if vp == 0.0 and vq == 0.0:
-        if q_bar == -p_bar and not (n == 1 and k == 1):
-            return float(p_bar), VAR_FLOOR, VAR_FLOOR
-        raise ValueError("degenerate zero-variance samples")
-    if vp == 0.0 or vq == 0.0:
-        raise ValueError("degenerate zero-variance sample")
-
-    # n (p_bar - mu) (vq + (q_bar + mu)^2) = k (q_bar + mu) (vp + (p_bar - mu)^2)
-    left = n * np.polymul([-1.0, p_bar], [1.0, 2.0 * q_bar, q_bar ** 2 + vq])
-    right = k * np.polymul([1.0, q_bar], [1.0, -2.0 * p_bar, p_bar ** 2 + vp])
-    roots = np.roots(np.polysub(left, right))
-    real = roots[np.abs(roots.imag) < 1e-9].real
-    if real.size == 0:
-        raise ValueError("no real stationary point found")
-
-    def profile_loglik(mu):
-        sp2 = vp + (p_bar - mu) ** 2
-        sq2 = vq + (q_bar + mu) ** 2
-        return -0.5 * (n * np.log(sp2) + k * np.log(sq2))
-
-    best = real[np.argmax([profile_loglik(m) for m in real])]
-    sp2 = vp + (p_bar - best) ** 2
-    sq2 = vq + (q_bar + best) ** 2
-    return float(best), float(max(sp2, VAR_FLOOR)), float(max(sq2, VAR_FLOOR))
-
-
 class _OffsetUnionFind:
     """Union-find tracking each node's scalar offset from its root."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import loglik
-from .model import ExperienceSequence, GeoHmm, ImpossibleSequenceError
+from .model import GeoHmm, ImpossibleSequenceError
 from .simgen import sample_observations
 
 
@@ -49,14 +49,15 @@ def kl_sampled(true_model: GeoHmm, learned: GeoHmm, seq_length: int = 1000,
     All n_sequences observation strings are drawn from the true model
     first by `simgen.sample_observations`, readings never drawn: one
     rng.random((n, L - 1)) block of transition uniforms, then one
-    rng.random((n, L, D)) block of observation uniforms. Then both models
-    score the batch with the forward-only `loglik`. Peak memory is two
-    (n, L, N) float64 tables (emissions and scaled alpha) and the
-    (n, ~sqrt(L), N, N) block products, scored one model at a time (about
-    4 MB at n=10, L=1000, N=16); the (n, L, D) uniforms and the gathered
-    (n, L, K) CDF rows of one dimension are smaller. If the learned
-    model assigns zero probability to any sampled sequence, the estimate
-    is flagged +inf. Both n_sequences and seq_length must be at least 1.
+    rng.random((n, L, D)) block of observation uniforms. Then one
+    forward-only `loglik` call scores the (n, L, D) strings under both
+    models at once. Peak memory is that call's (L, 2, n, N) float64
+    emission table, N the larger state count (about 2.6 MB at n=10,
+    L=1000, N=16), plus one (n, L, N) gather while it fills, and no block
+    products; the (n, L, D) uniforms and the gathered (n, L, V) CDF rows
+    of one alphabet of V symbols are smaller. If the learned model
+    assigns zero probability to any sampled sequence, the estimate is
+    flagged +inf. Both n_sequences and seq_length must be at least 1.
     """
     if n_sequences < 1 or seq_length < 1:
         raise ValueError("n_sequences and seq_length must be at least 1, "
@@ -64,17 +65,14 @@ def kl_sampled(true_model: GeoHmm, learned: GeoHmm, seq_length: int = 1000,
     if rng is None:
         rng = np.random.default_rng(0)
     _check_alphabets(true_model, learned)
-    no_readings = np.zeros((seq_length - 1, 3))
-    seqs = [ExperienceSequence(observations=obs, readings=no_readings)
-            for obs in sample_observations(true_model, seq_length,
-                                           n_sequences, rng)]
-    ll_true = loglik(true_model, seqs)
+    ll_true, ll_learned = loglik(
+        [true_model, learned],
+        sample_observations(true_model, seq_length, n_sequences, rng))
     rejected = np.flatnonzero(ll_true == -np.inf)
     if rejected.size:
         raise ImpossibleSequenceError(
             0, "sampled sequence %d impossible under the true model"
             % rejected[0])
-    ll_learned = loglik(learned, seqs)
     n_impossible = int(np.sum(ll_learned == -np.inf))
     if n_impossible:
         return KlEstimate(value=math.inf, n_sequences=n_sequences,

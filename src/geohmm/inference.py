@@ -20,23 +20,34 @@ statistics that the M-step reads. posteriors needs no sum over xi: the
 forward recursion gives its normalizer Z_t = c_{t+1} sum_j
 alpha_{t+1}(j) beta_{t+1}(j), the row sum that gamma divides by.
 
-Both passes run time-blocked (after Sarkka and Garcia-Fernandez 2021),
-about 5 sqrt(T) batched steps instead of 2T Python steps. The T-1 steps
-form blocks of L = round(sqrt(T-1)), which minimizes L block steps plus
-(T-1)/L block starts: T fixes L and there is nothing to tune. Block b's
-product P_b of the operators M_t = step[t] diag(emit[t+1]) is formed
-once, all blocks at once, with each row's log scale kept apart (product
-= diag(exp(logr)) @ P), so no row under- or overflows. One set of
-products serves both passes, since alpha_{t+1} ~ alpha_t M_t and
-beta_t ~ M_t beta_{t+1}. Forward: a short log-domain recursion (log
-alpha + logr, less its maximum) carries alpha across block starts, then
-all blocks fill in their steps at once, each scale c_t = sum(alpha_{t-1}
-@ step[t-1] * b_t) as in a sequential step. Backward: the same
-recursion runs on P_b beta from the end, then the blocks fill in
-backwards, and each beta row is divided by sum_i alpha_t(i) beta_t(i),
-which is 1 under the forward scaling (Rabiner 1989). The products cost
-N^3 instead of N^2 per step, small beside the Python overhead saved at
-the state counts used here.
+forward_backward's two passes run time-blocked (after Sarkka and
+Garcia-Fernandez 2021), about 5 sqrt(T) batched steps instead of 2T
+Python steps. The T-1 steps form blocks of L = round(sqrt(T-1)), which
+minimizes L block steps plus (T-1)/L block starts: T fixes L and there
+is nothing to tune. Block b's product P_b of the operators M_t = step[t]
+diag(emit[t+1]) is formed once, all blocks at once, with each row's log
+scale kept apart (product = diag(exp(logr)) @ P), so no row under- or
+overflows. One set of products serves both passes, since alpha_{t+1} ~
+alpha_t M_t and beta_t ~ M_t beta_{t+1}. Forward: a short log-domain
+recursion (log alpha + logr, less its maximum) carries alpha across
+block starts, then all blocks fill in their steps at once, each scale
+c_t = sum(alpha_{t-1} @ step[t-1] * b_t) as in a sequential step.
+Backward: the same recursion runs on P_b beta from the end, then the
+blocks fill in backwards, and each beta row is divided by sum_i
+alpha_t(i) beta_t(i), which is 1 under the forward scaling (Rabiner
+1989). The products cost N^3 instead of N^2 per step, small beside the
+Python overhead saved at the state counts used here.
+
+loglik, which scores S strings under K models forward only, runs
+Rabiner's sequential recursion instead: T Python steps over one (K, S,
+N) stack of rows, T K S N^2 work, where a blocked scan of the batch
+costs about S T N^3. The choice follows the shape. Forward only, at
+T=1000 and N=16 (one model; medians of three runs on a 2-core VM with
+OpenBLAS), one sequence took 3.6 ms blocked against 9.0 ms sequential,
+and the batch lost from S=10 on: 20.1 against 12.9 ms at S=10, 46 against
+17 ms at S=20 and 86 against 25 ms at S=40. One long sequence whose
+block products the backward pass reuses thus goes blocked, a batch of
+strings sequential.
 """
 
 from __future__ import annotations
@@ -83,20 +94,29 @@ class Posteriors:
     pair: np.ndarray           # (7, N, N): s0, sx, sy, sxx, syy, ssin, scos
 
 
-def emission_probs(model: GeoHmm, e: ExperienceSequence) -> np.ndarray:
-    """(T, N) matrix of per-state observation-vector probabilities."""
-    obs = e.observations
-    if obs.shape[1] != model.n_obs_dims:
-        raise ValueError("sequence has %d observation dimensions, model has %d"
-                         % (obs.shape[1], model.n_obs_dims))
+def emission_probs(model: GeoHmm, observations, out=None) -> np.ndarray:
+    """(..., T, N) per-state probabilities of the symbol vectors (..., T, D),
+    one gather per dimension, written into out if given. Negative symbols
+    are rejected along with out-of-alphabet ones, since callers may pass
+    a raw array."""
+    obs = np.asarray(observations)
+    if obs.ndim < 2 or obs.shape[-1] != model.n_obs_dims:
+        raise ValueError("observations of shape %r do not have the model's "
+                         "%d dimensions" % (obs.shape, model.n_obs_dims))
+    if not np.issubdtype(obs.dtype, np.integer):
+        raise ValueError("observation symbols must be integers, got %s"
+                         % obs.dtype)
     for i, size in enumerate(model.obs_dims):
-        bad = np.nonzero(obs[:, i] >= size)[0]
-        if bad.size:
-            raise ValueError("symbol %d out of alphabet on dimension %d at step %d"
-                             % (obs[bad[0], i], i, bad[0]))
-    out = np.ones((len(e), model.n_states))
+        bad = (obs[..., i] < 0) | (obs[..., i] >= size)
+        if bad.any():
+            where = tuple(np.argwhere(bad)[0])
+            raise ValueError("symbol %d out of alphabet on dimension %d at "
+                             "step %d" % (obs[where + (i,)], i, where[-1]))
+    if out is None:
+        out = np.empty(obs.shape[:-1] + (model.n_states,))
+    out[...] = 1.0
     for i, b in enumerate(model.B):
-        out *= b[obs[:, i], :]
+        out *= b[obs[..., i]]
     return out
 
 
@@ -109,24 +129,23 @@ def relation_density_tensor(model: GeoHmm, e: ExperienceSequence) -> np.ndarray:
 def _scaled_scan(first, step, emit):
     """The time-blocked recursion v_t = (v_{t-1} @ step[t-1]) * emit[t] / c_t.
 
-    v_0 = first; c_t is the row's sum, so v_t sums to 1. first (..., N)
-    and emit (..., T, N) may carry batch axes; step is (T-1, N, N).
-    Returns v (..., T, N), c (..., T) with c_0 = 1 (a row that dies shows
-    a zero or non-finite c_t at its first failing step) and the block
-    products (P, logr): P (..., nb, N, N) has unit row sums and block b's
-    product of the operators M_t = step[t] diag(emit[t+1]) over its
-    steps is diag(exp(logr_b)) @ P_b. _backward_scan reuses them.
+    v_0 = first (N,); c_t is the row's sum, so v_t sums to 1. emit is
+    (T, N) and step (T-1, N, N). Returns v (T, N), c (T,) with c_0 = 1
+    (a sequence that dies shows a zero or non-finite c_t at its first
+    failing step) and the block products (P, logr): P (nb, N, N) has
+    unit row sums and block b's product of the operators M_t = step[t]
+    diag(emit[t+1]) over its steps is diag(exp(logr_b)) @ P_b.
+    _backward_scan reuses them.
     """
-    T, N = emit.shape[-2:]
-    batch = emit.shape[:-2]
-    v, c = np.empty(emit.shape), np.ones(emit.shape[:-1])
-    v[..., 0, :] = first
+    T, N = emit.shape
+    v, c = np.empty(emit.shape), np.ones(T)
+    v[0] = first
     if T == 1:
         return v, c, None
     L = round(math.sqrt(T - 1))
     nb = -(-(T - 1) // L)
     ones = np.ones(N)
-    P = np.broadcast_to(np.eye(N), batch + (nb, N, N)).copy()
+    P = np.broadcast_to(np.eye(N), (nb, N, N)).copy()
     Q = np.empty_like(P)
     rows = P.reshape(-1, N)            # a view: P is only written in place
     E = np.zeros(len(rows), dtype=int)
@@ -137,9 +156,8 @@ def _scaled_scan(first, step, emit):
         # last block may be short and drops out once it is done.
         for k in range(L):
             m = (T - 2 - k) // L + 1       # blocks that have a step k
-            np.matmul(P[..., :m, :, :], step[k::L], out=Q[..., :m, :, :])
-            np.multiply(Q[..., :m, :, :], emit[..., k + 1::L, None, :],
-                        out=P[..., :m, :, :])
+            np.matmul(P[:m], step[k::L], out=Q[:m])
+            np.multiply(Q[:m], emit[k + 1::L, None, :], out=P[:m])
             s = rows @ ones
             if (np.max(s, initial=0.0) > 2.0**64
                     or np.min(s, where=s > 0.0, initial=1.0) < 2.0**-64):
@@ -147,26 +165,25 @@ def _scaled_scan(first, step, emit):
                 E += e
                 rows *= np.ldexp(1.0, -e)[:, None]
         s = rows @ ones
-        logr = (E * math.log(2.0) + np.log(s)).reshape(P.shape[:-1])
+        logr = (E * math.log(2.0) + np.log(s)).reshape(nb, N)
         s[s == 0.0] = 1.0
         rows /= s[:, None]
-        starts = np.empty(batch + (nb, N))
-        starts[..., 0, :] = first
+        starts = np.empty((nb, N))
+        starts[0] = first
         for b in range(nb - 1):
-            lw = np.log(starts[..., b, :]) + logr[..., b, :]
-            top = lw.max(axis=-1, keepdims=True)
-            y = (np.exp(lw - top)[..., None, :] @ P[..., b, :, :])[..., 0, :]
-            starts[..., b + 1, :] = y / y.sum(axis=-1, keepdims=True)
+            lw = np.log(starts[b]) + logr[b]
+            y = (np.exp(lw - lw.max())[None, :] @ P[b])[0]
+            starts[b + 1] = y / y.sum()
         # Fill in every block's steps from its start, all blocks at once.
         cur = starts
         for k in range(L):
             m = (T - 2 - k) // L + 1
-            row = (cur[..., :m, None, :] @ step[k::L])[..., 0, :]
-            row *= emit[..., k + 1::L, :]
+            row = (cur[:m, None, :] @ step[k::L])[:, 0, :]
+            row *= emit[k + 1::L]
             ck = row.sum(axis=-1)
-            cur = row / ck[..., None]
-            v[..., k + 1::L, :] = cur
-            c[..., k + 1::L] = ck
+            cur = row / ck[:, None]
+            v[k + 1::L] = cur
+            c[k + 1::L] = ck
     return v, c, (P, logr)
 
 
@@ -209,7 +226,7 @@ def forward_backward(model: GeoHmm, e: ExperienceSequence,
     recursion reduces to the plain observation-only HMM.
     """
     T, N = len(e), model.n_states
-    emit = emission_probs(model, e)
+    emit = emission_probs(model, e.observations)
     if use_odometry and T > 1:
         step = relation_density_tensor(model, e)
         if density_floor is not None:
@@ -231,29 +248,47 @@ def forward_backward(model: GeoHmm, e: ExperienceSequence,
                    use_odometry=use_odometry, emit=emit, step=step)
 
 
-def loglik(model: GeoHmm, seqs) -> np.ndarray:
-    """(S,) observation-only log-likelihoods of equal-length sequences.
+def loglik(models, observations) -> np.ndarray:
+    """(K, S) observation-only log-likelihoods of S equal-length symbol
+    strings, observations (S, T, D), under each of K models; readings
+    play no part.
 
-    The forward recursion of forward_backward(..., use_odometry=False),
-    with the S sequences as a batch axis; readings are ignored. A
-    sequence the model rejects scores -inf without disturbing the other
-    rows.
+    Rabiner's scaled forward recursion, one Python step per time step,
+    over one (K, S, N) stack of rows, N the largest state count. A model
+    with fewer states is zero-padded: a padded state has no transitions
+    in or out and emits nothing, so it holds exactly zero mass. Each step
+    is alpha @ A, times the emissions, then the row sum c_t into a (T, K,
+    S) buffer and alpha / c_t; a row scores sum_t log c_t. A row that
+    dies (some c_t zero or not finite) scores -inf and touches no other
+    row. Peak memory is one (T, K, S, N) float64 emission table (2.6 MB
+    at K=2, S=10, T=1000, N=16), filled in place, plus one (S, T, N)
+    gather of one dimension while it fills; no block products are formed.
     """
-    seqs = list(seqs)
-    if not seqs:
-        return np.zeros(0)
-    T = len(seqs[0])
-    if any(len(e) != T for e in seqs):
-        raise ValueError("loglik needs sequences of equal length")
-    emit = np.stack([emission_probs(model, e) for e in seqs])   # (S, T, N)
-    S, N = len(seqs), model.n_states
-    _, scales, _ = _scaled_scan(np.eye(N)[model.start_state],
-                                np.broadcast_to(model.A, (T - 1, N, N)), emit)
-    scales[:, 0] = emit[:, 0, model.start_state]
-    live = (np.isfinite(scales) & (scales > 0.0)).all(axis=1)
-    out = np.full(S, -np.inf)
-    out[live] = np.log(scales[live]).sum(axis=1)
-    return out
+    models = list(models)
+    obs = np.asarray(observations)
+    if obs.ndim != 3 or obs.shape[1] < 1:
+        raise ValueError("observations must be (S, T, D) with T >= 1, got "
+                         "shape %r" % (obs.shape,))
+    S, T, _ = obs.shape
+    K, N = len(models), max((m.n_states for m in models), default=0)
+    emit = np.zeros((T, K, S, N))
+    A = np.zeros((K, N, N))
+    alpha = np.zeros((K, S, N))
+    scales = np.empty((T, K, S))
+    for k, m in enumerate(models):
+        emission_probs(m, obs, out=emit[:, k, :, :m.n_states].swapaxes(0, 1))
+        A[k, :m.n_states, :m.n_states] = m.A
+        alpha[k, :, m.start_state] = 1.0
+        scales[0, k] = emit[0, k, :, m.start_state]
+    row, ones, col = np.empty_like(alpha), np.ones(N), scales[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(1, T):
+            np.matmul(alpha, A, out=row)
+            np.multiply(row, emit[t], out=row)
+            np.matmul(row, ones, out=scales[t])
+            np.divide(row, col[t], out=alpha)
+        live = (np.isfinite(scales) & (scales > 0.0)).all(axis=0)
+        return np.where(live, np.log(scales).sum(axis=0), -np.inf)
 
 
 def pair_statistics(xi: np.ndarray, readings: np.ndarray) -> np.ndarray:

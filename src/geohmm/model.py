@@ -63,18 +63,6 @@ class ConstraintLevel(enum.Enum):
     ADDITIVE = "additive"
 
 
-@dataclass(frozen=True)
-class RelationEntry:
-    """Displacement distribution parameters for one ordered state pair."""
-
-    mu_x: float
-    mu_y: float
-    mu_theta: float
-    var_x: float
-    var_y: float
-    kappa_theta: float
-
-
 class RelationMatrix:
     """N x N table of relation parameters, stored as six dense arrays."""
 
@@ -105,12 +93,6 @@ class RelationMatrix:
         np.fill_diagonal(kap_m, DIAG_KAPPA)
         return cls(zeros.copy(), zeros.copy(), zeros.copy(),
                    var_m.copy(), var_m.copy(), kap_m)
-
-    def entry(self, i: int, j: int) -> RelationEntry:
-        return RelationEntry(
-            float(self.mu_x[i, j]), float(self.mu_y[i, j]),
-            float(self.mu_theta[i, j]), float(self.var_x[i, j]),
-            float(self.var_y[i, j]), float(self.kappa_theta[i, j]))
 
     def copy(self) -> "RelationMatrix":
         return RelationMatrix(self.mu_x.copy(), self.mu_y.copy(),
@@ -261,8 +243,10 @@ def reading_features(readings) -> np.ndarray:
 
 
 def relation_log_density(readings, relations) -> np.ndarray:
-    """Log density of readings (..., 3) under a RelationEntry (out: ...)
-    or every entry of a RelationMatrix (out: (..., N, N)).
+    """Log density of readings (..., 3) under every entry of a
+    RelationMatrix (out: (..., N, N)), or under one entry: any object with
+    scalar fields mu_x, mu_y, mu_theta, var_x, var_y and kappa_theta
+    (out: ...).
 
     The components are independent: normal in dx and dy, von Mises in
     dtheta (kappa clipped to [0, KAPPA_MAX]). Their sum is an exponential
@@ -284,11 +268,6 @@ def relation_log_density(readings, relations) -> np.ndarray:
                     kappa * np.sin(mt), kappa * np.cos(mt)])
     phi = reading_features(readings)
     return (phi @ eta.reshape(7, -1)).reshape(phi.shape[:-1] + eta.shape[1:])
-
-
-def relation_density(reading, entry: RelationEntry) -> float:
-    """Joint density of a (dx, dy, dtheta) reading for one relation entry."""
-    return float(np.exp(relation_log_density(reading, entry)))
 
 
 def embed_relations(x, y, theta, mode: CoordinateMode) -> tuple:

@@ -7,6 +7,7 @@ paths, and component densities are written out longhand.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,10 +18,10 @@ from geohmm.inference import (Posteriors, Trellis, emission_probs, loglik,
                               pair_statistics, relation_density_tensor)
 from geohmm.initialization import (ZERO_BUCKET, Bucket, BucketConfig,
                                    TaggingResult)
-from geohmm.model import (ConsistencyReport, ConsistencyViolation,
+from geohmm.model import (VAR_FLOOR, ConsistencyReport, ConsistencyViolation,
                           ConstraintLevel, CoordinateMode, ExperienceSequence,
                           GeoHmm, ImpossibleSequenceError, RelationMatrix,
-                          _rotate_xy)
+                          _rotate_xy, relation_log_density)
 
 
 def normal_pdf(x, mu, var):
@@ -94,6 +95,75 @@ def brute_force_posteriors(model: GeoHmm, e: ExperienceSequence,
     return float(np.log(total)), gamma / total, xi / total
 
 
+@dataclass(frozen=True)
+class RelationEntry:
+    """Displacement distribution parameters for one ordered state pair."""
+
+    mu_x: float
+    mu_y: float
+    mu_theta: float
+    var_x: float
+    var_y: float
+    kappa_theta: float
+
+
+def relation_entry(R: RelationMatrix, i: int, j: int) -> RelationEntry:
+    """Entry (i, j) of a relation matrix as Python floats."""
+    return RelationEntry(
+        float(R.mu_x[i, j]), float(R.mu_y[i, j]), float(R.mu_theta[i, j]),
+        float(R.var_x[i, j]), float(R.var_y[i, j]),
+        float(R.kappa_theta[i, j]))
+
+
+def relation_density(reading, entry: RelationEntry) -> float:
+    """Joint density of a (dx, dy, dtheta) reading for one relation entry."""
+    return float(np.exp(relation_log_density(reading, entry)))
+
+
+def constrained_two_normal_mle(P, Q):
+    """ML estimate of (mu, var_P, var_Q) for two normal samples whose
+    means are constrained to be negatives of each other.
+
+    Profiling the variances out of the joint likelihood leaves a cubic
+    stationarity condition in mu; the real root with the highest profile
+    likelihood is returned. Exactly consistent constant samples collapse
+    to zero variance: multi-point ones return floored variances, anything
+    else degenerate raises ValueError.
+    """
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    if P.size < 1 or Q.size < 1:
+        raise ValueError("both samples must be non-empty")
+    n, k = P.size, Q.size
+    p_bar, q_bar = P.mean(), Q.mean()
+    vp, vq = P.var(), Q.var()
+
+    if vp == 0.0 and vq == 0.0:
+        if q_bar == -p_bar and not (n == 1 and k == 1):
+            return float(p_bar), VAR_FLOOR, VAR_FLOOR
+        raise ValueError("degenerate zero-variance samples")
+    if vp == 0.0 or vq == 0.0:
+        raise ValueError("degenerate zero-variance sample")
+
+    # n (p_bar - mu) (vq + (q_bar + mu)^2) = k (q_bar + mu) (vp + (p_bar - mu)^2)
+    left = n * np.polymul([-1.0, p_bar], [1.0, 2.0 * q_bar, q_bar ** 2 + vq])
+    right = k * np.polymul([1.0, q_bar], [1.0, -2.0 * p_bar, p_bar ** 2 + vp])
+    roots = np.roots(np.polysub(left, right))
+    real = roots[np.abs(roots.imag) < 1e-9].real
+    if real.size == 0:
+        raise ValueError("no real stationary point found")
+
+    def profile_loglik(mu):
+        sp2 = vp + (p_bar - mu) ** 2
+        sq2 = vq + (q_bar + mu) ** 2
+        return -0.5 * (n * np.log(sp2) + k * np.log(sq2))
+
+    best = real[np.argmax([profile_loglik(m) for m in real])]
+    sp2 = vp + (p_bar - best) ** 2
+    sq2 = vq + (q_bar + best) ** 2
+    return float(best), float(max(sp2, VAR_FLOOR)), float(max(sq2, VAR_FLOOR))
+
+
 def reference_relation_log_density(readings, R: RelationMatrix) -> np.ndarray:
     """(T-1, N, N) log densities of readings (T-1, 3), each component's
     term written out elementwise: normal in dx and dy, von Mises in
@@ -124,7 +194,7 @@ def reference_forward_backward(model: GeoHmm, e: ExperienceSequence,
     alpha scales. Raises ImpossibleSequenceError at the first step whose
     scale is zero or non-finite."""
     T, N = len(e), model.n_states
-    emit = emission_probs(model, e)
+    emit = emission_probs(model, e.observations)
     if use_odometry and T > 1:
         step = relation_density_tensor(model, e)
         if density_floor is not None:
@@ -157,13 +227,17 @@ def reference_forward_backward(model: GeoHmm, e: ExperienceSequence,
                    use_odometry=use_odometry, emit=emit, step=step)
 
 
-def reference_loglik(model: GeoHmm, seqs) -> np.ndarray:
-    """loglik as one Python step per time step over an (S, N) alpha
-    block; a rejected row is zeroed, scores -inf and leaves the other
+def reference_loglik(model: GeoHmm, observations) -> np.ndarray:
+    """loglik of one model on (S, T, D) symbol strings as one Python step
+    per time step over an (S, N) alpha block, emissions multiplied out
+    longhand; a rejected row is zeroed, scores -inf and leaves the other
     rows alone."""
-    emit = np.stack([emission_probs(model, e) for e in seqs])   # (S, T, N)
-    S, T, N = emit.shape
-    alpha = np.zeros((S, N))
+    obs = np.asarray(observations)
+    S, T, _ = obs.shape
+    emit = np.ones((S, T, model.n_states))
+    for i, b in enumerate(model.B):
+        emit *= b[obs[:, :, i]]
+    alpha = np.zeros((S, model.n_states))
     alpha[:, model.start_state] = emit[:, 0, model.start_state]
     log_scales = np.zeros((S, T))
     dead = np.zeros(S, dtype=bool)
@@ -185,7 +259,8 @@ def reference_loglik(model: GeoHmm, seqs) -> np.ndarray:
 
 def kl_exact_small(true_model: GeoHmm, learned: GeoHmm, horizon: int) -> float:
     """Exhaustive per-symbol KL over all observation strings of the given
-    horizon. Refuses instances beyond the enumeration guard."""
+    horizon, scored in one loglik call. Refuses instances beyond the
+    enumeration guard."""
     _check_alphabets(true_model, learned)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -197,18 +272,14 @@ def kl_exact_small(true_model: GeoHmm, learned: GeoHmm, horizon: int) -> float:
 
     symbol_space = list(itertools.product(
         *[range(size) for size in true_model.obs_dims]))
-    total = 0.0
-    for string in itertools.product(symbol_space, repeat=horizon):
-        seq = ExperienceSequence(observations=np.asarray(string, dtype=int),
-                                 readings=np.zeros((horizon - 1, 3)))
-        lp_true = float(loglik(true_model, [seq])[0])
-        if lp_true == -math.inf:
-            continue
-        lp_learned = float(loglik(learned, [seq])[0])
-        if lp_learned == -math.inf:
-            return math.inf
-        total += math.exp(lp_true) * (lp_true - lp_learned)
-    return total / horizon
+    strings = np.array(list(itertools.product(symbol_space, repeat=horizon)),
+                       dtype=int).reshape(-1, horizon, true_model.n_obs_dims)
+    lp_true, lp_learned = loglik([true_model, learned], strings)
+    possible = lp_true > -math.inf
+    lp_true, lp_learned = lp_true[possible], lp_learned[possible]
+    if np.any(lp_learned == -math.inf):
+        return math.inf
+    return float(np.sum(np.exp(lp_true) * (lp_true - lp_learned))) / horizon
 
 
 def reference_pair_statistics(xi, readings):

@@ -28,8 +28,7 @@ from scipy.integrate import quad
 
 from geohmm.circstats import (bessel_ratio, resultant_to_kappa, vm_density,
                               wrap_angle)
-from geohmm.estimation import (LearnConfig, constrained_two_normal_mle,
-                               em_learn, update_relations_antisym)
+from geohmm.estimation import LearnConfig, em_learn, update_relations_antisym
 from geohmm.evalkl import kl_sampled
 from geohmm.inference import (Posteriors, forward_backward, pair_statistics,
                               posteriors)
@@ -39,8 +38,9 @@ from geohmm.model import (ConstraintLevel, CoordinateMode, GeoHmm,
 from geohmm.pipeline import default_bucket_config, learn_runs
 from geohmm.simgen import (LoopSpec, make_loop_model, sample_path,
                            sample_sequence)
-from oracles import (brute_force_posteriors, path_count_model, random_geohmm,
-                     random_experience, reference_pair_statistics)
+from oracles import (brute_force_posteriors, constrained_two_normal_mle,
+                     path_count_model, random_experience, random_geohmm,
+                     reference_pair_statistics)
 
 EXPERIMENT_SMOOTHING = 0.005
 KL_LENGTH = 1000

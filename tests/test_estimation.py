@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from geohmm.estimation import (LearnConfig, constrained_two_normal_mle,
-                               em_learn, project_headings, solve_positions,
-                               update_observations, update_relations_additive,
+from geohmm.estimation import (LearnConfig, em_learn, project_headings,
+                               solve_positions, update_observations,
+                               update_relations_additive,
                                update_relations_antisym, update_transitions)
 from geohmm.inference import Posteriors, forward_backward, pair_statistics
 from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
@@ -15,9 +15,9 @@ from geohmm.circstats import wrap_angle
 from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
 from geohmm.initialization import init_model, random_model
 from geohmm.pipeline import default_bucket_config
-from oracles import (random_experience, random_geohmm,
-                     reference_antisym_means, reference_solve_positions,
-                     reference_update_observations)
+from oracles import (constrained_two_normal_mle, random_experience,
+                     random_geohmm, reference_antisym_means,
+                     reference_solve_positions, reference_update_observations)
 
 
 def posteriors_from_xi(xi, readings=None):

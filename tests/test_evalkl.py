@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from geohmm.evalkl import kl_sampled
-from geohmm.model import ExperienceSequence, GeoHmm, RelationMatrix
+from geohmm.initialization import random_model
+from geohmm.model import GeoHmm, RelationMatrix
 from geohmm.simgen import LoopSpec, make_loop_model, sample_observations
 from oracles import kl_exact_small, reference_loglik
 
@@ -92,6 +93,19 @@ class TestKlSampled:
         # standard error estimate is itself noisy at these counts
         assert 1.2 < small.std_error / big.std_error < 3.5
 
+    def test_models_of_different_sizes_match_oracle(self):
+        # Both models are scored in one loglik call, the 12-state one
+        # zero-padded to 16 states.
+        true = make_loop_model(LoopSpec())
+        learned = random_model(12, true.obs_dims, np.random.default_rng(12))
+        est = kl_sampled(true, learned, 300, 5, np.random.default_rng(21))
+        strings = sample_observations(true, 300, 5, np.random.default_rng(21))
+        diffs = (reference_loglik(true, strings)
+                 - reference_loglik(learned, strings)) / 300
+        assert est.value == pytest.approx(diffs.mean(), rel=1e-12)
+        assert est.std_error == pytest.approx(
+            diffs.std(ddof=1) / np.sqrt(5), rel=1e-12)
+
     def test_value_pinned(self):
         true = make_loop_model(LoopSpec())
         B = [b.copy() for b in true.B]
@@ -105,11 +119,8 @@ class TestKlSampled:
         # that sample_observations draws from the same seed.
         strings = sample_observations(true, 400, 6,
                                       np.random.default_rng(2013))
-        seqs = [ExperienceSequence(observations=obs,
-                                   readings=np.zeros((399, 3)))
-                for obs in strings]
-        diffs = (reference_loglik(true, seqs)
-                 - reference_loglik(worse, seqs)) / 400
+        diffs = (reference_loglik(true, strings)
+                 - reference_loglik(worse, strings)) / 400
         assert est.value == pytest.approx(diffs.mean(), rel=1e-12)
         assert est.std_error == pytest.approx(
             diffs.std(ddof=1) / np.sqrt(6), rel=1e-12)

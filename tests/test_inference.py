@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from geohmm.circstats import KAPPA_MAX, wrap_angle
-from geohmm.inference import (forward_backward, loglik, pair_statistics,
-                              posteriors, relation_density_tensor)
+from geohmm.inference import (emission_probs, forward_backward, loglik,
+                              pair_statistics, posteriors,
+                              relation_density_tensor)
+from geohmm.initialization import random_model
 from geohmm.model import (VAR_FLOOR, ExperienceSequence, GeoHmm,
                           ImpossibleSequenceError, RelationMatrix,
                           relation_log_density)
@@ -145,6 +147,11 @@ def assert_unit_alpha_beta(trellis):
                                1.0, rtol=1e-12, atol=0)
 
 
+def strings(seqs):
+    """The (S, T, D) symbol array of equal-length sequences."""
+    return np.stack([e.observations for e in seqs])
+
+
 # T - 1 steps: none, 1, 2, 3 (ragged), exact squares 16, 25 and 784,
 # and 799 and 1000 with ragged last blocks.
 BLOCK_LENGTHS = [1, 2, 3, 4, 17, 26, 785, 800, 1001]
@@ -223,9 +230,10 @@ class TestBlockedRecursion:
         rng = np.random.default_rng(200 + T)
         for model in (random_geohmm(4, rng, obs_dims=(3, 2)),
                       sparse_geohmm(5, rng)):
-            seqs = [random_experience(model, T, rng) for _ in range(5)]
-            np.testing.assert_allclose(loglik(model, seqs),
-                                       reference_loglik(model, seqs),
+            obs = strings([random_experience(model, T, rng)
+                           for _ in range(5)])
+            np.testing.assert_allclose(loglik([model], obs)[0],
+                                       reference_loglik(model, obs),
                                        rtol=1e-12, atol=0)
 
     @staticmethod
@@ -262,7 +270,8 @@ class TestBlockedRecursion:
                 if symbol == 2:
                     assert got == pos
                 seqs.append(e)
-            got, want = loglik(model, seqs), reference_loglik(model, seqs)
+            obs = strings(seqs)
+            got, want = loglik([model], obs)[0], reference_loglik(model, obs)
             np.testing.assert_array_equal(got == -np.inf, want == -np.inf)
             live = want > -np.inf
             np.testing.assert_allclose(got[live], want[live], rtol=1e-12,
@@ -280,7 +289,7 @@ class TestLoglik:
         rng = np.random.default_rng(100 + n)
         model = random_geohmm(n, rng, obs_dims=(3, 2))
         seqs = [random_experience(model, T, rng) for _ in range(6)]
-        np.testing.assert_allclose(loglik(model, seqs),
+        np.testing.assert_allclose(loglik([model], strings(seqs))[0],
                                    self._reference(model, seqs),
                                    rtol=1e-12, atol=0)
 
@@ -288,9 +297,9 @@ class TestLoglik:
         model = make_loop_model(LoopSpec())
         rng = np.random.default_rng(3)
         seqs = [sample_sequence(model, 1000, rng) for _ in range(4)]
-        got = loglik(model, seqs)
-        assert got.shape == (4,)
-        np.testing.assert_allclose(got, self._reference(model, seqs),
+        got = loglik([model], strings(seqs))
+        assert got.shape == (1, 4)
+        np.testing.assert_allclose(got[0], self._reference(model, seqs),
                                    rtol=1e-12, atol=0)
 
     def test_impossible_row_is_minus_inf_and_isolated(self):
@@ -304,19 +313,79 @@ class TestLoglik:
                                  readings=readings)
         first = ExperienceSequence(observations=np.array([[1], [0], [0], [0]]),
                                    readings=readings)
-        got = loglik(model, [good, bad, first, good])
-        want = loglik(model, [good, good, good, good])
+        got = loglik([model], strings([good, bad, first, good]))[0]
+        want = loglik([model], strings([good, good, good, good]))[0]
         assert got[1] == -np.inf and got[2] == -np.inf
         assert got[0] == want[0] and got[3] == want[3]
         assert got[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_and_unequal_batches(self):
         model = random_geohmm(2, np.random.default_rng(0))
-        assert loglik(model, []).shape == (0,)
+        assert loglik([model], np.zeros((0, 3, 1), dtype=int)).shape == (1, 0)
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError):
-            loglik(model, [random_experience(model, 3, rng),
-                           random_experience(model, 4, rng)])
+            loglik([model], [random_experience(model, 3, rng).observations,
+                             random_experience(model, 4, rng).observations])
+
+    # Different state counts share one zero-padded (K, S, N) stack; each
+    # model's row must still be its own sequential score.
+    @pytest.mark.parametrize("T", [1, 2, 37])
+    def test_models_of_different_sizes_match_reference(self, T):
+        rng = np.random.default_rng(500 + T)
+        loop = make_loop_model(LoopSpec())
+        for models in ([random_geohmm(5, rng, obs_dims=(3, 2)),
+                        sparse_geohmm(3, rng, obs_dims=(3, 2))],
+                       [loop, random_model(12, loop.obs_dims, rng)]):
+            obs = strings([random_experience(models[0], T, rng)
+                           for _ in range(4)])
+            got = loglik(models, obs)
+            assert got.shape == (2, 4)
+            for k, model in enumerate(models):
+                np.testing.assert_allclose(got[k], reference_loglik(model, obs),
+                                           rtol=1e-12, atol=0)
+
+    def test_no_strings_gives_one_empty_row_per_model(self):
+        rng = np.random.default_rng(6)
+        models = [random_geohmm(5, rng), random_geohmm(3, rng)]
+        assert loglik(models, np.zeros((0, 4, 1), dtype=int)).shape == (2, 0)
+
+    def test_rejected_row_is_isolated_across_models(self):
+        # Model 1 emits symbol 2 from no state and symbol 1 only from
+        # state 2, two steps from the start, so it rejects string 1 only;
+        # model 0 accepts everything.
+        rng = np.random.default_rng(7)
+        models = [random_geohmm(3, rng),
+                  TestBlockedRecursion._forbidden_symbol_model()]
+        obs = rng.integers(0, 2, size=(4, 30, 1))
+        obs[:, :2] = 0
+        clean = obs.copy()
+        obs[1, 12, 0] = 2
+        got = loglik(models, obs)
+        dead = np.zeros((2, 4), dtype=bool)
+        dead[1, 1] = True
+        np.testing.assert_array_equal(np.isneginf(got), dead)
+        assert np.isfinite(got[~dead]).all()
+        for k, model in enumerate(models):
+            np.testing.assert_array_equal(got[k], loglik([model], obs)[0])
+        # The dead row leaves the other strings' scores bit for bit.
+        np.testing.assert_array_equal(np.delete(got, 1, axis=1),
+                                      np.delete(loglik(models, clean), 1,
+                                                axis=1))
+
+    @pytest.mark.parametrize("symbol", [-1, 3, 99])
+    def test_symbols_outside_the_alphabet_rejected(self, symbol):
+        model = random_geohmm(2, np.random.default_rng(8))
+        obs = np.zeros((2, 5, 1), dtype=int)
+        obs[1, 3, 0] = symbol
+        with pytest.raises(ValueError, match="out of alphabet"):
+            loglik([model], obs)
+        with pytest.raises(ValueError, match="out of alphabet"):
+            emission_probs(model, obs[1])
+
+    def test_non_integer_symbols_rejected(self):
+        model = random_geohmm(2, np.random.default_rng(9))
+        with pytest.raises(ValueError, match="integers"):
+            loglik([model], np.zeros((2, 5, 1)))
 
 
 class TestPosteriors:

@@ -5,12 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
-                          GeoHmm, RelationEntry, RelationMatrix,
-                          _rotate_xy, check_consistency, embed_relations,
-                          relation_density)
+                          GeoHmm, RelationMatrix, _rotate_xy,
+                          check_consistency, embed_relations,
+                          relation_log_density)
 from geohmm.circstats import wrap_angle
 
-from oracles import random_geohmm, reference_check_consistency
+from oracles import (RelationEntry, random_geohmm, reference_check_consistency,
+                     relation_density, relation_entry)
 
 
 def simple_model(n=2, mode=CoordinateMode.GLOBAL, relations=None):
@@ -82,6 +83,18 @@ class TestRelationDensity:
         # each 1-D slice integrates to density-of-other-two; their product
         # over the peak squared gives the full integral by independence
         assert ix * iy * it / peak ** 2 == pytest.approx(1.0, abs=1e-5)
+
+    def test_entry_matches_matrix(self):
+        # relation_log_density takes one duck-typed entry as well as a
+        # whole matrix; both give the same density for each pair.
+        rng = np.random.default_rng(4)
+        R = random_geohmm(4, rng).relations
+        for reading in rng.normal(size=(5, 3)):
+            table = np.exp(relation_log_density(reading, R))
+            for i in range(4):
+                for j in range(4):
+                    got = relation_density(reading, relation_entry(R, i, j))
+                    assert got == pytest.approx(table[i, j], rel=1e-12)
 
 
 class TestEmbedRelations:
