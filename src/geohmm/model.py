@@ -94,11 +94,6 @@ class RelationMatrix:
         return cls(zeros.copy(), zeros.copy(), zeros.copy(),
                    var_m.copy(), var_m.copy(), kap_m)
 
-    def copy(self) -> "RelationMatrix":
-        return RelationMatrix(self.mu_x.copy(), self.mu_y.copy(),
-                              self.mu_theta.copy(), self.var_x.copy(),
-                              self.var_y.copy(), self.kappa_theta.copy())
-
     def validate(self):
         n = self.n_states
         diag = np.arange(n)

@@ -311,14 +311,12 @@ def reference_posteriors(trellis: Trellis, model: GeoHmm,
     return Posteriors(gamma=gamma, pair=pair_statistics(xi, e.readings))
 
 
-def reference_solve_positions(targets, n: int, anchor: int = 0) -> np.ndarray:
+def reference_solve_positions(targets, n: int) -> np.ndarray:
     """solve_positions with one Python step per target: the Laplacian and
     right-hand side accumulated entry by entry, components from a
     union-find."""
     if n <= 0:
         raise ValueError("n must be positive")
-    if not 0 <= anchor < n:
-        raise ValueError("anchor out of range")
     lap = np.zeros((n, n))
     rhs = np.zeros(n)
     uf = _OffsetUnionFind(n)
@@ -343,8 +341,7 @@ def reference_solve_positions(targets, n: int, anchor: int = 0) -> np.ndarray:
 
     x = np.zeros(n)
     for members in components.values():
-        pin = anchor if anchor in members else min(members)
-        free = [m for m in members if m != pin]
+        free = members[1:]  # members ascend: the lowest index is pinned
         if not free:
             continue
         sub = lap[np.ix_(free, free)]

@@ -1,11 +1,36 @@
 """Model embedding and SVG rendering."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from geohmm.model import CoordinateMode
+from geohmm.circstats import wrap_angle
+from geohmm.model import (ConstraintLevel, CoordinateMode, RelationMatrix,
+                          check_consistency)
 from geohmm.render import embed_model_positions, render_svg
 from geohmm.simgen import LoopSpec, make_loop_model
+
+
+def noisy_loop(mode: CoordinateMode):
+    """The default loop with seeded noise on every off-diagonal relation
+    mean, variance and concentration: no longer additive."""
+    model = make_loop_model(LoopSpec(mode=mode))
+    R = model.relations
+    rng = np.random.default_rng(7)
+    shape = (R.n_states, R.n_states)
+    off = ~np.eye(R.n_states, dtype=bool)
+
+    def shift(a, sd):
+        return a + np.where(off, rng.normal(0.0, sd, shape), 0.0)
+
+    def scale(a):
+        return np.where(off, a * rng.uniform(0.5, 2.0, shape), a)
+
+    rel = RelationMatrix(shift(R.mu_x, 0.5), shift(R.mu_y, 0.5),
+                         wrap_angle(shift(R.mu_theta, 0.3)), scale(R.var_x),
+                         scale(R.var_y), scale(R.kappa_theta))
+    return model.replace(relations=rel)
 
 
 class TestEmbedModelPositions:
@@ -60,3 +85,17 @@ class TestRenderSvg:
     def test_deterministic(self):
         model = make_loop_model(LoopSpec())
         assert render_svg(model) == render_svg(model)
+
+    @pytest.mark.parametrize("mode, digest", [
+        (CoordinateMode.GLOBAL,
+         "cdae85aba1d43c7da3d8bb72ed1e1796ee66241c7b535ee3e62ae1ec8d4f7a07"),
+        (CoordinateMode.RELATIVE,
+         "a33da0ac035dd9f38378ad4e800401bb2edc439e3c68aeb261f079e9ea0c3e68"),
+    ])
+    def test_inconsistent_model_pinned(self, mode, digest):
+        # The heading projection and position fit both settle this
+        # model's conflicts; a change to either shows up in the bytes.
+        model = noisy_loop(mode)
+        assert check_consistency(model, ConstraintLevel.ADDITIVE).violations
+        svg = render_svg(model)
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
