@@ -265,13 +265,16 @@ class _OffsetUnionFind:
         self.offset[i] += above
         return root, self.offset[i]
 
-    def union(self, i: int, j: int, delta: float):
-        """Impose value[j] - value[i] = delta unless already connected."""
+    def union(self, i: int, j: int, delta: float) -> bool:
+        """Impose value[j] - value[i] = delta unless already connected;
+        True if the two trees were joined."""
         ri, oi = self.find(i)
         rj, oj = self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-            self.offset[rj] = oi + delta - oj
+        if ri == rj:
+            return False
+        self.parent[rj] = ri
+        self.offset[rj] = oi + delta - oj
+        return True
 
 
 def solve_positions(targets, n: int) -> np.ndarray:
@@ -342,8 +345,11 @@ def project_headings(raw_mu_theta, weights, theta_ref=None) -> tuple:
 
     if theta_ref is None:
         walk = _OffsetUnionFind(n)
+        joins = n - 1              # a spanning forest needs no more
         for a, b in zip(i.tolist(), j.tolist()):
-            walk.union(a, b, raw[a, b])
+            if joins == 0:
+                break
+            joins -= walk.union(a, b, raw[a, b])
         ref = np.array([walk.find(node)[1] for node in range(n)])
     else:
         ref = np.asarray(theta_ref, dtype=float)

@@ -151,7 +151,7 @@ def load_experience(path: str) -> ExperienceSequence:
     angle_scale, length_scale = _unit_scales(
         header.get("angle_unit", "radians"), header.get("length_unit", "units"))
 
-    obs, readings = [], []
+    obs, flat = [], []
     for lineno, line in enumerate(lines[1:]):
         tokens = line.split()
         expected = l if lineno == 0 else l + 3
@@ -161,14 +161,14 @@ def load_experience(path: str) -> ExperienceSequence:
                 % (lineno, expected, len(tokens)))
         try:
             obs.append([int(tok) for tok in tokens[:l]])
-            if lineno > 0:
-                dx, dy, dt = (float(tok) for tok in tokens[l:])
-                readings.append([dx * length_scale, dy * length_scale,
-                                 wrap_angle(dt * angle_scale)])
+            flat += [float(tok) for tok in tokens[l:]]
         except ValueError as exc:
             raise ModelFormatError("experience line %d: %s" % (lineno, exc)) from exc
+    readings = np.array(flat, dtype=float).reshape(-1, 3)
+    readings[:, :2] *= length_scale
+    with np.errstate(invalid="ignore"):    # a non-finite heading stays NaN
+        readings[:, 2] = wrap_angle(readings[:, 2] * angle_scale)
     try:
-        return ExperienceSequence(np.asarray(obs, dtype=int),
-                                  np.asarray(readings, dtype=float).reshape(-1, 3))
+        return ExperienceSequence(np.asarray(obs, dtype=int), readings)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc

@@ -97,11 +97,32 @@ class TestExperienceFile:
         assert seq.readings[0, 2] == pytest.approx(np.radians(92.0))
         assert seq.readings[0, 0] == 2.0
 
+    # Lines are numbered from 0 after the header, comments skipped.
     def test_field_count_errors(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("l=2\n0 1\n0 1 1.0 2.0\n")
-        with pytest.raises(ModelFormatError):
-            load_experience(str(path))
+        for body, message in [
+                ("0 1\n0 1 1.0 2.0\n", "line 1: expected 5 fields, got 4"),
+                ("0\n", "line 0: expected 2 fields, got 1"),
+                ("0 1\n# skipped\n0 1 1.0 2.0 3.0\n1 0 1.0 2.0\n",
+                 "line 2: expected 5 fields, got 4")]:
+            path.write_text("l=2\n" + body)
+            with pytest.raises(ModelFormatError, match=message):
+                load_experience(str(path))
+
+    # The first bad token in file order is named, symbols before readings.
+    def test_bad_token_errors(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        for body, message in [
+                ("0 x\n0 1 1.0 2.0 3.0\n", "line 0: invalid literal for int"),
+                ("0 1\n0 1 1.0 2.0 3.0\n0 1 1.0 y 3.0\n",
+                 "line 2: could not convert string to float: 'y'"),
+                ("0 1\n0 1 1.0 2.0 z\n1.5 1 1.0 2.0 3.0\n",
+                 "line 1: could not convert string to float: 'z'"),
+                ("0 1\n0 1 1.0 2.0 3.0\n0 1.5 z 2.0 3.0\n",
+                 "line 2: invalid literal for int.*'1.5'")]:
+            path.write_text("l=2\n" + body)
+            with pytest.raises(ModelFormatError, match=message):
+                load_experience(str(path))
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "empty.txt"
