@@ -35,7 +35,7 @@ for level in (ConstraintLevel.UNCONSTRAINED, ConstraintLevel.ANTISYMMETRIC,
     print("  loglik: %.1f -> %.1f" % (trace[0], trace[-1]))
     print("  consistent at own level (tol 1e-9): %s" % consistent)
     if rep.monotonicity_violations:
-        print("  rejected projection steps: %d"
+        print("  relation steps not taken (would lower Q): %d"
               % len(rep.monotonicity_violations))
     cycle_ok = all(model.A[i].argmax() in (i, (i + 1) % model.n_states)
                    for i in range(model.n_states))

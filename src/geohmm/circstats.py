@@ -90,16 +90,12 @@ def resultant_to_kappa(r):
     return _like(np.where(rr >= bessel_ratio(KAPPA_MAX), KAPPA_MAX, kappa), r)
 
 
-def vm_log_density(theta, mu, kappa):
-    """Log of the von Mises density; broadcasts over array arguments."""
-    kappa = np.clip(kappa, 0.0, KAPPA_MAX)
-    return (kappa * np.cos(np.asarray(theta) - mu) - LOG_TWO_PI
-            - log_bessel_i0(kappa))
-
-
 def vm_density(theta, mu, kappa):
-    """Von Mises density at theta for mean direction mu and concentration kappa."""
-    out = np.exp(vm_log_density(theta, mu, kappa))
+    """Von Mises density at theta for mean direction mu and concentration
+    kappa; broadcasts over array arguments."""
+    kappa = np.clip(kappa, 0.0, KAPPA_MAX)
+    out = np.exp(kappa * np.cos(np.asarray(theta) - mu) - LOG_TWO_PI
+                 - log_bessel_i0(kappa))
     if np.ndim(theta) == 0 and np.ndim(mu) == 0 and np.ndim(kappa) == 0:
         return float(out)
     return out
@@ -116,28 +112,13 @@ def vm_sample(mu, kappa, rng: np.random.Generator, size=None):
     return wrap_angle(draws)
 
 
-def circular_mean(angles, weights=None):
-    """Direction of the (weighted) resultant vector, in (-pi, pi]."""
+def circular_mean(angles):
+    """Direction of the resultant vector, in (-pi, pi]."""
     angles = np.asarray(angles, dtype=float)
-    if weights is None:
-        s, c = np.sin(angles).sum(), np.cos(angles).sum()
-    else:
-        weights = np.asarray(weights, dtype=float)
-        s = float(np.sum(weights * np.sin(angles)))
-        c = float(np.sum(weights * np.cos(angles)))
-    return float(np.arctan2(s, c))
+    return float(np.arctan2(np.sin(angles).sum(), np.cos(angles).sum()))
 
 
-def mean_resultant_length(angles, weights=None):
-    """Length of the (weighted) mean resultant vector, in [0, 1]."""
+def mean_resultant_length(angles):
+    """Length of the mean resultant vector, in [0, 1]."""
     angles = np.asarray(angles, dtype=float)
-    if weights is None:
-        s, c = np.mean(np.sin(angles)), np.mean(np.cos(angles))
-    else:
-        weights = np.asarray(weights, dtype=float)
-        total = weights.sum()
-        if total <= 0:
-            return 0.0
-        s = float(np.sum(weights * np.sin(angles))) / total
-        c = float(np.sum(weights * np.cos(angles))) / total
-    return float(np.hypot(s, c))
+    return float(np.hypot(np.mean(np.sin(angles)), np.mean(np.cos(angles))))

@@ -29,7 +29,7 @@ from .model import (ConstraintLevel, CoordinateMode, GeoHmmError,
                     ImpossibleSequenceError, ModelFormatError,
                     check_consistency)
 from .pipeline import best_index, default_bucket_config, learn_runs
-from .render import render_svg
+from .render import MARGIN, render_svg
 from .simgen import LoopSpec, make_loop_model, sample_sequence
 
 EXIT_OK = 0
@@ -174,6 +174,15 @@ def cmd_learn(args, argv):
     outputs = []
     summary = {}
 
+    def learn_best(sub, model_path):
+        results = learn_runs(sub, n_states, cfg, restarts=args.restarts,
+                             seed=seed, initial=initial,
+                             bucket_cfg=bucket_cfg, obs_dims=obs_dims)
+        chosen = best_index(results)
+        save_model(results[chosen].model, model_path)
+        outputs.append(model_path)
+        return results, chosen
+
     if args.prefix_lengths:
         lengths = [int(v) for v in args.prefix_lengths.split(",")]
         base, ext = os.path.splitext(args.output)
@@ -183,26 +192,15 @@ def cmd_learn(args, argv):
         for length in lengths:
             if not 1 <= length <= len(seq):
                 raise CliError("prefix length %d out of range" % length)
-            sub = seq.prefix(length)
-            results = learn_runs(sub, n_states, cfg, restarts=args.restarts,
-                                 seed=seed, initial=initial,
-                                 bucket_cfg=bucket_cfg, obs_dims=obs_dims)
-            chosen = best_index(results)
-            model_path = "%s.p%d.model.json" % (base, length)
-            save_model(results[chosen].model, model_path)
-            outputs.append(model_path)
+            results, chosen = learn_best(seq.prefix(length),
+                                         "%s.p%d.model.json" % (base, length))
             sweep[str(length)] = report_payload(results, chosen)
         report_path = "%s.report.json" % base
         dump_json(report_path, {"command": "learn", "prefix_sweep": sweep})
         outputs.append(report_path)
         summary["prefix_lengths"] = lengths
     else:
-        results = learn_runs(seq, n_states, cfg, restarts=args.restarts,
-                             seed=seed, initial=initial,
-                             bucket_cfg=bucket_cfg, obs_dims=obs_dims)
-        chosen = best_index(results)
-        save_model(results[chosen].model, args.output)
-        outputs.append(args.output)
+        results, chosen = learn_best(seq, args.output)
         report_path = args.report or args.output + ".report.json"
         dump_json(report_path, {"command": "learn",
                                 **report_payload(results, chosen)})
@@ -272,6 +270,9 @@ def cmd_check(args, argv):
 
 def cmd_render(args, argv):
     started = time.time()
+    if min(args.width, args.height) <= 2 * MARGIN:
+        raise CliError("--width and --height must exceed %d px, the margins"
+                       % (2 * MARGIN))
     model = load_model(args.model)
     svg = render_svg(model, width=args.width, height=args.height)
     atomic_write_text(args.output, svg)

@@ -33,7 +33,7 @@ from .circstats import (KAPPA_MAX, bessel_ratio, resultant_to_kappa,
 from .inference import Posteriors, forward_backward, posteriors
 from .model import (VAR_FLOOR, ConstraintLevel, CoordinateMode,
                     ExperienceSequence, GeoHmm, RelationMatrix, _rotate_xy,
-                    embed_relations)
+                    embed_relations, natural_parameters)
 
 
 # Fixed tuning of the EM loop: the relative loglik gain below which a run
@@ -51,8 +51,10 @@ class LearnConfig:
     mode: coordinate convention; None inherits the initial model's.
     use_odometry: False runs plain Baum-Welch on the observations alone.
     max_iters: most M-steps a run takes.
-    pseudocount: Dirichlet mass added per cell of the A and B updates.
-    density_floor: floor for reading densities in the E-step; None for none.
+    pseudocount: Dirichlet mass added per cell of the A and B updates; the
+        run then ascends loglik plus the log prior (em_learn).
+    density_floor: floor for reading densities in the E-step (None: none);
+        it voids the EM inequality, so em_learn may stop on a falling step.
     """
 
     constraint_level: ConstraintLevel = ConstraintLevel.ANTISYMMETRIC
@@ -73,6 +75,10 @@ class LearnConfig:
 
 @dataclass
 class LearnReport:
+    """loglik_trace: em_learn's objective at the initial model and after
+    every M-step taken. monotonicity_violations: (iteration, drop in Q)
+    of every relation candidate that would have lowered Q, not taken."""
+
     iterations_run: int
     loglik_trace: list
     converged: bool
@@ -415,29 +421,24 @@ def update_relations_additive(post: Posteriors, R_old: RelationMatrix,
 
 def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
              on_iteration=None) -> tuple:
-    """Generalized-EM loop: E-step posteriors, M-step constrained updates.
+    """Generalized-EM loop: one E-step and one M-step per iteration.
 
-    Stops when the relative log-likelihood improvement falls below
-    REL_TOL or after cfg.max_iters M-steps; the report keeps the trace.
+    The objective, which loglik_trace records, is loglik + pc * (sum log
+    A + sum log B), pc = cfg.pseudocount: the loglik plus the log
+    Dirichlet prior (up to a constant) of the smoothed A and B updates;
+    -inf for a model with a zero cell when pc > 0. A run stops when it
+    gains less than REL_TOL relative, or after cfg.max_iters M-steps.
 
-    An M-step that lowers the log-likelihood is rejected and retried
-    with the relation matrix held at its previous (still consistent)
-    value; the attempted drop is recorded in monotonicity_violations.
-    If even the relations-held step fails to improve, the run has
-    converged, so the trace never decreases. Without pseudocounts the A,
-    B and unconstrained updates ascend, and so does the antisymmetric
-    one in global mode. The additive heading projection is a
-    least-squares fit, not a maximizer, and in relative mode the heading
-    steps also turn the frames, so those steps can be rejected: on 36
-    additive restarts per mode (T=800 loop data, 6 sequences,
-    pseudocounts 0 and 0.005) no global-mode step was rejected, while 24
-    relative-mode restarts rejected some. With positive pseudocounts the
-    A and B updates are MAP (Dirichlet-smoothed) steps, which carry no
-    ML-ascent guarantee: rejections can then fire at any level, and a
-    run can stop while still climbing.
-
-    on_iteration, if given, is called as on_iteration(k, model) after
-    every M-step.
+    A and B updates are exact maximizers; a relation candidate is taken
+    only if it does not lower Q's relation term <post.pair,
+    natural_parameters(R)>, else R is kept and (iteration, drop) goes
+    into monotonicity_violations. So Q cannot fall, nor, by the EM
+    inequality, the objective. A step that lowers it anyway (rounding,
+    or a density_floor, whose clipping voids the inequality) is not taken
+    and ends the run: the trace never falls, at one forward_backward call
+    per iteration plus one for the initial model and one for a refused
+    last step. on_iteration(k, model), if given, runs after every M-step
+    taken.
     """
     mode = cfg.mode or initial.mode
     if mode is not initial.mode:
@@ -445,45 +446,55 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
                          % (mode, initial.mode))
 
     def e_step(m):
-        return forward_backward(m, e, use_odometry=cfg.use_odometry,
-                                density_floor=cfg.density_floor)
+        trellis = forward_backward(m, e, use_odometry=cfg.use_odometry,
+                                   density_floor=cfg.density_floor)
+        if not cfg.pseudocount:
+            return trellis, trellis.loglik
+        with np.errstate(divide="ignore"):
+            log_prior = sum(np.log(p).sum() for p in (m.A,) + m.B)
+        return trellis, trellis.loglik + cfg.pseudocount * float(log_prior)
 
     model = initial
-    trellis = e_step(model)
-    trace = [trellis.loglik]
+    trellis, value = e_step(model)
+    trace = [value]
     violations = []
     converged = False
     theta_ref = None
+    eta = natural_parameters(model.relations) if cfg.use_odometry else None
 
     for it in range(1, cfg.max_iters + 1):
         post = posteriors(trellis, model, e)
-        new_A = update_transitions(post, model.A, cfg.pseudocount)
-        new_B = update_observations(post, e, model.B, cfg.pseudocount)
-        R = model.relations
-        if not cfg.use_odometry:
-            relations = R
-        elif cfg.constraint_level is ConstraintLevel.UNCONSTRAINED:
-            relations = update_relations_unconstrained(post, R, SPREAD_DAMPING)
-        elif cfg.constraint_level is ConstraintLevel.ANTISYMMETRIC:
-            relations = update_relations_antisym(post, R, mode, SPREAD_DAMPING)
-        else:
-            relations, theta_ref = update_relations_additive(
-                post, R, mode, theta_ref, SPREAD_DAMPING)
-        candidate = model.replace(A=new_A, B=new_B, relations=relations)
-        new_trellis = e_step(candidate)
+        relations = R = model.relations
+        if cfg.use_odometry:
+            if cfg.constraint_level is ConstraintLevel.UNCONSTRAINED:
+                relations = update_relations_unconstrained(
+                    post, R, SPREAD_DAMPING)
+            elif cfg.constraint_level is ConstraintLevel.ANTISYMMETRIC:
+                relations = update_relations_antisym(
+                    post, R, mode, SPREAD_DAMPING)
+            else:
+                relations, theta_ref = update_relations_additive(
+                    post, R, mode, theta_ref, SPREAD_DAMPING)
+            new_eta = natural_parameters(relations)
+            drop = float(np.vdot(post.pair, eta - new_eta))
+            if drop > 0.0:
+                violations.append((it, drop))
+                relations, new_eta = R, eta
+            eta = new_eta
+        candidate = model.replace(
+            A=update_transitions(post, model.A, cfg.pseudocount),
+            B=update_observations(post, e, model.B, cfg.pseudocount),
+            relations=relations)
+        new_trellis, value = e_step(candidate)
         previous = trace[-1]
-        if new_trellis.loglik < previous:
-            violations.append((it, float(previous - new_trellis.loglik)))
-            candidate = candidate.replace(relations=R)
-            new_trellis = e_step(candidate)
-            if new_trellis.loglik < previous:
-                converged = True
-                break
+        if value < previous:
+            converged = True
+            break
         if on_iteration is not None:
             on_iteration(it, candidate)
         model, trellis = candidate, new_trellis
-        trace.append(trellis.loglik)
-        if trellis.loglik - previous < REL_TOL * abs(previous):
+        trace.append(value)
+        if value - previous < REL_TOL * abs(previous):
             converged = True
             break
 

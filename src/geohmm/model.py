@@ -237,21 +237,18 @@ def reading_features(readings) -> np.ndarray:
                      np.sin(dtheta), np.cos(dtheta)], axis=-1)
 
 
-def relation_log_density(readings, relations) -> np.ndarray:
-    """Log density of readings (..., 3) under every entry of a
-    RelationMatrix (out: (..., N, N)), or under one entry: any object with
-    scalar fields mu_x, mu_y, mu_theta, var_x, var_y and kappa_theta
-    (out: ...).
+def natural_parameters(relations) -> np.ndarray:
+    """(7, N, N) natural parameters eta of a RelationMatrix's reading
+    densities, or (7,) of one entry (any object with scalar fields mu_x,
+    mu_y, mu_theta, var_x, var_y and kappa_theta).
 
-    The components are independent: normal in dx and dy, von Mises in
-    dtheta (kappa clipped to [0, KAPPA_MAX]). Their sum is an exponential
-    family, log f(r | R) = reading_features(r) . eta(R), with natural
-    parameters eta = (c0, mu_x/var_x, mu_y/var_y, -1/(2 var_x),
-    -1/(2 var_y), kappa sin(mu_theta), kappa cos(mu_theta)) and
-    c0 = -(mu_x^2/var_x + log(2 pi var_x))/2 - (mu_y^2/var_y
-    + log(2 pi var_y))/2 - log(2 pi) - log I0(kappa), so a whole table is
-    one product. Expanding the squares costs about
-    eps * (dx^2 + mu_x^2) / var_x (and likewise in y) of absolute accuracy.
+    Normal dx and dy and von Mises dtheta (kappa clipped to [0,
+    KAPPA_MAX]), independent, form an exponential family: log f(r | R) =
+    reading_features(r) . eta(R), eta = (c0, mu_x/var_x, mu_y/var_y,
+    -1/(2 var_x), -1/(2 var_y), kappa sin(mu_theta), kappa cos(mu_theta)),
+    c0 = -(mu_x^2/var_x + log(2 pi var_x))/2 - (mu_y^2/var_y + log(2 pi
+    var_y))/2 - log(2 pi) - log I0(kappa). So sum_k Posteriors.pair[k] *
+    eta[k] is the relation term of the expected complete-data loglik.
     """
     mx, my, mt = relations.mu_x, relations.mu_y, relations.mu_theta
     vx, vy = relations.var_x, relations.var_y
@@ -259,8 +256,16 @@ def relation_log_density(readings, relations) -> np.ndarray:
     c0 = (-0.5 * (mx * mx / vx + np.log(TWO_PI * vx))
           - 0.5 * (my * my / vy + np.log(TWO_PI * vy))
           - LOG_TWO_PI - log_bessel_i0(kappa))
-    eta = np.stack([c0, mx / vx, my / vy, -0.5 / vx, -0.5 / vy,
-                    kappa * np.sin(mt), kappa * np.cos(mt)])
+    return np.stack([c0, mx / vx, my / vy, -0.5 / vx, -0.5 / vy,
+                     kappa * np.sin(mt), kappa * np.cos(mt)])
+
+
+def relation_log_density(readings, relations) -> np.ndarray:
+    """Log density of readings (..., 3) under every entry (out: (..., N,
+    N)) or one entry (out: ...), as reading_features @ natural_parameters.
+    Expanding the squares costs about eps * (dx^2 + mu_x^2) / var_x (and
+    likewise in y) of absolute accuracy."""
+    eta = natural_parameters(relations)
     phi = reading_features(readings)
     return (phi @ eta.reshape(7, -1)).reshape(phi.shape[:-1] + eta.shape[1:])
 

@@ -58,6 +58,8 @@ def learn_runs(e: ExperienceSequence, n_states: int, cfg: LearnConfig,
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if n_states < 1:
+        raise ValueError("n_states must be at least 1, got %d" % n_states)
     seeds = np.random.SeedSequence(seed).spawn(restarts)
     if obs_dims is None:
         obs_dims = tuple(int(e.observations[:, i].max()) + 1

@@ -16,6 +16,7 @@ from .estimation import embed_positions, project_headings
 from .model import GeoHmm
 
 DASHED_THRESHOLD = 0.2
+MARGIN = 40.0          # px on every side; a canvas must exceed 2 * MARGIN
 
 
 def embed_model_positions(model: GeoHmm) -> tuple:
@@ -38,13 +39,12 @@ def render_svg(model: GeoHmm, width: int = 640, height: int = 480) -> str:
 
     span_x = max(x.max() - x.min(), 1e-9)
     span_y = max(y.max() - y.min(), 1e-9)
-    margin = 40.0
-    scale = min((width - 2 * margin) / span_x, (height - 2 * margin) / span_y)
+    scale = min((width - 2 * MARGIN) / span_x, (height - 2 * MARGIN) / span_y)
 
     def to_px(xi, yi):
         # SVG y grows downward; flip to keep the map right-handed.
-        px = margin + (xi - x.min()) * scale
-        py = height - margin - (yi - y.min()) * scale
+        px = MARGIN + (xi - x.min()) * scale
+        py = height - MARGIN - (yi - y.min()) * scale
         return px, py
 
     lines = [

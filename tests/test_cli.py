@@ -173,6 +173,32 @@ class TestLearn:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags", [[], ["--no-odometry"]])
+    @pytest.mark.parametrize("n_states", ["0", "-3"])
+    def test_nonpositive_state_count_is_input_error(self, tmp_path, capsys,
+                                                    experience_path,
+                                                    n_states, flags):
+        out = tmp_path / "m.json"
+        code = main(["learn", str(experience_path), "-o", str(out),
+                     "-n", n_states] + flags)
+        assert code == EXIT_INPUT
+        assert "n_states must be at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("m.json*"))
+
+    def test_smoothed_learn_from_model_with_zero_cells(self, tmp_path,
+                                                       loop_model_path,
+                                                       experience_path):
+        # The true loop model has zero cells in A, so its MAP objective,
+        # the first trace value, is -inf.
+        out = tmp_path / "m.json"
+        assert main(["learn", str(experience_path), "-o", str(out),
+                     "--initial", str(loop_model_path), "--smoothing",
+                     "0.005", "--max-iters", "5"]) == EXIT_OK
+        with open(tmp_path / "m.json.report.json") as fh:
+            run, = json.load(fh)["runs"]
+        assert run["loglik_trace"][0] == -np.inf
+        assert np.isfinite(run["final_loglik"])
+
 class TestNoDeadKnobs:
     """Every learning knob is read somewhere: a field or option that
     nothing reads is a knob that does nothing."""
@@ -279,6 +305,22 @@ class TestRenderAndReplay:
         svg = out.read_text()
         assert svg.startswith("<?xml") and "<svg" in svg
         assert svg.count("<circle") == 16
+
+    @pytest.mark.parametrize("size", [["--width", "80"], ["--height", "80"],
+                                      ["--width", "0"], ["--height", "-5"]])
+    def test_canvas_within_margins_is_input_error(self, tmp_path, capsys,
+                                                  loop_model_path, size):
+        out = tmp_path / "map.svg"
+        assert main(["render", str(loop_model_path), "-o", str(out)]
+                    + size) == EXIT_INPUT
+        assert "margins" in capsys.readouterr().err
+        assert not list(tmp_path.glob("map.svg*"))
+
+    def test_smallest_canvas_beyond_margins(self, tmp_path, loop_model_path):
+        out = tmp_path / "map.svg"
+        assert main(["render", str(loop_model_path), "-o", str(out),
+                     "--width", "81", "--height", "81"]) == EXIT_OK
+        assert out.read_text().count("<circle") == 16
 
     def test_replay_reproduces_outputs(self, tmp_path, loop_model_path):
         out = tmp_path / "exp.txt"

@@ -3,20 +3,23 @@
 import numpy as np
 import pytest
 
-from geohmm.estimation import (LearnConfig, em_learn, project_headings,
-                               solve_positions, update_observations,
-                               update_relations_additive,
+from geohmm import estimation, pipeline
+from geohmm.estimation import (REL_TOL, LearnConfig, em_learn,
+                               project_headings, solve_positions,
+                               update_observations, update_relations_additive,
                                update_relations_antisym, update_transitions)
-from geohmm.inference import Posteriors, forward_backward, pair_statistics
+from geohmm.inference import (Posteriors, forward_backward, pair_statistics,
+                              posteriors)
 from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
                           GeoHmm, RelationMatrix, check_consistency,
-                          embed_relations)
+                          embed_relations, natural_parameters)
 from geohmm.circstats import wrap_angle
 from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
 from geohmm.initialization import init_model, random_model
 from geohmm.pipeline import default_bucket_config, learn_runs
-from oracles import (constrained_two_normal_mle, random_experience,
-                     random_geohmm, reference_antisym_means,
+from oracles import (brute_force_posteriors, constrained_two_normal_mle,
+                     random_experience, random_geohmm, reference_antisym_means,
+                     reference_relation_log_density,
                      reference_solve_positions, reference_update_observations)
 
 
@@ -597,6 +600,99 @@ class TestEmLearn:
         # relations untouched by the baseline
         np.testing.assert_array_equal(model.relations.mu_x,
                                       start.relations.mu_x)
+
+
+def relative_loop():
+    """The T=800 RELATIVE-mode loop sequence of the relative repros."""
+    spec = LoopSpec(mode=CoordinateMode.RELATIVE)
+    return sample_sequence(make_loop_model(spec), 800,
+                           np.random.default_rng(11))
+
+
+def map_objective(model, seq, pseudocount):
+    """loglik + pc * (sum log A + sum log B), written out."""
+    log_prior = np.log(model.A).sum() + sum(np.log(b).sum() for b in model.B)
+    return forward_backward(model, seq).loglik + pseudocount * log_prior
+
+
+class TestOneEStepPerIteration:
+    @pytest.mark.parametrize("mode", [CoordinateMode.GLOBAL,
+                                      CoordinateMode.RELATIVE])
+    def test_relation_term_of_q_is_pair_dot_eta(self, mode):
+        # <pair, eta(R)> is sum_t sum_ij xi[t, i, j] log f(r_t | R[i, j]),
+        # the relation term of Q that the guard compares across R.
+        rng = np.random.default_rng(61)
+        for _ in range(4):
+            model = random_geohmm(3, rng, mode=mode)
+            e = random_experience(model, 6, rng)
+            post = posteriors(forward_backward(model, e), model, e)
+            _, _, xi = brute_force_posteriors(model, e, True)
+            other = random_geohmm(3, rng, mode=mode).relations
+            for R in (model.relations, other):
+                want = (xi * reference_relation_log_density(e.readings,
+                                                            R)).sum()
+                got = np.vdot(post.pair, natural_parameters(R))
+                assert got == pytest.approx(want, rel=1e-9)
+
+    def test_one_forward_backward_per_iteration(self, monkeypatch):
+        # The relative-additive repro, whose relation candidates can lower
+        # Q and are then held: each one used to cost a second E-step (65
+        # calls for 50 iterations).
+        calls, per_run = [], []
+
+        def counted_fb(*args, **kwargs):
+            calls.append(1)
+            return forward_backward(*args, **kwargs)
+
+        def counted_learn(*args, **kwargs):
+            del calls[:]
+            out = em_learn(*args, **kwargs)
+            per_run.append(len(calls))
+            return out
+
+        monkeypatch.setattr(estimation, "forward_backward", counted_fb)
+        monkeypatch.setattr(pipeline, "em_learn", counted_learn)
+        runs = learn_runs(relative_loop(), 16, LearnConfig(
+            constraint_level=ConstraintLevel.ADDITIVE,
+            mode=CoordinateMode.RELATIVE), restarts=3, seed=5)
+        for run, n_calls in zip(runs, per_run):
+            rep, trace = run.report, run.report.loglik_trace
+            # A refused step costs one E-step more. It ends a run that
+            # REL_TOL did not stop: after no step, or one that gained.
+            refused = rep.converged and (
+                rep.iterations_run == 0
+                or trace[-1] - trace[-2] >= REL_TOL * abs(trace[-2]))
+            assert n_calls == rep.iterations_run + 1 + refused
+            assert np.all(np.diff(trace) >= 0.0)
+            assert all(drop > 0.0 for _, drop in rep.monotonicity_violations)
+        assert any(r.report.monotonicity_violations for r in runs)
+
+    def test_map_trace_is_the_smoothed_objective(self):
+        # Judged by the plain loglik, this run used to stop after 24
+        # iterations on a 4e-5 loglik drop, its MAP objective still
+        # climbing.
+        seq = relative_loop()
+        pc = 0.005
+        run, = learn_runs(seq, 16, LearnConfig(
+            constraint_level=ConstraintLevel.ANTISYMMETRIC,
+            mode=CoordinateMode.RELATIVE, pseudocount=pc), seed=5)
+        trace = run.report.loglik_trace
+        assert np.all(np.diff(trace) >= 0.0)
+        assert trace[-1] == pytest.approx(map_objective(run.model, seq, pc),
+                                          rel=1e-12)
+
+    def test_zero_cells_start_the_map_trace_at_minus_infinity(self):
+        true = make_loop_model(LoopSpec())
+        assert (true.A == 0.0).any()
+        seq = sample_sequence(true, 300, np.random.default_rng(11))
+        _, report = em_learn(seq, true, LearnConfig(
+            constraint_level=ConstraintLevel.ADDITIVE, pseudocount=0.005,
+            max_iters=20))
+        trace = np.array(report.loglik_trace)
+        assert trace[0] == -np.inf
+        assert report.iterations_run >= 1
+        assert np.all(np.isfinite(trace[1:]))
+        assert np.all(np.diff(trace[1:]) >= 0.0)
 
 
 class TestPinnedAnswers:
