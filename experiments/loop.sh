@@ -3,6 +3,8 @@
 # without odometry, and print the KL comparison table. Runs unattended.
 #
 # Usage: experiments/loop.sh [output-dir] [seed]
+# Runs the CLI as $GEOHMM; unset, that is python3 -m geohmm on this
+# checkout's src/ (no install needed).
 set -euo pipefail
 
 OUT="${1:-experiments/out}"
@@ -12,7 +14,11 @@ RESTARTS="${RESTARTS:-3}"  # EM runs per sequence (use 10 for the full compariso
 LENGTH="${LENGTH:-800}"
 
 mkdir -p "$OUT"
-GEOHMM="${GEOHMM:-geohmm}"
+if [ -z "${GEOHMM:-}" ]; then
+    SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
+    export PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}"
+    GEOHMM="python3 -m geohmm"
+fi
 
 $GEOHMM make-loop -o "$OUT/true.json"
 

@@ -335,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=sorted(_MODES), default="global")
     p.add_argument("--no-odometry", action="store_true",
                    help="plain Baum-Welch baseline")
-    p.add_argument("--restarts", type=int, default=1)
+    p.add_argument("--restarts", type=int, default=1,
+                   help="EM runs, best kept; odometry restarts jitter A, B")
     p.add_argument("--seed", type=int)
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--smoothing", type=float, default=0.0,

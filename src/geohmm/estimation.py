@@ -41,6 +41,7 @@ from .model import (VAR_FLOOR, ConstraintLevel, CoordinateMode,
 # blended into every spread refit.
 REL_TOL = 1e-6
 SPREAD_DAMPING = 1.0
+GEM_TOL = 1e-9  # relative drop of Q's relation term taken for rounding
 
 
 @dataclass
@@ -430,15 +431,15 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
     gains less than REL_TOL relative, or after cfg.max_iters M-steps.
 
     A and B updates are exact maximizers; a relation candidate is taken
-    only if it does not lower Q's relation term <post.pair,
-    natural_parameters(R)>, else R is kept and (iteration, drop) goes
-    into monotonicity_violations. So Q cannot fall, nor, by the EM
-    inequality, the objective. A step that lowers it anyway (rounding,
-    or a density_floor, whose clipping voids the inequality) is not taken
-    and ends the run: the trace never falls, at one forward_backward call
-    per iteration plus one for the initial model and one for a refused
-    last step. on_iteration(k, model), if given, runs after every M-step
-    taken.
+    unless it lowers Q's relation term <post.pair, natural_parameters(R)>
+    by more than GEM_TOL of its old magnitude (rounding), else R is kept
+    and (iteration, drop) goes into monotonicity_violations. So Q cannot
+    fall beyond rounding, nor, by the EM inequality, the objective. A
+    step that lowers it anyway (rounding, or a density_floor, whose
+    clipping voids the inequality) is not taken and ends the run: the
+    trace never falls, at one forward_backward call per iteration plus
+    one for the initial model and one for a refused last step.
+    on_iteration(k, model), if given, runs after every M-step taken.
     """
     mode = cfg.mode or initial.mode
     if mode is not initial.mode:
@@ -477,7 +478,7 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
                     post, R, mode, theta_ref, SPREAD_DAMPING)
             new_eta = natural_parameters(relations)
             drop = float(np.vdot(post.pair, eta - new_eta))
-            if drop > 0.0:
+            if drop > GEM_TOL * abs(float(np.vdot(post.pair, eta))):
                 violations.append((it, drop))
                 relations, new_eta = R, eta
             eta = new_eta

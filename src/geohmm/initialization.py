@@ -8,7 +8,7 @@ closed under anti-symmetry and additivity by construction. Transition
 and observation counts along the tagged sequence give the initial A and
 B. Everything here is deterministic.
 
-Also provides seeded random models and model perturbation for restart
+Also provides seeded random models and an A/B perturbation for restart
 schemes; those are deliberately untuned.
 """
 
@@ -303,11 +303,11 @@ def random_model(n: int, obs_dims, rng: np.random.Generator,
 
 def perturb_model(model: GeoHmm, rng: np.random.Generator,
                   scale: float = 0.1) -> GeoHmm:
-    """Jitter a model's probabilities and relation means for restarts.
+    """Jitter A and B for a restart; keep the model's geometry.
 
-    Probabilities are multiplied by exp(scale * normal) and renormalized;
-    relation means are jittered through the coordinate embedding so the
-    result stays exactly consistent.
+    A's rows, then each B's columns, are scaled by exp(scale * normal)
+    and renormalized. The relations are shared, not copied: learning
+    never writes a relation array in place.
     """
     A = model.A * np.exp(rng.normal(0.0, scale, size=model.A.shape))
     A /= A.sum(axis=1, keepdims=True)
@@ -315,19 +315,4 @@ def perturb_model(model: GeoHmm, rng: np.random.Generator,
     for b in model.B:
         jittered = b * np.exp(rng.normal(0.0, scale, size=b.shape))
         B.append(jittered / jittered.sum(axis=0, keepdims=True))
-
-    R = model.relations
-    n = model.n_states
-    # State 0 anchors the embedding at the origin in both modes, so the
-    # first relation row doubles as per-state coordinates.
-    x, y = R.mu_x[0].copy(), R.mu_y[0].copy()
-    theta = R.mu_theta[0].copy()
-    span = max(float(np.max(np.abs(np.stack([x, y])))), 1.0)
-    x = x + rng.normal(0.0, scale * span, size=n)
-    y = y + rng.normal(0.0, scale * span, size=n)
-    theta = wrap_angle(theta + rng.normal(0.0, scale, size=n))
-    x[0] = y[0] = theta[0] = 0.0
-    mu_x, mu_y, mu_theta = embed_relations(x, y, theta, model.mode)
-    relations = RelationMatrix(mu_x, mu_y, mu_theta, R.var_x.copy(),
-                               R.var_y.copy(), R.kappa_theta.copy())
-    return model.replace(A=A, B=tuple(B), relations=relations)
+    return model.replace(A=A, B=tuple(B))

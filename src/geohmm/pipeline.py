@@ -2,9 +2,10 @@
 
 A "run" here is: choose an initial model, then EM to convergence. With
 odometry, the initializer of the bucketing/tagging heuristics is used
-and restarts jitter it; without odometry (the plain Baum-Welch baseline)
-there is nothing to bucket by, so restarts use seeded random initial
-models. All randomness derives from one integer seed.
+and restarts jitter its A and B but keep its geometry; without odometry
+(the plain Baum-Welch baseline) there is nothing to bucket by, so
+restarts use seeded random initial models. All randomness derives from
+one integer seed.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ def learn_runs(e: ExperienceSequence, n_states: int, cfg: LearnConfig,
 
     Restart 0 starts from `initial` when given, else from the odometric
     initializer (with odometry) or a seeded random model (without).
-    Later restarts perturb that base model (odometry) or draw fresh
-    random models (baseline).
+    Later restarts jitter that base model's A and B and share its
+    relations (odometry) or draw fresh random models (baseline).
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")

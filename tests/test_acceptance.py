@@ -3,7 +3,7 @@ PASS/FAIL line with the measured numbers.
 
 Criteria 6 and 7 share one experiment on the default corridor loop:
 with-odometry runs start from the bucketing initializer (later restarts
-jitter it), the no-odometry baseline starts from seeded random models,
+jitter its A and B), the no-odometry baseline starts from seeded random models,
 and both arms use identical EM settings otherwise. KL estimates use the
 default sampled-divergence parameters (10 sequences of length 1000).
 
@@ -30,14 +30,14 @@ from geohmm.circstats import (bessel_ratio, resultant_to_kappa, vm_density,
                               wrap_angle)
 from geohmm.estimation import LearnConfig, em_learn, update_relations_antisym
 from geohmm.evalkl import kl_sampled
-from geohmm.inference import (Posteriors, forward_backward, pair_statistics,
-                              posteriors)
+from geohmm.inference import (Posteriors, forward_backward, loglik,
+                              pair_statistics, posteriors)
 from geohmm.initialization import BucketConfig, bucketize, tag_states
 from geohmm.model import (ConstraintLevel, CoordinateMode, GeoHmm,
                           RelationMatrix, check_consistency)
 from geohmm.pipeline import default_bucket_config, learn_runs
-from geohmm.simgen import (LoopSpec, make_loop_model, sample_path,
-                           sample_sequence)
+from geohmm.simgen import (LoopSpec, make_loop_model, sample_observations,
+                           sample_path, sample_sequence)
 from oracles import (brute_force_posteriors, constrained_two_normal_mle,
                      path_count_model, random_experience, random_geohmm,
                      reference_pair_statistics)
@@ -256,23 +256,34 @@ def _learn_config(use_odometry):
     )
 
 
-def _evaluate_arm(true_model, seq, use_odometry, seed, eval_seed,
-                  restarts=10):
+def _learn_arm(true_model, seq, use_odometry, seed, restarts=10):
     results = learn_runs(seq, true_model.n_states,
                          _learn_config(use_odometry), restarts=restarts,
                          seed=seed, obs_dims=true_model.obs_dims)
-    kls, iters = [], []
-    for r in results:
-        est = kl_sampled(true_model, r.model, seq_length=KL_LENGTH,
-                         n_sequences=KL_SEQUENCES,
-                         rng=np.random.default_rng(eval_seed))
-        kls.append(est.value)
-        iters.append(r.report.iterations_run)
-    return kls, iters
+    return ([r.model for r in results],
+            [r.report.iterations_run for r in results])
+
+
+def _sampled_kls(true_model, models, eval_seed):
+    """kl_sampled's value for each model on rng(eval_seed), from one draw
+    of the strings and one loglik call for the true and all the models."""
+    strings = sample_observations(true_model, KL_LENGTH, KL_SEQUENCES,
+                                  np.random.default_rng(eval_seed))
+    ll = loglik([true_model] + list(models), strings)
+    assert np.all(np.isfinite(ll[0]))
+    kls = [float(((ll[0] - row) / KL_LENGTH).mean()) for row in ll[1:]]
+    once = kl_sampled(true_model, models[0], seq_length=KL_LENGTH,
+                      n_sequences=KL_SEQUENCES,
+                      rng=np.random.default_rng(eval_seed)).value
+    assert kls[0] == pytest.approx(once, rel=1e-12)
+    return kls
 
 
 @pytest.fixture(scope="module")
 def loop_experiment():
+    # Every eval seed's strings are drawn and scored once. Seeds 6901-6904
+    # score the table's sequences 1-4; seed 6900 scores sequence 0, the
+    # whole sweep and the counting reference after the sweep has learned.
     started = time.perf_counter()
     true_model = make_loop_model(LoopSpec())
     paths, sequences = zip(*(sample_path(true_model, 800,
@@ -281,38 +292,43 @@ def loop_experiment():
 
     with_kls, with_iters, without_kls, without_iters = [], [], [], []
     for s, seq in enumerate(sequences):
-        w_kl, w_it = _evaluate_arm(true_model, seq, True, seed=6200 + s,
-                                   eval_seed=6900 + s)
-        wo_kl, wo_it = _evaluate_arm(true_model, seq, False, seed=6300 + s,
-                                     eval_seed=6900 + s)
-        with_kls += w_kl
+        w_models, w_it = _learn_arm(true_model, seq, True, seed=6200 + s)
+        wo_models, wo_it = _learn_arm(true_model, seq, False, seed=6300 + s)
         with_iters += w_it
-        without_kls += wo_kl
         without_iters += wo_it
+        if s == 0:
+            first = w_models + wo_models
+            continue
+        kls = _sampled_kls(true_model, w_models + wo_models, 6900 + s)
+        with_kls += kls[:len(w_models)]
+        without_kls += kls[len(w_models):]
     table_elapsed = time.perf_counter() - started
 
     sweep_started = time.perf_counter()
-    sweep = {"with": {}, "without": {}}
+    lengths = range(100, 801, 100)
     base_seq = sequences[0]
-    for length in range(100, 801, 100):
+    sweep_models = []
+    for length in lengths:
         prefix = base_seq.prefix(length)
-        w_kl, _ = _evaluate_arm(true_model, prefix, True, seed=7200 + length,
-                                eval_seed=6900)
-        wo_kl, _ = _evaluate_arm(true_model, prefix, False,
-                                 seed=7300 + length, eval_seed=6900)
-        sweep["with"][length] = float(np.mean(w_kl))
-        sweep["without"][length] = float(np.mean(wo_kl))
-    sweep_elapsed = time.perf_counter() - sweep_started
-
+        sweep_models.append(
+            _learn_arm(true_model, prefix, True, seed=7200 + length)[0]
+            + _learn_arm(true_model, prefix, False, seed=7300 + length)[0])
     # counting reference: the model told the hidden path of sequence 0
-    reference = {}
-    for length in (200, 800):
-        counted = path_count_model(true_model, paths[0][:length],
-                                   base_seq.observations[:length],
-                                   EXPERIMENT_SMOOTHING)
-        reference[length] = kl_sampled(
-            true_model, counted, seq_length=KL_LENGTH,
-            n_sequences=KL_SEQUENCES, rng=np.random.default_rng(6900)).value
+    counted = [path_count_model(true_model, paths[0][:length],
+                                base_seq.observations[:length],
+                                EXPERIMENT_SMOOTHING) for length in (200, 800)]
+    kls = _sampled_kls(true_model, first + sum(sweep_models, []) + counted,
+                       6900)
+    n = len(first) // 2
+    with_kls = kls[:n] + with_kls
+    without_kls = kls[n:2 * n] + without_kls
+    sweep = {"with": {}, "without": {}}
+    for k, length in enumerate(lengths):
+        block = kls[2 * n * (k + 1):2 * n * (k + 2)]
+        sweep["with"][length] = float(np.mean(block[:n]))
+        sweep["without"][length] = float(np.mean(block[n:]))
+    reference = dict(zip((200, 800), kls[-2:]))
+    sweep_elapsed = time.perf_counter() - sweep_started
 
     return {
         "with_kls": np.array(with_kls),

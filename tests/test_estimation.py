@@ -695,6 +695,93 @@ class TestOneEStepPerIteration:
         assert np.all(np.diff(trace[1:]) >= 0.0)
 
 
+def lowered_candidate(post, R, rel_drop):
+    """R with the mean of its heaviest pair moved away from that pair's
+    reading mean, so <post.pair, eta> falls by rel_drop of its magnitude.
+    Q's x term falls by a |g| / var + a^2 s0 / (2 var) for a move a."""
+    s0, sx = post.pair[0], post.pair[1]
+    i, j = np.unravel_index(np.argmax(s0 * (1.0 - np.eye(len(s0)))),
+                            s0.shape)
+    target = rel_drop * abs(np.vdot(post.pair, natural_parameters(R)))
+    var, g = R.var_x[i, j], sx[i, j] - R.mu_x[i, j] * s0[i, j]
+    root = np.sqrt(g * g + 2.0 * s0[i, j] * var * target)
+    a = 2.0 * var * target / (abs(g) + root)
+    mu_x = R.mu_x.copy()
+    mu_x[i, j] -= a if g >= 0.0 else -a
+    return RelationMatrix(mu_x, R.mu_y, R.mu_theta, R.var_x, R.var_y,
+                          R.kappa_theta)
+
+
+class TestGemTolerance:
+    @pytest.mark.parametrize("rel_drop, taken", [(1e-10, True),
+                                                 (1e-6, False)])
+    def test_rounding_drop_is_taken(self, monkeypatch, rel_drop, taken):
+        # An exact maximizer can lower Q by rounding (6.9e-13 seen on a
+        # RELATIVE unconstrained run); such a step is taken, a drop of
+        # 1e-6 of Q's relation term is not.
+        made = []
+
+        def update(post, R, damping):
+            made.append((post, R, lowered_candidate(post, R, rel_drop)))
+            return made[-1][2]
+
+        monkeypatch.setattr(estimation, "update_relations_unconstrained",
+                            update)
+        seq = sample_sequence(make_loop_model(LoopSpec()), 300,
+                              np.random.default_rng(17))
+        start = init_model(seq, 16, default_bucket_config(seq))
+        model, report = em_learn(seq, start, LearnConfig(
+            constraint_level=ConstraintLevel.UNCONSTRAINED, max_iters=1))
+        (post, R, candidate), = made
+        eta = natural_parameters(R)
+        drop = float(np.vdot(post.pair, eta - natural_parameters(candidate)))
+        assert drop == pytest.approx(
+            rel_drop * abs(np.vdot(post.pair, eta)), rel=1e-3)
+        assert report.iterations_run == 1
+        if taken:
+            assert model.relations is candidate
+            assert report.monotonicity_violations == []
+        else:
+            assert model.relations is start.relations
+            assert report.monotonicity_violations == [(1, drop)]
+
+
+class TestRestartsKeepGeometry:
+    """Restarts 1 and up jitter A and B of the base model and share its
+    relations, so they keep the initializer's geometry."""
+
+    def test_base_relations_unchanged(self):
+        seq = relative_loop()
+        base = init_model(seq, 16, default_bucket_config(seq),
+                          mode=CoordinateMode.RELATIVE)
+        before = [getattr(base.relations, k).copy()
+                  for k in RelationMatrix.__slots__]
+        learn_runs(seq, 16, LearnConfig(
+            constraint_level=ConstraintLevel.ADDITIVE,
+            mode=CoordinateMode.RELATIVE, max_iters=8), restarts=3, seed=5,
+            initial=base)
+        for k, want in zip(RelationMatrix.__slots__, before):
+            np.testing.assert_array_equal(getattr(base.relations, k), want)
+
+    @pytest.mark.parametrize("spec, rng_seed, seed", [
+        # Geometry-jittered restarts held 1, 1 and 11 candidates here and
+        # ended at -510.0, -2529.4 and -2032.2.
+        (LoopSpec(mode=CoordinateMode.RELATIVE), 11, 5),
+        # Restart 1 crept on for 44 iterations, 43 held, to -3446.6.
+        (LoopSpec(mode=CoordinateMode.RELATIVE, obs_noise=0.15), 101, 6),
+    ])
+    def test_relative_restarts_hold_at_most_one_candidate(self, spec,
+                                                          rng_seed, seed):
+        seq = sample_sequence(make_loop_model(spec), 800,
+                              np.random.default_rng(rng_seed))
+        runs = learn_runs(seq, 16, LearnConfig(
+            constraint_level=ConstraintLevel.ADDITIVE,
+            mode=CoordinateMode.RELATIVE), restarts=3, seed=seed)
+        assert max(len(r.report.monotonicity_violations) for r in runs) <= 1
+        finals = [r.final_loglik for r in runs]
+        assert min(finals) > finals[0] - 1.0
+
+
 class TestPinnedAnswers:
     """em_learn's answers on the T=800 loop sequence, pinned: a change
     that alters them is a change in behaviour. Pseudocount 0, so the

@@ -6,6 +6,7 @@ tagged state sequence, and the closure of the relation table under
 anti-symmetry and additivity are all pinned.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -309,3 +310,18 @@ class TestRandomAndPerturb:
         report = check_consistency(jittered, ConstraintLevel.ADDITIVE, 1e-9)
         assert report.consistent
         assert not np.allclose(jittered.A, true.A)
+
+    def test_perturb_draws_pinned(self):
+        # A draws first, then each B in turn; the digest pins those draws.
+        true = make_loop_model(LoopSpec())
+        jittered = perturb_model(true, np.random.default_rng(10), scale=0.2)
+        digest = hashlib.sha256(jittered.A.tobytes())
+        for b in jittered.B:
+            digest.update(b.tobytes())
+        assert digest.hexdigest() == (
+            "b595f877cd16127b4a09035c48f89f47521becb2b0cf428b986f6246457f8fff")
+
+    def test_perturb_shares_relations(self):
+        true = make_loop_model(LoopSpec())
+        jittered = perturb_model(true, np.random.default_rng(10))
+        assert jittered.relations is true.relations
