@@ -430,15 +430,14 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
     -inf for a model with a zero cell when pc > 0. A run stops when it
     gains less than REL_TOL relative, or after cfg.max_iters M-steps.
 
-    A and B updates are exact maximizers; a relation candidate is taken
-    unless it lowers Q's relation term <post.pair, natural_parameters(R)>
-    by more than GEM_TOL of its old magnitude (rounding), else R is kept
-    and (iteration, drop) goes into monotonicity_violations. So Q cannot
-    fall beyond rounding, nor, by the EM inequality, the objective. A
-    step that lowers it anyway (rounding, or a density_floor, whose
-    clipping voids the inequality) is not taken and ends the run: the
-    trace never falls, at one forward_backward call per iteration plus
-    one for the initial model and one for a refused last step.
+    A and B updates are exact maximizers. A relation candidate that lowers
+    Q's relation term <post.pair, natural_parameters(R)> by more than GEM_TOL
+    of its magnitude is not taken: R is kept and (iteration, drop) goes into
+    monotonicity_violations. So Q cannot fall beyond rounding, nor, by the EM
+    inequality, the objective. A step that lowers it anyway (rounding, or a
+    density_floor, whose clipping voids the inequality) is not taken and ends
+    the run: the trace never falls, at one forward_backward call per
+    iteration plus one for the initial model and one for a refused last step.
     on_iteration(k, model), if given, runs after every M-step taken.
     """
     mode = cfg.mode or initial.mode
@@ -477,8 +476,9 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
                 relations, theta_ref = update_relations_additive(
                     post, R, mode, theta_ref, SPREAD_DAMPING)
             new_eta = natural_parameters(relations)
-            drop = float(np.vdot(post.pair, eta - new_eta))
-            if drop > GEM_TOL * abs(float(np.vdot(post.pair, eta))):
+            q_old = float(np.vdot(post.pair, eta))
+            drop = q_old - float(np.vdot(post.pair, new_eta))
+            if drop > GEM_TOL * abs(q_old):
                 violations.append((it, drop))
                 relations, new_eta = R, eta
             eta = new_eta

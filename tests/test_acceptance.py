@@ -264,19 +264,22 @@ def _learn_arm(true_model, seq, use_odometry, seed, restarts=10):
             [r.report.iterations_run for r in results])
 
 
-def _sampled_kls(true_model, models, eval_seed):
-    """kl_sampled's value for each model on rng(eval_seed), from one draw
-    of the strings and one loglik call for the true and all the models."""
+def _sampled_kls(true_model, groups, eval_seed):
+    """kl_sampled's value for every model on rng(eval_seed), one list per
+    group of models, from one draw of the strings and one loglik call for
+    the true and all the models."""
+    models = [m for group in groups for m in group]
     strings = sample_observations(true_model, KL_LENGTH, KL_SEQUENCES,
                                   np.random.default_rng(eval_seed))
-    ll = loglik([true_model] + list(models), strings)
+    ll = loglik([true_model] + models, strings)
     assert np.all(np.isfinite(ll[0]))
-    kls = [float(((ll[0] - row) / KL_LENGTH).mean()) for row in ll[1:]]
+    kls = iter([float(((ll[0] - row) / KL_LENGTH).mean()) for row in ll[1:]])
+    split = [[next(kls) for _ in group] for group in groups]
     once = kl_sampled(true_model, models[0], seq_length=KL_LENGTH,
                       n_sequences=KL_SEQUENCES,
                       rng=np.random.default_rng(eval_seed)).value
-    assert kls[0] == pytest.approx(once, rel=1e-12)
-    return kls
+    assert split[0][0] == pytest.approx(once, rel=1e-12)
+    return split
 
 
 @pytest.fixture(scope="module")
@@ -297,37 +300,37 @@ def loop_experiment():
         with_iters += w_it
         without_iters += wo_it
         if s == 0:
-            first = w_models + wo_models
+            first = [w_models, wo_models]
             continue
-        kls = _sampled_kls(true_model, w_models + wo_models, 6900 + s)
-        with_kls += kls[:len(w_models)]
-        without_kls += kls[len(w_models):]
+        w_kls, wo_kls = _sampled_kls(true_model, [w_models, wo_models],
+                                     6900 + s)
+        with_kls += w_kls
+        without_kls += wo_kls
     table_elapsed = time.perf_counter() - started
 
     sweep_started = time.perf_counter()
     lengths = range(100, 801, 100)
     base_seq = sequences[0]
-    sweep_models = []
+    sweep_arms = []
     for length in lengths:
         prefix = base_seq.prefix(length)
-        sweep_models.append(
-            _learn_arm(true_model, prefix, True, seed=7200 + length)[0]
-            + _learn_arm(true_model, prefix, False, seed=7300 + length)[0])
+        sweep_arms.append(
+            _learn_arm(true_model, prefix, True, seed=7200 + length)[0])
+        sweep_arms.append(
+            _learn_arm(true_model, prefix, False, seed=7300 + length)[0])
     # counting reference: the model told the hidden path of sequence 0
     counted = [path_count_model(true_model, paths[0][:length],
                                 base_seq.observations[:length],
                                 EXPERIMENT_SMOOTHING) for length in (200, 800)]
-    kls = _sampled_kls(true_model, first + sum(sweep_models, []) + counted,
-                       6900)
-    n = len(first) // 2
-    with_kls = kls[:n] + with_kls
-    without_kls = kls[n:2 * n] + without_kls
+    w_kls, wo_kls, *sweep_kls, counted_kls = _sampled_kls(
+        true_model, first + sweep_arms + [counted], 6900)
+    with_kls = w_kls + with_kls
+    without_kls = wo_kls + without_kls
     sweep = {"with": {}, "without": {}}
-    for k, length in enumerate(lengths):
-        block = kls[2 * n * (k + 1):2 * n * (k + 2)]
-        sweep["with"][length] = float(np.mean(block[:n]))
-        sweep["without"][length] = float(np.mean(block[n:]))
-    reference = dict(zip((200, 800), kls[-2:]))
+    for length, w, wo in zip(lengths, sweep_kls[::2], sweep_kls[1::2]):
+        sweep["with"][length] = float(np.mean(w))
+        sweep["without"][length] = float(np.mean(wo))
+    reference = dict(zip((200, 800), counted_kls))
     sweep_elapsed = time.perf_counter() - sweep_started
 
     return {

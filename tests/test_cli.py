@@ -366,13 +366,23 @@ class TestModuleEntryPoint:
 
 
 class TestEndToEndScript:
-    def test_loop_script_runs_unattended(self, tmp_path):
+    @pytest.mark.parametrize("plain_checkout", [False, True],
+                             ids=["geohmm_set", "plain_checkout"])
+    def test_loop_script_runs_unattended(self, tmp_path, plain_checkout):
+        # A plain checkout has no GEOHMM and no PYTHONPATH: the script
+        # finds src/ by itself.
         import os
         import subprocess
         import sys
 
-        env = dict(os.environ, SEQS="1", RESTARTS="1", LENGTH="120",
-                   GEOHMM="%s -m geohmm.cli" % sys.executable)
+        env = dict(os.environ, SEQS="1", RESTARTS="1", LENGTH="120")
+        if plain_checkout:
+            env.pop("GEOHMM", None)
+            env.pop("PYTHONPATH", None)
+            env["PATH"] = os.pathsep.join([os.path.dirname(sys.executable),
+                                           env.get("PATH", "")])
+        else:
+            env["GEOHMM"] = "%s -m geohmm.cli" % sys.executable
         proc = subprocess.run(
             ["bash", "experiments/loop.sh", str(tmp_path / "out"), "3"],
             capture_output=True, text=True, env=env, timeout=300,
@@ -380,23 +390,4 @@ class TestEndToEndScript:
         assert proc.returncode == 0, proc.stderr
         assert "KL(nats/symbol)" in proc.stdout
         assert "with" in proc.stdout and "without" in proc.stdout
-        assert (tmp_path / "out" / "map_with1.svg").exists()
-
-    def test_loop_script_runs_from_a_plain_checkout(self, tmp_path):
-        # No GEOHMM and no PYTHONPATH: the script finds src/ by itself.
-        import os
-        import subprocess
-        import sys
-
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("GEOHMM", "PYTHONPATH")}
-        env.update(SEQS="1", RESTARTS="1", LENGTH="120",
-                   PATH=os.pathsep.join([os.path.dirname(sys.executable),
-                                         env.get("PATH", "")]))
-        proc = subprocess.run(
-            ["bash", "experiments/loop.sh", str(tmp_path / "out"), "3"],
-            capture_output=True, text=True, env=env, timeout=300,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-        assert proc.returncode == 0, proc.stderr
-        assert "KL(nats/symbol)" in proc.stdout
         assert (tmp_path / "out" / "map_with1.svg").exists()

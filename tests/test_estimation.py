@@ -743,7 +743,23 @@ class TestGemTolerance:
             assert report.monotonicity_violations == []
         else:
             assert model.relations is start.relations
-            assert report.monotonicity_violations == [(1, drop)]
+            (it, held), = report.monotonicity_violations
+            assert it == 1 and held == pytest.approx(drop, rel=1e-6)
+
+    def test_exact_maximizer_not_held_on_rounding(self, monkeypatch):
+        # This run's last unconstrained step lowers Q by 1.7e-11, rounding
+        # on a relation term of 1540: a strict drop > 0 held it.
+        seq = sample_sequence(
+            make_loop_model(LoopSpec(mode=CoordinateMode.RELATIVE)), 800,
+            np.random.default_rng(108))
+        start = init_model(seq, 16, default_bucket_config(seq),
+                           mode=CoordinateMode.RELATIVE)
+        cfg = LearnConfig(constraint_level=ConstraintLevel.UNCONSTRAINED,
+                          mode=CoordinateMode.RELATIVE)
+        assert em_learn(seq, start, cfg)[1].monotonicity_violations == []
+        monkeypatch.setattr(estimation, "GEM_TOL", 0.0)
+        (it, drop), = em_learn(seq, start, cfg)[1].monotonicity_violations
+        assert 0.0 < drop < 1e-9
 
 
 class TestRestartsKeepGeometry:
