@@ -433,10 +433,10 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
     A and B updates are exact maximizers. A relation candidate that lowers
     Q's relation term <post.pair, natural_parameters(R)> by more than GEM_TOL
     of its magnitude is not taken: R is kept and (iteration, drop) goes into
-    monotonicity_violations. So Q cannot fall beyond rounding, nor, by the EM
-    inequality, the objective. A step that lowers it anyway (rounding, or a
-    density_floor, whose clipping voids the inequality) is not taken and ends
-    the run: the trace never falls, at one forward_backward call per
+    monotonicity_violations. So Q, and by the EM inequality the objective,
+    cannot fall by more than that. A step that lowers it anyway (rounding, or
+    a density_floor, whose clipping voids the inequality) is not taken and
+    ends the run: the trace never falls, at one forward_backward call per
     iteration plus one for the initial model and one for a refused last step.
     on_iteration(k, model), if given, runs after every M-step taken.
     """
