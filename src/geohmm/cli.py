@@ -168,7 +168,6 @@ def cmd_learn(args, argv):
     bucket_cfg = None
     if initial is None and cfg.use_odometry:
         bucket_cfg = _bucket_config(args, seq)
-    obs_dims = initial.obs_dims if initial is not None else None
 
     inputs = [args.experience] + ([args.initial] if args.initial else [])
     outputs = []
@@ -177,7 +176,7 @@ def cmd_learn(args, argv):
     def learn_best(sub, model_path):
         results = learn_runs(sub, n_states, cfg, restarts=args.restarts,
                              seed=seed, initial=initial,
-                             bucket_cfg=bucket_cfg, obs_dims=obs_dims)
+                             bucket_cfg=bucket_cfg)
         chosen = best_index(results)
         save_model(results[chosen].model, model_path)
         outputs.append(model_path)

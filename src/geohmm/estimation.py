@@ -326,18 +326,17 @@ def solve_positions(targets, n: int) -> np.ndarray:
     return x
 
 
-def project_headings(raw_mu_theta, weights, theta_ref=None) -> tuple:
+def project_headings(raw_mu_theta, weights) -> np.ndarray:
     """Map pairwise heading estimates onto an additive assignment.
 
     Every pair with positive combined weight w[i, j] + w[j, i] is one
     target of a weighted least-squares fit of per-state headings, its raw
-    angle unwrapped to the branch nearest the reference embedding
-    (theta_ref, or a spanning-forest walk of the raw estimates, heaviest
-    pairs first, when absent). On a cycle the misclosure is shared in
-    inverse proportion to the pair weights.
+    angle unwrapped to the branch nearest a reference embedding: a
+    spanning-forest walk of the raw estimates, heaviest pairs first. On a
+    cycle the misclosure is shared in inverse proportion to the pair
+    weights.
 
-    Returns (theta, mu_theta): per-state headings with theta[0] = 0 and
-    the induced additive matrix wrap(theta[j] - theta[i]).
+    Returns the wrapped per-state headings theta, with theta[0] = 0.
     """
     raw = np.asarray(raw_mu_theta, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -350,22 +349,18 @@ def project_headings(raw_mu_theta, weights, theta_ref=None) -> tuple:
     order = np.argsort(-pair_w[i, j][live], kind="stable")
     i, j = i[live][order], j[live][order]
 
-    if theta_ref is None:
-        walk = _OffsetUnionFind(n)
-        joins = n - 1              # a spanning forest needs no more
-        for a, b in zip(i.tolist(), j.tolist()):
-            if joins == 0:
-                break
-            joins -= walk.union(a, b, raw[a, b])
-        ref = np.array([walk.find(node)[1] for node in range(n)])
-    else:
-        ref = np.asarray(theta_ref, dtype=float)
+    walk = _OffsetUnionFind(n)
+    joins = n - 1              # a spanning forest needs no more
+    for a, b in zip(i.tolist(), j.tolist()):
+        if joins == 0:
+            break
+        joins -= walk.union(a, b, raw[a, b])
+    ref = np.array([walk.find(node)[1] for node in range(n)])
 
     pred = ref[j] - ref[i]
     theta = solve_positions(np.column_stack(
         [i, j, pred + wrap_angle(raw[i, j] - pred), pair_w[i, j]]), n)
-    mu_theta = wrap_angle(theta[None, :] - theta[:, None])
-    return wrap_angle(theta), mu_theta
+    return wrap_angle(theta)
 
 
 def embed_positions(dx, dy, weight_x, weight_y, theta,
@@ -387,8 +382,8 @@ def embed_positions(dx, dy, weight_x, weight_y, theta,
 
 
 def update_relations_additive(post: Posteriors, R_old: RelationMatrix,
-                              mode: CoordinateMode, theta_ref=None,
-                              damping: float = 0.0) -> tuple:
+                              mode: CoordinateMode,
+                              damping: float = 0.0) -> RelationMatrix:
     """Fully additive reestimation via per-state coordinates.
 
     Headings: lag-behind anti-symmetric estimates projected onto an
@@ -397,13 +392,12 @@ def update_relations_additive(post: Posteriors, R_old: RelationMatrix,
     global frame first in relative mode, fed to the least-squares
     embedding with information weights from the lagged variances. All
     pair means are then differences of coordinates, hence exactly
-    additive. Returns (relations, theta) with theta reusable as the next
-    projection reference.
+    additive.
     """
     s0, sx, sy, _, _, ssin, scos = post.pair
     raw_theta = _lagged_theta_means(s0, ssin, scos, R_old.kappa_theta,
                                     R_old.mu_theta)
-    theta, mu_theta = project_headings(raw_theta, s0, theta_ref)
+    theta = project_headings(raw_theta, s0)
 
     live = s0 > 0.0
     vbar_x = np.divide(sx, s0, out=np.zeros_like(sx), where=live)
@@ -412,12 +406,11 @@ def update_relations_additive(post: Posteriors, R_old: RelationMatrix,
         vbar_x, vbar_y, np.where(live, s0 / R_old.var_x, 0.0),
         np.where(live, s0 / R_old.var_y, 0.0), theta, mode)
 
-    mu_x, mu_y, mu_theta_embed = embed_relations(pos_x, pos_y, theta, mode)
+    mu_x, mu_y, mu_theta = embed_relations(pos_x, pos_y, theta, mode)
 
     var_x, var_y, kappa = _spread_updates(
-        post, R_old, mu_x, mu_y, mu_theta_embed, damping)
-    rel = RelationMatrix(mu_x, mu_y, mu_theta_embed, var_x, var_y, kappa)
-    return rel, theta
+        post, R_old, mu_x, mu_y, mu_theta, damping)
+    return RelationMatrix(mu_x, mu_y, mu_theta, var_x, var_y, kappa)
 
 
 def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
@@ -459,8 +452,6 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
     trace = [value]
     violations = []
     converged = False
-    theta_ref = None
-    eta = natural_parameters(model.relations) if cfg.use_odometry else None
 
     for it in range(1, cfg.max_iters + 1):
         post = posteriors(trellis, model, e)
@@ -473,15 +464,14 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
                 relations = update_relations_antisym(
                     post, R, mode, SPREAD_DAMPING)
             else:
-                relations, theta_ref = update_relations_additive(
-                    post, R, mode, theta_ref, SPREAD_DAMPING)
-            new_eta = natural_parameters(relations)
-            q_old = float(np.vdot(post.pair, eta))
-            drop = q_old - float(np.vdot(post.pair, new_eta))
+                relations = update_relations_additive(
+                    post, R, mode, SPREAD_DAMPING)
+            q_old = float(np.vdot(post.pair, natural_parameters(R)))
+            drop = q_old - float(np.vdot(post.pair,
+                                         natural_parameters(relations)))
             if drop > GEM_TOL * abs(q_old):
                 violations.append((it, drop))
-                relations, new_eta = R, eta
-            eta = new_eta
+                relations = R
         candidate = model.replace(
             A=update_transitions(post, model.A, cfg.pseudocount),
             B=update_observations(post, e, model.B, cfg.pseudocount),

@@ -26,6 +26,10 @@ from .model import (CoordinateMode, ExperienceSequence, GeoHmm,
 
 SMOOTHING = 0.05
 
+# Bucketing and tagging acceptance radii, in sigmas.
+BUCKET_FACTOR = 1.5
+TAG_FACTOR = 2.0
+
 # Bucket id 0 is reserved for the zero self-transition relation; its mean
 # stays pinned at (0, 0, 0).
 ZERO_BUCKET = 0
@@ -33,20 +37,15 @@ ZERO_BUCKET = 0
 
 @dataclass
 class BucketConfig:
-    """Predetermined per-dimension deviations (radians for theta) plus the
-    bucketing and tagging acceptance factors."""
+    """Predetermined per-dimension deviations (radians for theta)."""
 
     sigma_x: float
     sigma_y: float
     sigma_theta: float
-    bucket_factor: float = 1.5
-    tag_factor: float = 2.0
 
     def __post_init__(self):
         if min(self.sigma_x, self.sigma_y, self.sigma_theta) <= 0:
             raise ValueError("sigmas must be positive")
-        if self.bucket_factor <= 0 or self.tag_factor <= 0:
-            raise ValueError("factors must be positive")
 
     @property
     def sigmas(self) -> np.ndarray:
@@ -75,14 +74,14 @@ def bucketize(readings, cfg: BucketConfig) -> tuple:
     """Single-pass clustering of readings by per-dimension proximity.
 
     A reading joins the first existing bucket whose running mean lies
-    within bucket_factor * sigma on every dimension (theta wrapped),
+    within BUCKET_FACTOR * sigma on every dimension (theta wrapped),
     updating that mean; otherwise it opens a new bucket. A bucket's x and
     y means are running averages; its theta mean is the direction of the
     summed unit vectors (a one-member bucket keeps its reading). Returns
     (buckets, assignment) with assignment[t] the bucket id of reading t.
     """
     readings = np.asarray(readings, dtype=float).reshape(-1, 3)
-    rx, ry, rtheta = (cfg.bucket_factor * cfg.sigmas).tolist()
+    rx, ry, rtheta = (BUCKET_FACTOR * cfg.sigmas).tolist()
     sines = np.sin(readings[:, 2]).tolist()
     cosines = np.cos(readings[:, 2]).tolist()
     # Per bucket: [x, y, theta, sum sin, sum cos]. Running theta means use
@@ -136,7 +135,7 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
     Order of resolution per reading: (1) follow the entry of the current
     row already associated with the reading's bucket (steps 2-4 run only
     without one, so each bucket links a row to one entry); (2) follow the
-    closest populated entry in the current row within tag_factor * sigma
+    closest populated entry in the current row within TAG_FACTOR * sigma
     on every dimension; (3) allocate the next unused state at the bucket
     mean, which closes the relation table under anti-symmetry and
     additivity through the per-state coordinates; (4) with no states
@@ -145,7 +144,7 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     readings = np.asarray(readings, dtype=float).reshape(-1, 3)
-    rx, ry, rtheta = (cfg.tag_factor * cfg.sigmas).tolist()
+    rx, ry, rtheta = (TAG_FACTOR * cfg.sigmas).tolist()
     sx, sy, stheta = cfg.sigmas.tolist()
 
     coords = np.zeros((n_max, 3))

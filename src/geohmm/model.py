@@ -16,6 +16,7 @@ both modes.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
@@ -169,11 +170,7 @@ class GeoHmm:
         return len(self.obs_dims)
 
     def replace(self, **kwargs) -> "GeoHmm":
-        fields = dict(n_states=self.n_states, obs_dims=self.obs_dims,
-                      A=self.A, B=self.B, start_state=self.start_state,
-                      relations=self.relations, mode=self.mode)
-        fields.update(kwargs)
-        return GeoHmm(**fields)
+        return dataclasses.replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

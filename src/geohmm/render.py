@@ -22,7 +22,7 @@ MARGIN = 40.0          # px on every side; a canvas must exceed 2 * MARGIN
 def embed_model_positions(model: GeoHmm) -> tuple:
     """Least-squares (x, y, theta) per state from the relation means."""
     R = model.relations
-    theta, _ = project_headings(R.mu_theta, R.kappa_theta)
+    theta = project_headings(R.mu_theta, R.kappa_theta)
     x, y = embed_positions(R.mu_x, R.mu_y, 1.0 / R.var_x, 1.0 / R.var_y,
                            theta, model.mode)
     return x, y, theta

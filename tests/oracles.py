@@ -16,8 +16,8 @@ from geohmm.estimation import _OffsetUnionFind
 from geohmm.evalkl import _check_alphabets
 from geohmm.inference import (Posteriors, Trellis, emission_probs, loglik,
                               pair_statistics, relation_density_tensor)
-from geohmm.initialization import (ZERO_BUCKET, Bucket, BucketConfig,
-                                   TaggingResult)
+from geohmm.initialization import (BUCKET_FACTOR, TAG_FACTOR, ZERO_BUCKET,
+                                   Bucket, BucketConfig, TaggingResult)
 from geohmm.model import (VAR_FLOOR, ConsistencyReport, ConsistencyViolation,
                           ConstraintLevel, CoordinateMode, ExperienceSequence,
                           GeoHmm, ImpossibleSequenceError, RelationMatrix,
@@ -613,12 +613,12 @@ def reference_bucketize(readings, cfg: BucketConfig) -> tuple:
     Single-pass clustering of readings by per-dimension proximity.
 
     A reading joins the first existing bucket whose running mean lies
-    within bucket_factor * sigma on every dimension (theta wrapped),
+    within BUCKET_FACTOR * sigma on every dimension (theta wrapped),
     updating that mean; otherwise it opens a new bucket. Returns
     (buckets, assignment) with assignment[t] the bucket id of reading t.
     """
     readings = np.asarray(readings, dtype=float).reshape(-1, 3)
-    radius = cfg.bucket_factor * cfg.sigmas
+    radius = BUCKET_FACTOR * cfg.sigmas
     buckets = [Bucket(id=ZERO_BUCKET, mean=np.zeros(3))]
     cap = len(readings) + 1
     means = np.zeros((cap, 3))          # row b mirrors buckets[b].mean
@@ -655,7 +655,7 @@ def reference_tag_states(readings, buckets, assignment, n_max: int,
 
     Order of resolution per reading: (1) follow an entry in the current
     row already associated with the reading's bucket; (2) follow the
-    closest populated entry in the current row within tag_factor * sigma
+    closest populated entry in the current row within TAG_FACTOR * sigma
     on every dimension; (3) allocate the next unused state at the bucket
     mean, which closes the relation table under anti-symmetry and
     additivity through the per-state coordinates; (4) with no states
@@ -664,7 +664,7 @@ def reference_tag_states(readings, buckets, assignment, n_max: int,
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     readings = np.asarray(readings, dtype=float).reshape(-1, 3)
-    radius = cfg.tag_factor * cfg.sigmas
+    radius = TAG_FACTOR * cfg.sigmas
     sigmas = cfg.sigmas
 
     coords = np.zeros((n_max, 3))

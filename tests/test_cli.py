@@ -141,6 +141,20 @@ class TestLearn:
         chosen = load_model(str(tmp_path / "sweep.p800.model.json"))
         assert np.array_equal(chosen.A, load_model(str(tmp_path / "m.json")).A)
 
+    def test_learn_from_initial_continues_a_run_exactly(self, tmp_path,
+                                                       experience_path):
+        argv = ["learn", str(experience_path), "--constraints", "additive"]
+        whole, head, resumed = (tmp_path / "whole.json",
+                                tmp_path / "head.json",
+                                tmp_path / "resumed.json")
+        assert main(argv + ["-n", "16", "--max-iters", "6",
+                            "-o", str(whole)]) == EXIT_OK
+        assert main(argv + ["-n", "16", "--max-iters", "2",
+                            "-o", str(head)]) == EXIT_OK
+        assert main(argv + ["--initial", str(head), "--max-iters", "4",
+                            "-o", str(resumed)]) == EXIT_OK
+        assert sha(resumed) == sha(whole)
+
     def test_missing_n_states_is_input_error(self, tmp_path,
                                              experience_path):
         assert main(["learn", str(experience_path), "-o",

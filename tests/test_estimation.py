@@ -374,8 +374,7 @@ class TestProjectHeadings:
         theta_true = np.array([0.0, 0.4, -1.0, 2.2])
         raw = wrap_angle(theta_true[None, :] - theta_true[:, None])
         weights = np.full((4, 4), 3.0)
-        theta, mu = project_headings(raw, weights)
-        np.testing.assert_allclose(mu, raw, atol=1e-12)
+        theta = project_headings(raw, weights)
         np.testing.assert_allclose(theta, theta_true, atol=1e-12)
 
     def test_weak_cycle_closer_takes_most_of_misclosure(self):
@@ -388,7 +387,8 @@ class TestProjectHeadings:
         raw[0, 2], raw[2, 0] = np.radians(170.0), -np.radians(170.0)
         weights[0, 1] = weights[1, 2] = 50.0
         weights[0, 2] = 0.5
-        theta, mu = project_headings(raw, weights)
+        theta = project_headings(raw, weights)
+        mu = wrap_angle(theta[None, :] - theta[:, None])
         m = np.radians(10.0)
         strong = np.pi / 2 - m * 0.02 / 2.04
         np.testing.assert_allclose(theta, [0.0, strong, 2 * strong],
@@ -406,7 +406,7 @@ class TestProjectHeadings:
         raw = (raw - raw.T) / 2.0
         np.fill_diagonal(raw, 0.0)
         weights = rng.uniform(0.01, 0.2, size=(4, 4))
-        theta, mu = project_headings(raw, weights)
+        theta = project_headings(raw, weights)
 
         def residual(candidate):
             diff = wrap_angle(raw - (candidate[None, :] - candidate[:, None]))
@@ -424,7 +424,8 @@ class TestProjectHeadings:
             raw[i, j], raw[j, i] = v, -v
         weights = np.zeros((3, 3))
         weights[0, 1], weights[1, 2], weights[0, 2] = 30.0, 20.0, 10.0
-        theta, mu = project_headings(raw, weights)
+        theta = project_headings(raw, weights)
+        mu = wrap_angle(theta[None, :] - theta[:, None])
         assert mu[0, 1] == pytest.approx(1.0 - 1.0 / 11.0, abs=1e-12)
         assert mu[1, 2] == pytest.approx(1.0 - 3.0 / 22.0, abs=1e-12)
         assert mu[0, 2] == pytest.approx(1.5 + 3.0 / 11.0, abs=1e-12)
@@ -451,7 +452,7 @@ class TestUpdateRelationsAdditive:
 
     def test_noise_free_embedding_recovered(self):
         post = self.make_square_posteriors()
-        R, theta = update_relations_additive(
+        R = update_relations_additive(
             post, RelationMatrix.zero(4, var=1.0), CoordinateMode.GLOBAL)
         assert R.mu_x[0, 1] == pytest.approx(1.0, abs=1e-9)
         assert R.mu_y[1, 2] == pytest.approx(1.0, abs=1e-9)
@@ -460,7 +461,7 @@ class TestUpdateRelationsAdditive:
 
     def test_corrupted_low_weight_relation_replaced_by_leg_sum(self):
         post = self.make_square_posteriors(corrupt_weight=1e-7)
-        R, _ = update_relations_additive(
+        R = update_relations_additive(
             post, RelationMatrix.zero(4, var=1.0), CoordinateMode.GLOBAL)
         assert R.mu_x[0, 2] == pytest.approx(1.0, abs=1e-5)
         assert R.mu_y[0, 2] == pytest.approx(1.0, abs=1e-5)
@@ -478,8 +479,7 @@ class TestUpdateRelationsAdditive:
         readings[:, 2] = wrap_angle(readings[:, 2])
         post = posteriors_from_xi(xi, readings)
         R_old = RelationMatrix.zero(2, var=1.3, kappa=2.0)
-        R_add, _ = update_relations_additive(post, R_old,
-                                             CoordinateMode.GLOBAL)
+        R_add = update_relations_additive(post, R_old, CoordinateMode.GLOBAL)
         R_anti = update_relations_antisym(post, R_old, CoordinateMode.GLOBAL)
         np.testing.assert_allclose(R_add.mu_x, R_anti.mu_x, atol=1e-9)
         np.testing.assert_allclose(R_add.mu_y, R_anti.mu_y, atol=1e-9)
@@ -496,7 +496,7 @@ class TestUpdateRelationsAdditive:
         trellis = forward_backward(model, e)
         from geohmm.inference import posteriors as post_fn
         post = post_fn(trellis, model, e)
-        R, _ = update_relations_additive(post, model.relations, mode)
+        R = update_relations_additive(post, model.relations, mode)
         check_model = GeoHmm(n_states=4, obs_dims=model.obs_dims, A=model.A,
                              B=model.B, start_state=model.start_state,
                              relations=R, mode=mode)
@@ -843,6 +843,37 @@ class TestPinnedAnswers:
         finals = [r.final_loglik for r in runs]
         assert finals == pytest.approx([finals[0]] * 3, rel=1e-8)
         assert finals[0] == pytest.approx(123.83669, abs=1e-4)
+
+
+class TestResumable:
+    """One iteration depends only on the current model, so a run split in
+    two ends where the unsplit run ends, bit for bit."""
+
+    @pytest.mark.parametrize("mode", [CoordinateMode.GLOBAL,
+                                      CoordinateMode.RELATIVE])
+    @pytest.mark.parametrize("rng_seed", [11, 101, 105])
+    def test_split_run_equals_unsplit_run(self, mode, rng_seed):
+        seq = sample_sequence(
+            make_loop_model(LoopSpec(mode=mode, obs_noise=0.15)), 800,
+            np.random.default_rng(rng_seed))
+        init = init_model(seq, 16, default_bucket_config(seq), mode=mode)
+
+        def learn(start, iters):
+            return em_learn(seq, start, LearnConfig(
+                constraint_level=ConstraintLevel.ADDITIVE, max_iters=iters))
+
+        head, head_report = learn(init, 2)
+        if head_report.converged:
+            pytest.skip("the first part converged")
+        resumed, resumed_report = learn(head, 4)
+        whole, whole_report = learn(init, 6)
+        assert resumed_report.loglik_trace == whole_report.loglik_trace[2:]
+        for k in RelationMatrix.__slots__:
+            np.testing.assert_array_equal(getattr(resumed.relations, k),
+                                          getattr(whole.relations, k))
+        np.testing.assert_array_equal(resumed.A, whole.A)
+        for got, want in zip(resumed.B, whole.B):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestLearnConfigValidation:

@@ -14,8 +14,9 @@ import pytest
 
 from geohmm.circstats import wrap_angle
 from geohmm.inference import forward_backward
-from geohmm.initialization import (BucketConfig, bucketize, init_model,
-                                   perturb_model, random_model, tag_states)
+from geohmm.initialization import (BUCKET_FACTOR, BucketConfig, bucketize,
+                                   init_model, perturb_model, random_model,
+                                   tag_states)
 from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
                           GeoHmm, RelationMatrix, check_consistency,
                           embed_relations)
@@ -90,7 +91,7 @@ class TestBucketize:
                                     rng.normal(0, 30, 200),
                                     rng.uniform(-np.pi, np.pi, 200)])
         cfg = BucketConfig(8.0, 8.0, 0.3)
-        radius = cfg.bucket_factor * cfg.sigmas
+        radius = BUCKET_FACTOR * cfg.sigmas
         # replay the pass, checking the invariant at each insertion
         from geohmm.initialization import Bucket, ZERO_BUCKET
         buckets = [Bucket(id=ZERO_BUCKET, mean=np.zeros(3))]
@@ -194,13 +195,14 @@ class TestMatchesReference:
         # the heading radius around its mean, where math.atan2 and
         # numpy's arctan2 can decide differently.
         rng = np.random.default_rng(8)
-        cfg = BucketConfig(1.0, 1.0, 0.5, bucket_factor=1.0)
+        cfg = BucketConfig(1.0, 1.0, 0.5)
+        radius = BUCKET_FACTOR * cfg.sigma_theta
         for _ in range(200):
             t1 = rng.uniform(-np.pi, np.pi)
             t2 = t1 + rng.uniform(-0.5, 0.5)
             mean = float(np.arctan2(np.sin(t1) + np.sin(t2),
                                     np.cos(t1) + np.cos(t2)))
-            edge = mean + rng.choice([-0.5, 0.5])
+            edge = mean + rng.choice([-radius, radius])
             for k in range(-2, 3):
                 t3 = edge + k * np.spacing(edge)
                 readings = np.array([[10.0, 10.0, t1], [10.0, 10.0, t2],
