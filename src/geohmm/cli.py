@@ -60,6 +60,11 @@ def resolve_seed(value) -> int:
     return int(env) if env else 0
 
 
+def dump_json(path, payload):
+    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True)
+                      + "\n")
+
+
 def write_manifest(path, command, argv, seed, inputs, outputs, started,
                    summary):
     manifest = {
@@ -73,13 +78,7 @@ def write_manifest(path, command, argv, seed, inputs, outputs, started,
         "elapsed_seconds": round(time.time() - started, 3),
         "summary": summary,
     }
-    atomic_write_text(path, json.dumps(manifest, indent=1, sort_keys=True)
-                      + "\n")
-
-
-def dump_json(path, payload):
-    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True)
-                      + "\n")
+    dump_json(path, manifest)
 
 
 def report_payload(results, chosen):
@@ -184,13 +183,14 @@ def cmd_learn(args, argv):
 
     if args.prefix_lengths:
         lengths = [int(v) for v in args.prefix_lengths.split(",")]
+        for length in lengths:
+            if not 1 <= length <= len(seq):
+                raise CliError("prefix length %d out of range" % length)
         base, ext = os.path.splitext(args.output)
         if ext != ".json":
             base = args.output
         sweep = {}
         for length in lengths:
-            if not 1 <= length <= len(seq):
-                raise CliError("prefix length %d out of range" % length)
             results, chosen = learn_best(seq.prefix(length),
                                          "%s.p%d.model.json" % (base, length))
             sweep[str(length)] = report_payload(results, chosen)

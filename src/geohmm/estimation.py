@@ -257,33 +257,6 @@ def update_relations_unconstrained(post: Posteriors, R_old: RelationMatrix,
     return RelationMatrix(mu_x, mu_y, mu_theta, var_x, var_y, kappa)
 
 
-class _OffsetUnionFind:
-    """Union-find tracking each node's scalar offset from its root."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.offset = [0.0] * n
-
-    def find(self, i: int):
-        if self.parent[i] == i:
-            return i, 0.0
-        root, above = self.find(self.parent[i])
-        self.parent[i] = root
-        self.offset[i] += above
-        return root, self.offset[i]
-
-    def union(self, i: int, j: int, delta: float) -> bool:
-        """Impose value[j] - value[i] = delta unless already connected;
-        True if the two trees were joined."""
-        ri, oi = self.find(i)
-        rj, oj = self.find(j)
-        if ri == rj:
-            return False
-        self.parent[rj] = ri
-        self.offset[rj] = oi + delta - oj
-        return True
-
-
 def solve_positions(targets, n: int) -> np.ndarray:
     """Weighted least-squares embedding of difference constraints.
 
@@ -349,13 +322,17 @@ def project_headings(raw_mu_theta, weights) -> np.ndarray:
     order = np.argsort(-pair_w[i, j][live], kind="stable")
     i, j = i[live][order], j[live][order]
 
-    walk = _OffsetUnionFind(n)
-    joins = n - 1              # a spanning forest needs no more
+    # Kruskal by relabeling: a pair that joins two trees shifts every
+    # state of b's tree so that ref[b] - ref[a] = raw[a, b], and gives
+    # them a's label.
+    label, ref = list(range(n)), [0.0] * n
     for a, b in zip(i.tolist(), j.tolist()):
-        if joins == 0:
-            break
-        joins -= walk.union(a, b, raw[a, b])
-    ref = np.array([walk.find(node)[1] for node in range(n)])
+        if label[a] != label[b]:
+            old, shift = label[b], ref[a] + raw[a, b] - ref[b]
+            for k in range(n):
+                if label[k] == old:
+                    label[k], ref[k] = label[a], ref[k] + shift
+    ref = np.array(ref)
 
     pred = ref[j] - ref[i]
     theta = solve_positions(np.column_stack(
@@ -413,8 +390,8 @@ def update_relations_additive(post: Posteriors, R_old: RelationMatrix,
     return RelationMatrix(mu_x, mu_y, mu_theta, var_x, var_y, kappa)
 
 
-def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
-             on_iteration=None) -> tuple:
+def em_learn(e: ExperienceSequence, initial: GeoHmm,
+             cfg: LearnConfig) -> tuple:
     """Generalized-EM loop: one E-step and one M-step per iteration.
 
     The objective, which loglik_trace records, is loglik + pc * (sum log
@@ -431,7 +408,8 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
     a density_floor, whose clipping voids the inequality) is not taken and
     ends the run: the trace never falls, at one forward_backward call per
     iteration plus one for the initial model and one for a refused last step.
-    on_iteration(k, model), if given, runs after every M-step taken.
+    One iteration depends only on the current model, so max_iters=1 calls,
+    each from the last call's model, take the steps of one longer run.
     """
     mode = cfg.mode or initial.mode
     if mode is not initial.mode:
@@ -481,8 +459,6 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm, cfg: LearnConfig,
         if value < previous:
             converged = True
             break
-        if on_iteration is not None:
-            on_iteration(it, candidate)
         model, trellis = candidate, new_trellis
         trace.append(value)
         if value - previous < REL_TOL * abs(previous):

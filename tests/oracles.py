@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from geohmm.circstats import KAPPA_MAX, TWO_PI, wrap_angle
-from geohmm.estimation import _OffsetUnionFind
 from geohmm.evalkl import _check_alphabets
 from geohmm.inference import (Posteriors, Trellis, emission_probs, loglik,
                               pair_statistics, relation_density_tensor)
@@ -313,13 +312,13 @@ def reference_posteriors(trellis: Trellis, model: GeoHmm,
 
 def reference_solve_positions(targets, n: int) -> np.ndarray:
     """solve_positions with one Python step per target: the Laplacian and
-    right-hand side accumulated entry by entry, components from a
-    union-find."""
+    right-hand side accumulated entry by entry, components labeled by
+    relabeling j's whole component with i's label at every target."""
     if n <= 0:
         raise ValueError("n must be positive")
     lap = np.zeros((n, n))
     rhs = np.zeros(n)
-    uf = _OffsetUnionFind(n)
+    label = list(range(n))
     for i, j, value, weight in targets:
         i, j = int(i), int(j)
         if weight < 0:
@@ -332,12 +331,12 @@ def reference_solve_positions(targets, n: int) -> np.ndarray:
         lap[j, i] -= weight
         rhs[j] += weight * value
         rhs[i] -= weight * value
-        uf.union(i, j, 0.0)
+        old = label[j]
+        label = [label[i] if lab == old else lab for lab in label]
 
     components = {}
     for node in range(n):
-        root, _ = uf.find(node)
-        components.setdefault(root, []).append(node)
+        components.setdefault(label[node], []).append(node)
 
     x = np.zeros(n)
     for members in components.values():

@@ -142,16 +142,19 @@ def test_criterion_3_constraint_postconditions(mode, level):
     true = make_loop_model(LoopSpec(mode=mode))
     seq = sample_sequence(true, 300, np.random.default_rng(3003))
     from geohmm.initialization import init_model
-    init = init_model(seq, 16, default_bucket_config(seq), mode=mode)
+    model = init_model(seq, 16, default_bucket_config(seq), mode=mode)
     failures = []
-
-    def check(it, model):
+    # Up to 15 M-steps, one em_learn call each, every model taken checked.
+    cfg = LearnConfig(constraint_level=level, max_iters=1)
+    for it in range(1, 16):
+        model, step = em_learn(seq, model, cfg)
+        if not step.iterations_run:
+            break
         rep = check_consistency(model, level, 1e-9)
         if not rep.consistent:
             failures.append((it, rep.violations[0]))
-
-    cfg = LearnConfig(constraint_level=level, max_iters=15)
-    em_learn(seq, init, cfg, on_iteration=check)
+        if step.converged:
+            break
     ok = not failures
     assert report(ok, "criterion 3 (constraints, %s/%s)"
                   % (level.value, mode.value),

@@ -115,6 +115,15 @@ class TestLearn:
         report = json.loads((tmp_path / "sweep.report.json").read_text())
         assert set(report["prefix_sweep"]) == {"100", "200"}
 
+    def test_prefix_length_out_of_range_writes_nothing(self, tmp_path,
+                                                       experience_path):
+        # Every length is checked before the first learn: 900 > 300 steps.
+        before = set(tmp_path.iterdir())
+        assert main(["learn", str(experience_path),
+                     "-o", str(tmp_path / "out.json"), "-n", "16",
+                     "--prefix-lengths", "100,900"]) == EXIT_INPUT
+        assert set(tmp_path.iterdir()) == before
+
     def test_multi_restart_later_best_run(self, tmp_path):
         # Restart 0 is not the best here, by 0.2 nats and more: choosing
         # the best run used to compare runs by value and exit 2.
@@ -389,6 +398,7 @@ class TestEndToEndScript:
         import subprocess
         import sys
 
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ, SEQS="1", RESTARTS="1", LENGTH="120")
         if plain_checkout:
             env.pop("GEOHMM", None)
@@ -396,11 +406,14 @@ class TestEndToEndScript:
             env["PATH"] = os.pathsep.join([os.path.dirname(sys.executable),
                                            env.get("PATH", "")])
         else:
+            # geohmm need not be installed: the checkout's src/ goes first.
             env["GEOHMM"] = "%s -m geohmm.cli" % sys.executable
+            env["PYTHONPATH"] = os.pathsep.join(
+                [os.path.join(root, "src")]
+                + [p for p in [env.get("PYTHONPATH")] if p])
         proc = subprocess.run(
             ["bash", "experiments/loop.sh", str(tmp_path / "out"), "3"],
-            capture_output=True, text=True, env=env, timeout=300,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+            capture_output=True, text=True, env=env, timeout=300, cwd=root)
         assert proc.returncode == 0, proc.stderr
         assert "KL(nats/symbol)" in proc.stdout
         assert "with" in proc.stdout and "without" in proc.stdout

@@ -430,6 +430,24 @@ class TestProjectHeadings:
         assert mu[1, 2] == pytest.approx(1.0 - 3.0 / 22.0, abs=1e-12)
         assert mu[0, 2] == pytest.approx(1.5 + 3.0 / 11.0, abs=1e-12)
 
+    def test_forest_takes_heaviest_pairs_first(self):
+        # Heavy path 0-1-2-3 of one radian per step; light closers (0, 2)
+        # and (1, 3) misclose by +1.7 and -1.7, 3.4 apart, past pi. The
+        # heavy forest unwraps (0, 2) to 3.7; a forest of the light pairs
+        # would take its branch at 3.7 - 2 pi. States 4, 5 form a second
+        # component, its lowest index at 0; state 6 is alone.
+        raw = np.zeros((7, 7))
+        weights = np.zeros((7, 7))
+        for (i, j), v, w in (((0, 1), 1.0, 50.0), ((1, 2), 1.0, 40.0),
+                             ((2, 3), 1.0, 30.0), ((0, 2), 3.7, 1.0),
+                             ((1, 3), 0.3, 2.0), ((4, 5), 0.5, 5.0)):
+            raw[i, j], raw[j, i] = wrap_angle(v), -wrap_angle(v)
+            weights[i, j] = w
+        theta = project_headings(raw, weights)
+        np.testing.assert_allclose(
+            theta, [0.0, 1.034029167858164, 1.9985416070917925,
+                    2.8945095796396907, 0.0, 0.5, 0.0], rtol=0, atol=1e-12)
+
 
 class TestUpdateRelationsAdditive:
     def make_square_posteriors(self, corrupt_weight=None):
@@ -557,14 +575,17 @@ class TestEmLearn:
         seq = sample_sequence(true, 250, np.random.default_rng(8))
         init = init_model(seq, 16, default_bucket_config(seq))
         for level in (ConstraintLevel.ANTISYMMETRIC, ConstraintLevel.ADDITIVE):
-            seen = []
-
-            def check(_it, model, _level=level, _seen=seen):
-                report = check_consistency(model, _level, 1e-9)
-                _seen.append(report.consistent)
-
-            cfg = LearnConfig(constraint_level=level, max_iters=15)
-            em_learn(seq, init, cfg, on_iteration=check)
+            # Up to 15 M-steps, one em_learn call each: every model taken
+            # is checked.
+            model, seen = init, []
+            cfg = LearnConfig(constraint_level=level, max_iters=1)
+            for _ in range(15):
+                model, step = em_learn(seq, model, cfg)
+                if not step.iterations_run:
+                    break
+                seen.append(check_consistency(model, level, 1e-9).consistent)
+                if step.converged:
+                    break
             assert seen and all(seen)
 
     def test_loop_cycle_recovered(self):
