@@ -183,9 +183,11 @@ def cmd_learn(args, argv):
 
     if args.prefix_lengths:
         lengths = [int(v) for v in args.prefix_lengths.split(",")]
-        for length in lengths:
+        for k, length in enumerate(lengths):
             if not 1 <= length <= len(seq):
                 raise CliError("prefix length %d out of range" % length)
+            if length in lengths[:k]:
+                raise CliError("prefix length %d given twice" % length)
         base, ext = os.path.splitext(args.output)
         if ext != ".json":
             base = args.output

@@ -124,6 +124,18 @@ class TestLearn:
                      "--prefix-lengths", "100,900"]) == EXIT_INPUT
         assert set(tmp_path.iterdir()) == before
 
+    def test_repeated_prefix_length_writes_nothing(self, tmp_path, capsys,
+                                                   experience_path):
+        # A repeated length used to be learned twice, its model written
+        # twice and listed twice in the manifest.
+        before = set(tmp_path.iterdir())
+        assert main(["learn", str(experience_path),
+                     "-o", str(tmp_path / "out.json"), "-n", "16",
+                     "--max-iters", "3",
+                     "--prefix-lengths", "100,200,100"]) == EXIT_INPUT
+        assert "prefix length 100 given twice" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+
     def test_multi_restart_later_best_run(self, tmp_path):
         # Restart 0 is not the best here, by 0.2 nats and more: choosing
         # the best run used to compare runs by value and exit 2.
