@@ -30,12 +30,10 @@ import numpy as np
 
 from .circstats import (KAPPA_MAX, bessel_ratio, resultant_to_kappa,
                         wrap_angle)
-from . import inference
-from .inference import Posteriors
+from .inference import Posteriors, forward_backward, posteriors
 from .model import (VAR_FLOOR, ConstraintLevel, CoordinateMode,
-                    ExperienceSequence, GeoHmm, ImpossibleSequenceError,
-                    RelationMatrix, _rotate_xy, embed_relations,
-                    natural_parameters, reading_features)
+                    ExperienceSequence, GeoHmm, RelationMatrix, _rotate_xy,
+                    embed_relations, natural_parameters, reading_features)
 
 
 # Fixed tuning of the EM loop: the relative loglik gain below which a run
@@ -408,131 +406,82 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm,
     monotonicity_violations. So Q, and by the EM inequality the objective,
     cannot fall by more than that. A step that lowers it anyway (rounding, or
     a density_floor, whose clipping voids the inequality) is not taken and
-    ends the run: the trace never falls, at one forward pass per iteration
-    plus one for the initial model and one for a refused last step; the
-    last forward pass of a run, whose model takes no further M-step, runs
-    no backward pass. One iteration depends only on the current model, so
-    max_iters=1 calls, each from the last call's model, take the steps of
-    one longer run. The one-start case of em_learn_batch.
+    ends the run: the trace never falls, at one forward_backward call per
+    iteration plus one for the initial model and one for a refused last step.
+    One iteration depends only on the current model, so max_iters=1 calls,
+    each from the last call's model, take the steps of one longer run.
+
+    The reading features are computed once per run and each relation
+    matrix's natural parameters once: the E-step and the guard share
+    them. Every E-step writes its step operators into one buffer, in which
+    posteriors then builds xi, and leaves the backward scan to posteriors,
+    so a model that takes no M-step costs the forward scan alone.
     """
-    return em_learn_batch(e, [initial], cfg)[0]
-
-
-def em_learn_batch(e: ExperienceSequence, starts, cfg: LearnConfig) -> list:
-    """em_learn from each start (all with one state count), as one lockstep
-    loop; returns its (model, report) per start, each equal bit for bit to
-    em_learn's from it.
-
-    Every round runs one member-batched forward pass (inference.forward_pass)
-    over the members still stepping, then the backward pass of those that
-    take another M-step; posteriors, M-steps and the GEM guard stay per
-    member. A member is frozen once it converges, its step is refused or
-    it reaches cfg.max_iters. The reading features are computed once, and
-    each relation matrix's natural parameters once: the E-step and the
-    guard share them. With odometry the step operators of all members live
-    in one (K, T-1, N, N) buffer that every round reuses, and xi is built
-    in a member's dead steps.
-
-    Errors: an ImpossibleSequenceError is raised for the lowest-index
-    start that meets one, as a run of the starts one after another would
-    raise it; the members after that start stop stepping at once, the
-    ones before it run on until they finish or fail.
-    """
-    starts = list(starts)
-    for start in starts:
-        if (cfg.mode or start.mode) is not start.mode:
-            raise ValueError("config mode %s conflicts with model mode %s"
-                             % (cfg.mode, start.mode))
-        if start.n_states != starts[0].n_states:
-            raise ValueError("starts must share one state count")
-    K, odometry = len(starts), cfg.use_odometry
+    mode = cfg.mode or initial.mode
+    if mode is not initial.mode:
+        raise ValueError("config mode %s conflicts with model mode %s"
+                         % (mode, initial.mode))
+    odometry = cfg.use_odometry
     # Without odometry the M-step reads only gamma and pair[0], the
     # expected transition counts, which weigh the constant feature alone.
     phi = (reading_features(e.readings) if odometry
            else np.ones((len(e) - 1, 1)))
-    eta = [natural_parameters(m.relations) if odometry else None
-           for m in starts]
-    buf = None
-    if odometry and K:
-        n = starts[0].n_states
-        buf = np.empty((K, len(e) - 1, n, n))
-    models, candidates, cand_eta = list(starts), list(starts), list(eta)
-    traces = [[] for _ in range(K)]
-    holds = [[] for _ in range(K)]
-    converged = [False] * K
-    failed = {}
+    n = initial.n_states
+    steps = np.empty((len(e) - 1, n, n)) if odometry else None
 
-    def objective(m, loglik):
+    def e_step(m, eta):
+        trellis = forward_backward(m, e, odometry, cfg.density_floor,
+                                   backward=False, phi=phi, eta=eta,
+                                   out=steps)
         if not cfg.pseudocount:
-            return loglik
+            return trellis, trellis.loglik
         with np.errstate(divide="ignore"):
             log_prior = sum(np.log(p).sum() for p in (m.A,) + m.B)
-        return loglik + cfg.pseudocount * float(log_prior)
+        return trellis, trellis.loglik + cfg.pseudocount * float(log_prior)
 
-    def m_step(it, k, trellis):
-        """Member k's next candidate and its natural parameters."""
-        model, R = models[k], models[k].relations
-        post = inference._posteriors(trellis, model.A, phi, spend_step=True)
-        relations, eta_new = R, eta[k]
+    model = initial
+    eta = natural_parameters(model.relations) if odometry else None
+    trellis, value = e_step(model, eta)
+    trace = [value]
+    violations = []
+    converged = False
+
+    for it in range(1, cfg.max_iters + 1):
+        post = posteriors(trellis, model, e, phi, spend_step=True)
+        relations = R = model.relations
+        eta_new = eta
         if odometry:
             if cfg.constraint_level is ConstraintLevel.UNCONSTRAINED:
                 relations = update_relations_unconstrained(
                     post, R, SPREAD_DAMPING)
             elif cfg.constraint_level is ConstraintLevel.ANTISYMMETRIC:
                 relations = update_relations_antisym(
-                    post, R, model.mode, SPREAD_DAMPING)
+                    post, R, mode, SPREAD_DAMPING)
             else:
                 relations = update_relations_additive(
-                    post, R, model.mode, SPREAD_DAMPING)
+                    post, R, mode, SPREAD_DAMPING)
             eta_new = natural_parameters(relations)
-            q_old = float(np.vdot(post.pair, eta[k]))
+            q_old = float(np.vdot(post.pair, eta))
             drop = q_old - float(np.vdot(post.pair, eta_new))
             if drop > GEM_TOL * abs(q_old):
-                holds[k].append((it, drop))
-                relations, eta_new = R, eta[k]
-        return model.replace(
+                violations.append((it, drop))
+                relations, eta_new = R, eta
+        candidate = model.replace(
             A=update_transitions(post, model.A, cfg.pseudocount),
             B=update_observations(post, e, model.B, cfg.pseudocount),
-            relations=relations), eta_new
-
-    live, it = list(range(K)), 0
-    while live:
-        # E-step of every live member's candidate (round 0: its start).
-        fw = inference.forward_pass(
-            [candidates[k] for k in live], e, odometry, cfg.density_floor,
-            phi, [cand_eta[k] for k in live], buf)
-        slots, stepping = [], []       # the members that take an M-step
-        for slot, k in enumerate(live):
-            bad = fw.impossible_step(slot)
-            if bad is not None:
-                # Members after k stop; the ones before it run on.
-                failed[k] = ImpossibleSequenceError(bad)
-                break
-            value = objective(candidates[k], fw.loglik(slot))
-            previous = traces[k][-1] if it else None
-            if it and value < previous:
-                converged[k] = True
-                continue
-            models[k], eta[k] = candidates[k], cand_eta[k]
-            traces[k].append(value)
-            if it and value - previous < REL_TOL * abs(previous):
-                converged[k] = True
-            elif it < cfg.max_iters:
-                slots.append(slot)
-                stepping.append(k)
-        live = stepping
-        if not live:
+            relations=relations)
+        trellis, value = e_step(candidate, eta_new)
+        previous = trace[-1]
+        if value < previous:
+            converged = True
             break
-        it += 1
-        trellises = fw.trellises(slots)
-        del fw                         # and with it the block products
-        for k, trellis in zip(live, trellises):
-            candidates[k], cand_eta[k] = m_step(it, k, trellis)
-        del trellises, trellis         # the next pass reuses their memory
+        model, eta = candidate, eta_new
+        trace.append(value)
+        if value - previous < REL_TOL * abs(previous):
+            converged = True
+            break
 
-    if failed:
-        raise failed[min(failed)]
-    return [(models[k], LearnReport(
-        iterations_run=len(traces[k]) - 1, loglik_trace=traces[k],
-        converged=converged[k], monotonicity_violations=holds[k]))
-        for k in range(K)]
+    report = LearnReport(iterations_run=len(trace) - 1, loglik_trace=trace,
+                         converged=converged,
+                         monotonicity_violations=violations)
+    return model, report

@@ -39,8 +39,8 @@ alpha_t(i) beta_t(i), which is 1 under the forward scaling (Rabiner
 Python overhead saved at the state counts used here.
 
 Without odometry every operator is A diag(emit[t+1]) with the same A, so
-forward_pass hands both scans each member's (N, N) matrix A, not a
-stride-0 (T-1, N, N) view of it (Trellis.step stays that view). The stages then
+forward_backward hands both scans the (N, N) matrix A, not a stride-0
+(T-1, N, N) view of it (Trellis.step stays that view). The stages then
 differ only in how their product is formed: the m block products of a
 stage are one (m N, N) @ (N, N) product, the forward fill is (m, N) @ A
 and the backward fill u @ A.T. At N=16 and T=800 (m=29 blocks; best of
@@ -50,21 +50,18 @@ as one product against 11-12 us batched, the forward fill 2.6 against
 stages of each. Every c_t and beta normalizer is still the row sum of a
 sequential step, so the recursion with odometry is unchanged bit for bit.
 
-forward_pass runs the forward scan of K models, the EM loop's restarts,
-on one sequence at once, member axis first; ForwardPass.trellises runs
-the backward scan for the members it is asked for. Every product and
-reduction works on one member's arrays with that member's shapes, so a
-member's tables equal its own forward_backward's bit for bit
-(forward_backward is the one-member case). The one decision that spans
-rows, the 2**±64 rescale of the block products, is made per member: a
-stage checks the whole batch, and only when that fires, each member,
-whose rows alone are rescaled. A batch-wide decision would make a
-member's logr, and so its last bits, depend on its batch-mates; the
-rescale fires about 18 times in the 15 E-steps of a 3-restart additive
-learn at N=16 and T=800. For those three starts (medians of 150
-interleaved rounds, 2-core VM, OpenBLAS), one E-step round took 7.2 ms as
-one batched pass against 9.7 ms as three forward_backward calls of the
-unbatched code; one member alone took 3.4 against 3.2 ms.
+The EM loop (estimation.em_learn) saves three kinds of work per
+iteration, none of which changes a bit of the tables. It passes
+forward_backward the reading features phi, computed once per run, and
+the model's natural parameters eta, computed once per relation matrix.
+It passes one (T-1, N, N) buffer, out, that every iteration's step
+operators reuse, and posteriors builds xi in those dead steps
+(spend_step): a learn then keeps about one step tensor alive instead of
+two or three, and its pages are faulted in once per run, not twice per
+iteration. And it defers the backward scan (backward=False) to
+posteriors, which runs it for a trellis that takes an M-step only: the
+E-step after the last M-step, or of a refused or converged candidate,
+costs the forward scan alone.
 
 loglik, which scores S strings under K models forward only, runs
 Rabiner's sequential recursion instead: T Python steps over one (K, S,
@@ -86,8 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ExperienceSequence, GeoHmm, ImpossibleSequenceError,
-                    natural_parameters, reading_features,
-                    relation_log_density)
+                    natural_parameters, reading_features)
 
 
 @dataclass
@@ -97,15 +93,18 @@ class Trellis:
     step[t] is the operator of the transition t -> t+1: A times the
     densities of the reading recorded on it (A itself, broadcast, without
     odometry). emit[t] holds the per-state observation probabilities.
+    beta is None while the backward scan is deferred (forward_backward's
+    backward=False); pending then holds what that scan needs.
     """
 
     alpha: np.ndarray          # (T, N), rows sum to 1
-    beta: np.ndarray           # (T, N), scaled with the alpha scales
+    beta: np.ndarray | None    # (T, N), scaled with the alpha scales
     scales: np.ndarray         # (T,) positive normalizers
     loglik: float
     use_odometry: bool
     emit: np.ndarray           # (T, N)
     step: np.ndarray           # (T-1, N, N)
+    pending: tuple | None = None   # (op, block products) of the scan
 
 
 @dataclass
@@ -149,226 +148,177 @@ def emission_probs(model: GeoHmm, observations, out=None) -> np.ndarray:
     return out
 
 
-def relation_density_tensor(model: GeoHmm, e: ExperienceSequence) -> np.ndarray:
-    """(T-1, N, N) tensor of reading densities f(r_{t+1} | R[i,j])."""
-    logf = relation_log_density(e.readings, model.relations)
-    return np.exp(logf, out=logf)
+def relation_density_tensor(model: GeoHmm, e: ExperienceSequence,
+                            phi=None, eta=None, out=None) -> np.ndarray:
+    """(T-1, N, N) tensor of reading densities f(r_{t+1} | R[i,j]):
+    exp(phi @ eta) as in model.relation_log_density, written into out if
+    given. phi (reading_features of e.readings) and eta
+    (natural_parameters of model.relations) are computed when not given.
+    """
+    if phi is None:
+        phi = reading_features(e.readings)
+    if eta is None:
+        eta = natural_parameters(model.relations)
+    n = model.n_states
+    if out is None:
+        out = np.empty((len(phi), n, n))
+    np.matmul(phi, eta.reshape(7, n * n), out=out.reshape(len(phi), n * n))
+    return np.exp(out, out=out)
 
 
 def _scaled_scan(first, op, emit):
-    """The time-blocked recursion v_t = (v_{t-1} @ op_{t-1}) * emit[t] / c_t
-    for K members at once, member axis first.
+    """The time-blocked recursion v_t = (v_{t-1} @ op_{t-1}) * emit[t] / c_t.
 
-    v_0 = first (K, N); c_t is the row's sum, so v_t sums to 1. emit is
-    (K, T, N) and op either the (K, T-1, N, N) step operators op_t =
-    op[:, t] or, when every step of a member shares one, the (K, N, N)
-    matrices op_t = op: a stage then multiplies all of a member's block
-    rows by it in one (m N, N) @ (N, N) product instead of m batched ones.
-    Returns v (K, T, N), c (K, T) with c_0 = 1 (a sequence that dies shows
-    a zero or non-finite c_t at its first failing step) and the block
-    products (P, logr): P (K, nb, N, N) has unit row sums and block b's
-    product of the operators M_t = op_t diag(emit[t+1]) over its steps is
-    diag(exp(logr_b)) @ P_b. _backward_scan reuses them. Every BLAS call
-    works on one member's matrices, with a member's shapes, so a member's
-    results do not depend on its batch-mates.
+    v_0 = first (N,); c_t is the row's sum, so v_t sums to 1. emit is
+    (T, N) and op either the (T-1, N, N) step operators op_t = op[t] or,
+    when every step shares one, that (N, N) matrix op_t = op: a stage then
+    multiplies all its blocks' rows by it in one (m N, N) @ (N, N)
+    product instead of m batched ones. Returns v (T, N), c (T,) with
+    c_0 = 1 (a sequence that dies shows a zero or non-finite c_t at its
+    first failing step) and the block products (P, logr): P (nb, N, N)
+    has unit row sums and block b's product of the operators M_t = op_t
+    diag(emit[t+1]) over its steps is diag(exp(logr_b)) @ P_b.
+    _backward_scan reuses them.
     """
-    K, T, N = emit.shape
-    c = np.ones((K, T))
+    T, N = emit.shape
+    v, c = np.empty(emit.shape), np.ones(T)
+    v[0] = first
     if T == 1:
-        return first[:, None, :].copy(), c, None
+        return v, c, None
     L = round(math.sqrt(T - 1))
     nb = -(-(T - 1) // L)
-    const = op.ndim == 3
+    const = op.ndim == 2
     ones = np.ones(N)
-    P = np.broadcast_to(np.eye(N), (K, nb, N, N)).copy()
+    P = np.broadcast_to(np.eye(N), (nb, N, N)).copy()
     Q = np.empty_like(P)
-    rows = P.reshape(K, -1, N)         # views: P and Q are only written
-    qrows = Q.reshape(K, -1, N)        # in place
-    E = np.zeros(rows.shape[:2], dtype=int)
+    rows = P.reshape(-1, N)            # views: P and Q are only written
+    qrows = Q.reshape(-1, N)           # in place
+    E = np.zeros(len(rows), dtype=int)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # Block products as diag(2**E) @ P. A member's rows are rescaled, by
-        # exact powers of two, only once one of its row sums leaves 2**±64,
-        # so most steps skip that pass; at the end the rows are normalized
-        # once. The last block may be short and drops out once it is done.
+        # Block products as diag(2**E) @ P. A row is rescaled, by an exact
+        # power of two, only once its sum leaves 2**±64, so most steps
+        # skip that pass; at the end the rows are normalized once. The
+        # last block may be short and drops out once it is done.
         for k in range(L):
             m = (T - 2 - k) // L + 1       # blocks that have a step k
             if const:
-                np.matmul(rows[:, :m * N], op, out=qrows[:, :m * N])
+                np.matmul(rows[:m * N], op, out=qrows[:m * N])
             else:
-                np.matmul(P[:, :m], op[:, k::L], out=Q[:, :m])
-            np.multiply(Q[:, :m], emit[:, k + 1::L, None, :], out=P[:, :m])
+                np.matmul(P[:m], op[k::L], out=Q[:m])
+            np.multiply(Q[:m], emit[k + 1::L, None, :], out=P[:m])
             s = rows @ ones
-            # One check of the whole batch, then only when it fires (or a
-            # NaN may hide a member's need) the check of each member alone.
-            top = s.max(initial=0.0)
-            if (top > 2.0**64 or s.min(where=s > 0.0, initial=1.0) < 2.0**-64
-                    or (K > 1 and np.isnan(top))):
+            if (s.max(initial=0.0) > 2.0**64
+                    or s.min(where=s > 0.0, initial=1.0) < 2.0**-64):
                 e = np.maximum(np.frexp(s)[1], -1021)  # 2**-e stays finite
-                if K > 1:                  # the others are scaled by 2**0
-                    e *= ((s.max(axis=1, initial=0.0) > 2.0**64)
-                          | (s.min(axis=1, where=s > 0.0, initial=1.0)
-                             < 2.0**-64))[:, None]
                 E += e
-                rows *= np.ldexp(1.0, -e)[..., None]
+                rows *= np.ldexp(1.0, -e)[:, None]
         s = rows @ ones
-        logr = (E * math.log(2.0) + np.log(s)).reshape(K, nb, N)
+        logr = (E * math.log(2.0) + np.log(s)).reshape(nb, N)
         s[s == 0.0] = 1.0
-        rows /= s[..., None]
-        starts = np.empty((K, nb, N))
-        starts[:, 0] = first
+        rows /= s[:, None]
+        starts = np.empty((nb, N))
+        starts[0] = first
         for b in range(nb - 1):
-            lw = np.log(starts[:, b]) + logr[:, b]
-            lw -= lw.max(axis=1, keepdims=True)
-            y = (np.exp(lw, out=lw)[:, None, :] @ P[:, b])[:, 0]
-            np.divide(y, y.sum(axis=1, keepdims=True), out=starts[:, b + 1])
-        del Q, qrows                   # freed before v, to lower the peak
+            lw = np.log(starts[b]) + logr[b]
+            y = (np.exp(lw - lw.max())[None, :] @ P[b])[0]
+            starts[b + 1] = y / y.sum()
         # Fill in every block's steps from its start, all blocks at once.
-        v = np.empty(emit.shape)
-        v[:, 0] = first
         cur = starts
         for k in range(L):
             m = (T - 2 - k) // L + 1
             if const:
-                row = cur[:, :m] @ op
+                row = cur[:m] @ op
             else:
-                row = (cur[:, :m, None, :] @ op[:, k::L])[:, :, 0, :]
-            row *= emit[:, k + 1::L]
-            ck = row.sum(axis=-1, out=c[:, k + 1::L])
-            cur = np.divide(row, ck[..., None], out=v[:, k + 1::L])
+                row = (cur[:m, None, :] @ op[k::L])[:, 0, :]
+            row *= emit[k + 1::L]
+            ck = row.sum(axis=-1)
+            cur = row / ck[:, None]
+            v[k + 1::L] = cur
+            c[k + 1::L] = ck
     return v, c, (P, logr)
 
 
-def _backward_scan(alpha, op, emit, blocks, sel):
-    """beta_t = op_t @ (emit[t+1] * beta_{t+1}) from beta_{T-1} = 1 for
-    the members sel (an index array, or slice(None) for all) of a forward
-    _scaled_scan's batch, with its op and block products (P, logr).
+def _backward_scan(alpha, op, emit, blocks):
+    """beta_t = op_t @ (emit[t+1] * beta_{t+1}) from beta_{T-1} = 1, with
+    op and the block products (P, logr) of the forward _scaled_scan.
 
     A log-domain recursion over block starts, log beta_{bL} = logr_b +
     log(P_b beta_end) less its maximum, then all blocks fill in their
     steps at once (u @ op.T for a shared (N, N) operator). Each row is
     divided by sum_i alpha_t(i) beta_t(i): beta_t scaled by the forward
     scales c_{t+1}..c_{T-1}, as in Rabiner's scaling, gives exactly 1
-    there, so both scalings agree. A member subset gathers only the
-    operators of one stage at a time.
+    there, so both scalings agree.
     """
-    alpha, emit = alpha[sel], emit[sel]
-    K, T, N = emit.shape
-    beta = np.ones((K, T, N))
+    T, N = emit.shape
+    beta = np.ones((T, N))
     if T == 1:
         return beta
-    P, logr = (x[sel] for x in blocks)
+    P, logr = blocks
     L = round(math.sqrt(T - 1))
-    const = op.ndim == 3
-    if const:
-        opT = op[sel].swapaxes(1, 2)
     with np.errstate(divide="ignore"):
-        for b in range(P.shape[1] - 1, 0, -1):
-            end = beta[:, min((b + 1) * L, T - 1), :, None]
-            lw = logr[:, b] + np.log((P[:, b] @ end)[..., 0])
-            lw -= lw.max(axis=1, keepdims=True)
-            np.exp(lw, out=beta[:, b * L])
+        for b in range(len(P) - 1, 0, -1):
+            lw = logr[b] + np.log(P[b] @ beta[min((b + 1) * L, T - 1)])
+            beta[b * L] = np.exp(lw - lw.max())
     # Block b - 1 reads beta[bL] at k = L - 1; block b overwrites it at k = 0.
     for k in range(L - 1, -1, -1):
-        u = emit[:, k + 1::L] * beta[:, k + 1::L]
-        if const:
-            u = u @ opT
+        u = emit[k + 1::L] * beta[k + 1::L]
+        if op.ndim == 2:
+            u = u @ op.T
         else:
-            u = (op[sel, k::L] @ u[..., None])[..., 0]
-        np.divide(u, (alpha[:, k:T - 1:L] * u).sum(axis=-1, keepdims=True),
-                  out=beta[:, k:T - 1:L])
+            u = (op[k::L] @ u[:, :, None])[:, :, 0]
+        u /= (alpha[k:T - 1:L] * u).sum(axis=1, keepdims=True)
+        beta[k:T - 1:L] = u
     return beta
-
-
-@dataclass
-class ForwardPass:
-    """The forward tables of K models on one sequence, member axis first,
-    and what the backward pass needs from them."""
-
-    alpha: np.ndarray          # (K, T, N)
-    scales: np.ndarray         # (K, T)
-    emit: np.ndarray           # (K, T, N)
-    op: np.ndarray             # (K, T-1, N, N) steps, or the (K, N, N) As
-    blocks: tuple | None
-    use_odometry: bool
-
-    def loglik(self, k) -> float:
-        return float(np.sum(np.log(self.scales[k])))
-
-    def impossible_step(self, k):
-        """Member k's first step of zero or non-finite probability, or None."""
-        bad = ~(np.isfinite(self.scales[k]) & (self.scales[k] > 0.0))
-        return int(np.argmax(bad)) if bad.any() else None
-
-    def trellises(self, members) -> list:
-        """The Trellis of each listed member, running the backward pass
-        for those members only."""
-        members = list(members)
-        sel = (slice(None) if members == list(range(len(self.alpha)))
-               else np.array(members, dtype=int))
-        beta = _backward_scan(self.alpha, self.op, self.emit, self.blocks,
-                              sel)
-        T1, N = self.alpha.shape[1] - 1, self.alpha.shape[2]
-        return [Trellis(
-            alpha=self.alpha[k], beta=b, scales=self.scales[k],
-            loglik=self.loglik(k), use_odometry=self.use_odometry,
-            emit=self.emit[k],
-            step=(self.op[k] if self.use_odometry
-                  else np.broadcast_to(self.op[k], (T1, N, N))))
-            for k, b in zip(members, beta)]
-
-
-def forward_pass(models, e: ExperienceSequence, use_odometry: bool = True,
-                 density_floor: float | None = None, phi=None, etas=None,
-                 out=None) -> ForwardPass:
-    """The scaled forward recursion of K models, which share a state count,
-    on one sequence, as one member-batched _scaled_scan.
-
-    With odometry each member's step operators are A times exp(phi @ eta)
-    (model.relation_log_density), written into out[:K] when given: a
-    (>= K, T-1, N, N) buffer that a caller may reuse once it has read the
-    last pass's steps. phi (reading_features of e.readings) and etas (each
-    model's natural_parameters) are computed when not given. Records a
-    member whose sequence dies (impossible_step) instead of raising.
-    """
-    K, T, N = len(models), len(e), models[0].n_states
-    emit = np.empty((K, T, N))
-    for k, m in enumerate(models):
-        emission_probs(m, e.observations, out=emit[k])
-    op = np.array([m.A for m in models])
-    if use_odometry:
-        if phi is None:
-            phi = reading_features(e.readings)
-        if etas is None:
-            etas = [natural_parameters(m.relations) for m in models]
-        A, op = op, np.empty((K, T - 1, N, N)) if out is None else out[:K]
-        np.matmul(phi, np.reshape(etas, (K, 7, N * N)),
-                  out=op.reshape(K, T - 1, N * N))
-        np.exp(op, out=op)
-        if density_floor is not None:
-            np.maximum(op, density_floor, out=op)
-        op *= A[:, None]
-    alpha, scales, blocks = _scaled_scan(
-        np.eye(N)[[m.start_state for m in models]], op, emit)
-    scales[:, 0] = [emit[k, 0, m.start_state] for k, m in enumerate(models)]
-    return ForwardPass(alpha=alpha, scales=scales, emit=emit, op=op,
-                       blocks=blocks, use_odometry=use_odometry)
 
 
 def forward_backward(model: GeoHmm, e: ExperienceSequence,
                      use_odometry: bool = True,
-                     density_floor: float | None = None) -> Trellis:
+                     density_floor: float | None = None,
+                     backward: bool = True, phi=None, eta=None,
+                     out=None) -> Trellis:
     """Run the scaled recursions; raises ImpossibleSequenceError if some
     step has zero total probability, before any backward work.
 
     With use_odometry off, all reading densities are replaced by 1 and the
-    recursion reduces to the plain observation-only HMM. The one-member
-    case of forward_pass and ForwardPass.trellises.
+    recursion reduces to the plain observation-only HMM. With backward
+    off, the backward scan is left to posteriors (Trellis.pending). phi,
+    eta and out go to relation_density_tensor: the step operators are
+    then written into out, a (T-1, N, N) buffer.
     """
-    fw = forward_pass([model], e, use_odometry, density_floor)
-    bad = fw.impossible_step(0)
-    if bad is not None:
-        raise ImpossibleSequenceError(bad)
-    return fw.trellises([0])[0]
+    T, N = len(e), model.n_states
+    emit = emission_probs(model, e.observations)
+    if use_odometry and T > 1:
+        step = relation_density_tensor(model, e, phi, eta, out)
+        if density_floor is not None:
+            np.maximum(step, density_floor, out=step)
+        step *= model.A
+        op = step
+    else:
+        step = np.broadcast_to(model.A, (T - 1, N, N))
+        op = model.A
+
+    alpha, scales, blocks = _scaled_scan(np.eye(N)[model.start_state], op,
+                                         emit)
+    scales[0] = emit[0, model.start_state]
+    bad = ~(np.isfinite(scales) & (scales > 0.0))
+    if bad.any():
+        raise ImpossibleSequenceError(int(np.argmax(bad)))
+    trellis = Trellis(alpha=alpha, beta=None, scales=scales,
+                      loglik=float(np.sum(np.log(scales))),
+                      use_odometry=use_odometry, emit=emit, step=step,
+                      pending=(op, blocks))
+    if backward:
+        _run_backward(trellis)
+    return trellis
+
+
+def _run_backward(trellis: Trellis) -> np.ndarray:
+    """trellis.beta, running the deferred backward scan first if needed."""
+    if trellis.beta is None:
+        op, blocks = trellis.pending
+        trellis.beta = _backward_scan(trellis.alpha, op, trellis.emit, blocks)
+        trellis.pending = None
+    return trellis.beta
 
 
 def loglik(models, observations) -> np.ndarray:
@@ -429,34 +379,33 @@ def _pair_sums(xi, phi):
     return (phi.T @ xi.reshape(len(xi), n * n)).reshape(7, n, n)
 
 
-def posteriors(trellis: Trellis, model: GeoHmm,
-               e: ExperienceSequence) -> Posteriors:
+def posteriors(trellis: Trellis, model: GeoHmm, e: ExperienceSequence,
+               phi=None, spend_step: bool = False) -> Posteriors:
     """Gamma and expected pair statistics from a trellis computed for the
-    same inputs, with or without odometry as the trellis was.
+    same inputs, with or without odometry as the trellis was; runs the
+    trellis's deferred backward scan, if any.
 
     xi[t] = alpha[t, :, None] * step[t] * v[t] with v = (emit * beta /
     Z)[1:]. Without odometry every step is A, so pair[k] = A * (U_k @ v)
     with U_k = alpha[:-1].T * w_k(r), formed one feature at a time from
     one contiguous (N, T-1) copy: no (T-1, N, N) or (T-1, 7, N) array is
-    built.
+    built. phi, the (T-1, 7) reading_features of e.readings, is computed
+    when not given; without odometry it may hold only the leading F
+    features, and pair then holds F sums. With spend_step, xi is built in
+    trellis.step's memory, which then holds xi.
     """
     T, N = len(e), model.n_states
     if trellis.alpha.shape != (T, N):
         raise ValueError("trellis does not match the given model/sequence")
-    return _posteriors(trellis, model.A, reading_features(e.readings))
+    if phi is None:
+        phi = reading_features(e.readings)
+    beta = _run_backward(trellis)
 
-
-def _posteriors(trellis: Trellis, A, phi, spend_step=False) -> Posteriors:
-    """posteriors, given the reading features phi (T-1, 7); without
-    odometry phi may hold only the leading F of them, and pair then holds
-    F sums. With spend_step, xi is built in trellis.step's memory, which
-    then holds xi: the EM loop's steps are dead once their posteriors are
-    taken."""
-    gamma = trellis.alpha * trellis.beta
+    gamma = trellis.alpha * beta
     mass = gamma.sum(axis=1)
     gamma /= mass[:, None]
 
-    v = trellis.emit[1:] * trellis.beta[1:]
+    v = trellis.emit[1:] * beta[1:]
     v /= (trellis.scales[1:] * mass[1:])[:, None]                # (T-1, N)
     if trellis.use_odometry:
         xi = np.multiply(trellis.alpha[:-1, :, None], trellis.step,
@@ -465,8 +414,8 @@ def _posteriors(trellis: Trellis, A, phi, spend_step=False) -> Posteriors:
         return Posteriors(gamma=gamma, pair=_pair_sums(xi, phi))
     a = np.ascontiguousarray(trellis.alpha[:-1].T)                # (N, T-1)
     u = np.empty_like(a)
-    pair = np.empty((phi.shape[1],) + A.shape)
+    pair = np.empty((phi.shape[1], N, N))
     for k, w in enumerate(phi.T):
         np.matmul(np.multiply(a, w, out=u), v, out=pair[k])
-    pair *= A
+    pair *= model.A
     return Posteriors(gamma=gamma, pair=pair)

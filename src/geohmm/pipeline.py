@@ -5,8 +5,7 @@ odometry, the initializer of the bucketing/tagging heuristics is used
 and restarts jitter its A and B but keep its geometry; without odometry
 (the plain Baum-Welch baseline) there is nothing to bucket by, so
 restarts use seeded random initial models. All randomness derives from
-one integer seed, and all of it is drawn before EM starts: the runs of
-one call then step in lockstep (estimation.em_learn_batch).
+one integer seed.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import LearnConfig, LearnReport, em_learn_batch
+from .estimation import LearnConfig, LearnReport, em_learn
 from .initialization import (BucketConfig, init_model, perturb_model,
                              random_model)
 from .model import CoordinateMode, ExperienceSequence, GeoHmm
@@ -46,18 +45,17 @@ def default_bucket_config(e: ExperienceSequence) -> BucketConfig:
                         sigma_theta=0.35)
 
 
-def start_models(e: ExperienceSequence, n_states: int, cfg: LearnConfig,
-                 restarts: int = 1, seed: int = 0,
-                 initial: GeoHmm | None = None,
-                 bucket_cfg: BucketConfig | None = None,
-                 obs_dims=None) -> list:
-    """The initial model of each of learn_runs' restarts.
+def learn_runs(e: ExperienceSequence, n_states: int, cfg: LearnConfig,
+               restarts: int = 1, seed: int = 0,
+               initial: GeoHmm | None = None,
+               bucket_cfg: BucketConfig | None = None,
+               obs_dims=None) -> list:
+    """Run EM `restarts` times and return every run's result.
 
     Restart 0 starts from `initial` when given, else from the odometric
     initializer (with odometry) or a seeded random model (without).
     Later restarts jitter that base model's A and B and share its
-    relations (odometry) or draw fresh random models (baseline). Restart
-    k draws from its own generator, spawned from `seed`.
+    relations (odometry) or draw fresh random models (baseline).
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -74,33 +72,16 @@ def start_models(e: ExperienceSequence, n_states: int, cfg: LearnConfig,
         base = init_model(e, n_states, bucket_cfg or default_bucket_config(e),
                           obs_dims=obs_dims, mode=mode)
 
-    rngs = [np.random.default_rng(ss) for ss in seeds]
-    if base is None:
-        return [random_model(n_states, obs_dims, rng, mode=mode)
-                for rng in rngs]
-    return [base] + [perturb_model(base, rng, scale=0.1) for rng in rngs[1:]]
-
-
-def learn_runs(e: ExperienceSequence, n_states: int, cfg: LearnConfig,
-               restarts: int = 1, seed: int = 0,
-               initial: GeoHmm | None = None,
-               bucket_cfg: BucketConfig | None = None,
-               obs_dims=None) -> list:
-    """Run EM from each of start_models' starts and return every run's
-    result, restart k with seed + k.
-
-    The starts are drawn first, then learned by one em_learn_batch: one
-    batched E-step per iteration over the restarts still running, each
-    frozen once it converges, is refused a step or reaches max_iters. Each
-    run equals em_learn from its start bit for bit. An
-    ImpossibleSequenceError is the lowest-index restart's, the one that
-    running the restarts one after another would raise.
-    """
-    starts = start_models(e, n_states, cfg, restarts, seed, initial,
-                          bucket_cfg, obs_dims)
-    return [RunResult(model=model, report=report, seed=seed + k)
-            for k, (model, report) in enumerate(
-                em_learn_batch(e, starts, cfg))]
+    results = []
+    for k, ss in enumerate(seeds):
+        rng = np.random.default_rng(ss)
+        if base is not None:
+            start = base if k == 0 else perturb_model(base, rng, scale=0.1)
+        else:
+            start = random_model(n_states, obs_dims, rng, mode=mode)
+        model, report = em_learn(e, start, cfg)
+        results.append(RunResult(model=model, report=report, seed=seed + k))
+    return results
 
 
 def best_index(results) -> int:

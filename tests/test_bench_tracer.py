@@ -25,9 +25,9 @@ from tracer import SPANNED, Tracer
 tracer = Tracer()
 tracer.install()
 # Imported after install, so these names are the tracer's wrappers.
-from geohmm import (ConstraintLevel, LearnConfig, LoopSpec, em_learn,
-                    forward_backward, kl_sampled, learn_runs, make_loop_model,
-                    posteriors, render_svg, sample_sequence, save_model)
+from geohmm import (ConstraintLevel, LearnConfig, LoopSpec, kl_sampled,
+                    learn_runs, make_loop_model, render_svg, sample_sequence,
+                    save_model)
 
 true = make_loop_model(LoopSpec())
 seq = sample_sequence(true, 100, np.random.default_rng(3))
@@ -35,11 +35,6 @@ runs = learn_runs(seq, 16, LearnConfig(
     constraint_level=ConstraintLevel.ADDITIVE, max_iters=3),
     restarts=2, seed=1)
 learned = runs[0].model
-# learn_runs steps its restarts through em_learn_batch and the batched
-# forward_pass, so the functions these hooks wrap are called directly.
-em_learn(seq, learned, LearnConfig(
-    constraint_level=ConstraintLevel.ADDITIVE, max_iters=1))
-posteriors(forward_backward(learned, seq), learned, seq)
 kl_sampled(true, learned, seq_length=50, n_sequences=2,
            rng=np.random.default_rng(4))
 render_svg(learned)

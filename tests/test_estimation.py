@@ -5,22 +5,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from geohmm import estimation, inference
+from geohmm import estimation, inference, pipeline
 from geohmm import model as model_module
-from geohmm.estimation import (REL_TOL, LearnConfig, em_learn, em_learn_batch,
+from geohmm.estimation import (REL_TOL, LearnConfig, em_learn,
                                project_headings, solve_positions,
                                update_observations, update_relations_additive,
                                update_relations_antisym, update_transitions)
 from geohmm.inference import (Posteriors, forward_backward, pair_statistics,
                               posteriors)
 from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
-                          GeoHmm, ImpossibleSequenceError, RelationMatrix,
-                          check_consistency, embed_relations,
-                          natural_parameters)
+                          GeoHmm, RelationMatrix, check_consistency,
+                          embed_relations, natural_parameters)
 from geohmm.circstats import wrap_angle
 from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
 from geohmm.initialization import init_model, random_model
-from geohmm.pipeline import default_bucket_config, learn_runs, start_models
+from geohmm.pipeline import default_bucket_config, learn_runs
 from oracles import (brute_force_posteriors, constrained_two_normal_mle,
                      random_experience, random_geohmm, reference_antisym_means,
                      reference_relation_log_density,
@@ -660,56 +659,44 @@ class TestOneEStepPerIteration:
                 assert got == pytest.approx(want, rel=1e-9)
 
     def test_one_forward_backward_per_iteration(self, monkeypatch):
-        # RELATIVE additive, whose relation candidates can lower Q and are
-        # then held (15, 11 and 6 times here): each one used to cost a
-        # second E-step. The restarts stop after 19, 15 and 10 iterations,
-        # so the lockstep loop steps fewer members as it goes. Counted in
-        # members: a pass over K members counts K.
-        forward, backward = [], []
-        scan, back = inference._scaled_scan, inference._backward_scan
+        # The relative-additive repro, whose relation candidates can lower
+        # Q and are then held: each one used to cost a second E-step (65
+        # calls for 50 iterations). The backward scan runs once per M-step:
+        # the E-step after the last one, or of a refused candidate, needs
+        # only the loglik.
+        calls, backward, per_run = [], [], []
+        scan = inference._backward_scan
 
-        def counted_scan(first, op, emit):
-            forward.append(len(emit))
-            return scan(first, op, emit)
+        def counted_fb(*args, **kwargs):
+            calls.append(1)
+            return forward_backward(*args, **kwargs)
 
-        def counted_back(*args):
-            beta = back(*args)
-            backward.append(len(beta))
-            return beta
+        def counted_scan(*args):
+            backward.append(1)
+            return scan(*args)
 
-        monkeypatch.setattr(inference, "_scaled_scan", counted_scan)
-        monkeypatch.setattr(inference, "_backward_scan", counted_back)
-        seq = sample_sequence(make_loop_model(LoopSpec(
-            mode=CoordinateMode.RELATIVE, obs_noise=0.15)), 800,
-            np.random.default_rng(103))
-        cfg = LearnConfig(constraint_level=ConstraintLevel.ADDITIVE,
-                          mode=CoordinateMode.RELATIVE, pseudocount=0.005)
+        def counted_learn(*args, **kwargs):
+            del calls[:], backward[:]
+            out = em_learn(*args, **kwargs)
+            per_run.append((len(calls), len(backward)))
+            return out
 
-        def e_steps(rep):
+        monkeypatch.setattr(estimation, "forward_backward", counted_fb)
+        monkeypatch.setattr(inference, "_backward_scan", counted_scan)
+        monkeypatch.setattr(pipeline, "em_learn", counted_learn)
+        runs = learn_runs(relative_loop(), 16, LearnConfig(
+            constraint_level=ConstraintLevel.ADDITIVE,
+            mode=CoordinateMode.RELATIVE), restarts=3, seed=5)
+        for run, (n_calls, n_backward) in zip(runs, per_run):
+            rep, trace = run.report, run.report.loglik_trace
             # A refused step costs one E-step more. It ends a run that
             # REL_TOL did not stop: after no step, or one that gained.
-            trace = rep.loglik_trace
             refused = rep.converged and (
                 rep.iterations_run == 0
                 or trace[-1] - trace[-2] >= REL_TOL * abs(trace[-2]))
-            return rep.iterations_run + 1 + refused
-
-        runs = learn_runs(seq, 16, cfg, restarts=3, seed=103)
-        assert [r.report.iterations_run for r in runs] == [19, 15, 10]
-        # One batched pass per round while any member steps.
-        assert len(forward) == max(e_steps(r.report) for r in runs)
-        assert sum(forward) == sum(e_steps(r.report) for r in runs)
-        # The last E-step of a member, whose model takes no M-step, runs
-        # no backward pass.
-        assert sum(backward) == sum(e_steps(r.report) - 1 for r in runs)
-        for run, start in zip(runs, start_models(seq, 16, cfg, restarts=3,
-                                                 seed=103)):
-            del forward[:], backward[:]
-            _, rep = em_learn(seq, start, cfg)
-            assert rep.loglik_trace == run.report.loglik_trace
-            assert forward == [1] * e_steps(rep)
-            assert backward == [1] * (e_steps(rep) - 1)
-            assert np.all(np.diff(rep.loglik_trace) >= 0.0)
+            assert n_calls == rep.iterations_run + 1 + refused
+            assert n_backward == n_calls - 1
+            assert np.all(np.diff(trace) >= 0.0)
             assert all(drop > 0.0 for _, drop in rep.monotonicity_violations)
         assert any(r.report.monotonicity_violations for r in runs)
 
@@ -922,164 +909,33 @@ class TestResumable:
             np.testing.assert_array_equal(got, want)
 
 
-def assert_same_run(got, want):
-    """Two (model, report) pairs equal bit for bit."""
-    (got_model, got_report), (want_model, want_report) = got, want
-    assert got_report.loglik_trace == want_report.loglik_trace
-    assert (got_report.monotonicity_violations
-            == want_report.monotonicity_violations)
-    assert got_report.iterations_run == want_report.iterations_run
-    assert got_report.converged == want_report.converged
-    for k in RelationMatrix.__slots__:
-        np.testing.assert_array_equal(getattr(got_model.relations, k),
-                                      getattr(want_model.relations, k))
-    np.testing.assert_array_equal(got_model.A, want_model.A)
-    for got_b, want_b in zip(got_model.B, want_model.B):
-        np.testing.assert_array_equal(got_b, want_b)
+class TestEStepReuse:
+    """em_learn's E-steps share one step buffer, the reading features and
+    each relation matrix's natural parameters."""
 
-
-class TestLockstep:
-    """learn_runs steps its restarts in lockstep over a member-batched
-    E-step; each run must equal em_learn from the same start, bit for bit."""
-
-    @pytest.mark.parametrize("mode", [CoordinateMode.GLOBAL,
-                                      CoordinateMode.RELATIVE])
-    @pytest.mark.parametrize("level", [ConstraintLevel.UNCONSTRAINED,
-                                       ConstraintLevel.ANTISYMMETRIC,
-                                       ConstraintLevel.ADDITIVE])
-    def test_restarts_equal_solo_runs(self, mode, level):
-        # RELATIVE additive: the restarts stop after 19, 15 and 10
-        # iterations and hold 15, 11 and 6 candidates.
-        seq = sample_sequence(
-            make_loop_model(LoopSpec(mode=mode, obs_noise=0.15)), 800,
-            np.random.default_rng(103))
-        cfg = LearnConfig(constraint_level=level, mode=mode,
-                          pseudocount=0.005)
-        runs = learn_runs(seq, 16, cfg, restarts=3, seed=103)
-        starts = start_models(seq, 16, cfg, restarts=3, seed=103)
-        for run, start in zip(runs, starts):
-            assert_same_run((run.model, run.report), em_learn(seq, start, cfg))
-
-    def test_restarts_equal_solo_runs_without_odometry(self):
-        # The restarts stop after 42 and 69 iterations and at max_iters.
-        seq = sample_sequence(make_loop_model(LoopSpec()), 200,
-                              np.random.default_rng(100))
-        cfg = LearnConfig(use_odometry=False, max_iters=100)
-        runs = learn_runs(seq, 16, cfg, restarts=3, seed=100)
-        assert [r.report.iterations_run for r in runs] == [42, 69, 100]
-        starts = start_models(seq, 16, cfg, restarts=3, seed=100)
-        for run, start in zip(runs, starts):
-            assert_same_run((run.model, run.report), em_learn(seq, start, cfg))
-
-    @pytest.mark.parametrize("use_odometry", [True, False])
-    def test_rescale_decided_per_member(self, monkeypatch, use_odometry):
-        # All readings 0 and all relation means 0, so every relation
-        # density is 1 / (2 pi var) / (2 pi): at var 1e-5 a 10-step block
-        # product passes 2**64 and is rescaled, at var 1 / (2 pi) it is
-        # not (emissions are uniform, 1/4 a step). A batch that rescaled
-        # both members would change the second one's last bits.
-        rng = np.random.default_rng(71)
-        base = random_geohmm(4, rng, obs_dims=(2, 2))
-        T = 101
-        seq = ExperienceSequence(
-            observations=np.stack([rng.integers(0, 2, size=T)] * 2, axis=1),
-            readings=np.zeros((T - 1, 3)))
-        uniform = (np.full((2, 4), 0.5),) * 2
-        sharp = (np.array([[0.97] * 4, [0.03] * 4]),) * 2
-
-        def member(var, B):
-            zero, spread = np.zeros((4, 4)), np.full((4, 4), var)
-            return base.replace(B=B, relations=RelationMatrix(
-                zero, zero, zero, spread, spread, zero))
-
-        members = [member(1e-5, sharp if not use_odometry else uniform),
-                   member(1.0 / (2.0 * np.pi), uniform)]
-        calls = []
-        frexp = np.frexp
-
-        def counted_frexp(*args, **kwargs):
-            calls.append(1)
-            return frexp(*args, **kwargs)
-
-        monkeypatch.setattr(np, "frexp", counted_frexp)
-        solo = []
-        for m in members:
-            del calls[:]
-            fw = inference.forward_pass([m], seq, use_odometry)
-            solo.append((fw, fw.trellises([0])[0], len(calls)))
-        assert solo[0][2] > 0 and solo[1][2] == 0
-        fw = inference.forward_pass(members, seq, use_odometry)
-        for k, trellis in enumerate(fw.trellises([0, 1])):
-            want_fw, want, _ = solo[k]
-            np.testing.assert_array_equal(fw.scales[k], want_fw.scales[0])
-            np.testing.assert_array_equal(trellis.alpha, want.alpha)
-            np.testing.assert_array_equal(trellis.beta, want.beta)
-            assert trellis.loglik == want.loglik
-        # A backward pass over one member equals the pass over both.
-        only, = fw.trellises([1])
-        np.testing.assert_array_equal(only.beta, solo[1][1].beta)
-        got = em_learn_batch(seq, members, LearnConfig(
-            use_odometry=use_odometry, max_iters=5))
-        for pair, m in zip(got, members):
-            assert_same_run(pair, em_learn(seq, m, LearnConfig(
-                use_odometry=use_odometry, max_iters=5)))
-
-    def test_impossible_sequence_raised_in_restart_order(self):
-        # Starts 1 and 2 each forbid one symbol of dimension 0 (2's occurs
-        # first); start 0 is fine. Run one after another, the starts
-        # raise at start 1; so does the lockstep loop, though start 2
-        # fails at an earlier step of the same round.
-        true = make_loop_model(LoopSpec())
-        seq = sample_sequence(true, 60, np.random.default_rng(5))
-        symbols = seq.observations[:, 0]
-        firsts = {int(s): int(np.argmax(symbols == s))
-                  for s in np.unique(symbols) if np.argmax(symbols == s) > 0}
-        late, early = sorted(firsts, key=firsts.get, reverse=True)[:2]
-
-        def forbid(symbol):
-            b = true.B[0].copy()
-            b[symbol] = 0.0
-            return true.replace(B=(b / b.sum(axis=0),) + true.B[1:])
-
-        starts = [true, forbid(late), forbid(early)]
-        cfg = LearnConfig(constraint_level=ConstraintLevel.ADDITIVE)
-        steps = []
-        for start in starts[1:]:
-            with pytest.raises(ImpossibleSequenceError) as err:
-                em_learn(seq, start, cfg)
-            steps.append(err.value.step)
-        assert steps == [firsts[late], firsts[early]]
-        assert steps[1] < steps[0]
-        with pytest.raises(ImpossibleSequenceError) as err:
-            em_learn_batch(seq, starts, cfg)
-        assert err.value.step == firsts[late]
-        with pytest.raises(ImpossibleSequenceError) as err:
-            em_learn_batch(seq, [starts[0], starts[2], starts[1]], cfg)
-        assert err.value.step == firsts[early]
-
-    def test_memory_one_step_tensor_per_member(self):
-        # desk_odometry's learn: the members' step operators share one
-        # (K, T-1, N, N) buffer that every round reuses, and xi is built in
-        # a member's dead steps. A second step tensor or a fresh xi per
-        # round would pass the bound.
-        n, T, K = 16, 800, 3
+    def test_memory_one_step_tensor(self):
+        # desk_odometry's learn. Every E-step writes its step operators
+        # into one (T-1, N, N) buffer and xi is built in its dead steps; a
+        # second step tensor or a fresh xi per iteration would pass the
+        # bound of two.
+        n, T = 16, 800
         seq = sample_sequence(make_loop_model(LoopSpec()), T,
                               np.random.default_rng(7))
         cfg = LearnConfig(constraint_level=ConstraintLevel.ADDITIVE,
                           pseudocount=0.005, max_iters=4)
         tracemalloc.start()
         try:
-            runs = learn_runs(seq, n, cfg, restarts=K, seed=5)
+            runs = learn_runs(seq, n, cfg, restarts=3, seed=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [r.report.iterations_run for r in runs] == [4] * K
-        assert peak < (K + 1) * 8 * (T - 1) * n * n, peak
+        assert [r.report.iterations_run for r in runs] == [4] * 3
+        assert peak < 2 * 8 * (T - 1) * n * n, peak
 
     def test_features_once_eta_once_per_relation_matrix(self, monkeypatch):
-        # The reading features are computed once per learn, and the
-        # natural parameters once per start and once per M-step: the
-        # E-step and the GEM guard share them (27 and 39 calls before).
+        # The reading features are computed once per run, and the natural
+        # parameters once per start and once per M-step: the E-step and
+        # the GEM guard share them (27 and 39 calls before).
         calls = {"reading_features": 0, "natural_parameters": 0}
         for name in calls:
             original = getattr(model_module, name)
@@ -1097,18 +953,8 @@ class TestLockstep:
             max_iters=4), restarts=3, seed=5)
         steps = sum(r.report.iterations_run for r in runs)
         assert steps == 12
-        assert calls == {"reading_features": 1,
+        assert calls == {"reading_features": len(runs),
                          "natural_parameters": len(runs) + steps}
-
-    def test_no_starts(self):
-        assert em_learn_batch(relative_loop(), [], LearnConfig()) == []
-
-    def test_starts_of_different_sizes_rejected(self):
-        true = make_loop_model(LoopSpec())
-        seq = sample_sequence(true, 50, np.random.default_rng(3))
-        small = random_model(4, true.obs_dims, np.random.default_rng(4))
-        with pytest.raises(ValueError, match="one state count"):
-            em_learn_batch(seq, [true, small], LearnConfig())
 
 
 class TestLearnConfigValidation:
