@@ -22,8 +22,7 @@ def arm(use_odometry, seed):
     cfg = LearnConfig(constraint_level=ConstraintLevel.ADDITIVE,
                       use_odometry=use_odometry, max_iters=200,
                       pseudocount=0.005)
-    results = learn_runs(seq, true_model.n_states, cfg, restarts=3, seed=seed,
-                         obs_dims=true_model.obs_dims)
+    results = learn_runs(seq, true_model.n_states, cfg, restarts=3, seed=seed)
     kls, iters = [], []
     for r in results:
         est = kl_sampled(true_model, r.model, 1000, 10,

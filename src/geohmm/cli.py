@@ -83,9 +83,9 @@ def write_manifest(path, command, argv, seed, inputs, outputs, started,
 
 def report_payload(results, chosen):
     runs = []
-    for r in results:
+    for k, r in enumerate(results):
         runs.append({
-            "seed": r.seed,
+            "restart": k,
             "iterations": r.report.iterations_run,
             "converged": r.report.converged,
             "final_loglik": r.final_loglik,

@@ -143,28 +143,28 @@ def _lagged_theta_means(s0, ssin, scos, kappa_old, mu_old):
     return mu
 
 
-def _spread_updates(post: Posteriors, R_old, mu_x, mu_y, mu_theta,
-                    damping: float = 0.0):
+def _spread_updates(post: Posteriors, R_old, mu_x, mu_y, mu_theta):
     """Variances against the new means (normal dims) and concentrations
     against the new mean directions (heading), per direction.
 
-    Directions with zero posterior weight keep the old parameters. With
-    damping > 0, that many pseudo-observations drawn at the previous
-    parameters are blended into each refit; the damped value lies between
-    the old value and the conditional maximizer, so expected
-    complete-data likelihood still ascends, while near-zero-weight pairs
-    can no longer collapse onto razor-thin spreads.
+    Directions with zero posterior weight keep the old parameters.
+    SPREAD_DAMPING pseudo-observations drawn at the previous parameters
+    are blended into each refit; the damped value lies between the old
+    value and the conditional maximizer, so expected complete-data
+    likelihood still ascends, while near-zero-weight pairs can no longer
+    collapse onto razor-thin spreads.
     """
     s0, sx, sy, sxx, syy, ssin, scos = post.pair
     live = s0 > 0.0
-    denom = s0 + damping
+    denom = s0 + SPREAD_DAMPING
 
     def fit_var(s1, s2, mu, old):
         # sum_t xi (r - mu)^2, expanded over the pair statistics
         num = s2 - 2.0 * mu * s1 + mu * mu * s0
         out = np.array(old, copy=True)
         out[live] = np.maximum(
-            (num[live] + damping * old[live]) / denom[live], VAR_FLOOR)
+            (num[live] + SPREAD_DAMPING * old[live]) / denom[live],
+            VAR_FLOOR)
         return out
 
     var_x = fit_var(sx, sxx, mu_x, R_old.var_x)
@@ -173,11 +173,9 @@ def _spread_updates(post: Posteriors, R_old, mu_x, mu_y, mu_theta,
     resultant = np.zeros_like(s0)
     resultant[live] = (np.cos(mu_theta[live]) * scos[live]
                        + np.sin(mu_theta[live]) * ssin[live]) / s0[live]
-    if damping > 0.0:
-        old_resultant = bessel_ratio(
-            np.clip(R_old.kappa_theta, 0.0, KAPPA_MAX))
-        resultant[live] = ((s0[live] * resultant[live]
-                            + damping * old_resultant[live]) / denom[live])
+    old_resultant = bessel_ratio(np.clip(R_old.kappa_theta, 0.0, KAPPA_MAX))
+    resultant[live] = ((s0[live] * resultant[live]
+                        + SPREAD_DAMPING * old_resultant[live]) / denom[live])
     kappa = np.array(R_old.kappa_theta, copy=True)
     kappa[live] = np.minimum(
         resultant_to_kappa(np.clip(resultant[live], 0.0, 1.0)), KAPPA_MAX)
@@ -191,8 +189,7 @@ def _spread_updates(post: Posteriors, R_old, mu_x, mu_y, mu_theta,
 
 
 def update_relations_antisym(post: Posteriors, R_old: RelationMatrix,
-                             mode: CoordinateMode,
-                             damping: float = 0.0) -> RelationMatrix:
+                             mode: CoordinateMode) -> RelationMatrix:
     """One lag-behind anti-symmetric reestimation of the relation matrix.
 
     Means are computed from both traversal directions with the previous
@@ -235,13 +232,12 @@ def update_relations_antisym(post: Posteriors, R_old: RelationMatrix,
     mu_x, mu_y = R_old.mu_x.copy(), R_old.mu_y.copy()
     mu_x[i, j], mu_y[i, j] = m_x, m_y
     mu_x[j, i], mu_y[j, i] = -back_x, -back_y
-    var_x, var_y, kappa = _spread_updates(
-        post, R_old, mu_x, mu_y, mu_theta, damping)
+    var_x, var_y, kappa = _spread_updates(post, R_old, mu_x, mu_y, mu_theta)
     return RelationMatrix(mu_x, mu_y, mu_theta, var_x, var_y, kappa)
 
 
-def update_relations_unconstrained(post: Posteriors, R_old: RelationMatrix,
-                                   damping: float = 0.0) -> RelationMatrix:
+def update_relations_unconstrained(post: Posteriors,
+                                   R_old: RelationMatrix) -> RelationMatrix:
     """Independent per-direction reestimation (diagonal still pinned)."""
     s0, sx, sy, _, _, ssin, scos = post.pair
     live = s0 > 0.0
@@ -252,8 +248,7 @@ def update_relations_unconstrained(post: Posteriors, R_old: RelationMatrix,
     mu_theta = np.where(live, np.arctan2(ssin, scos), R_old.mu_theta)
     for m in (mu_x, mu_y, mu_theta):
         np.fill_diagonal(m, 0.0)
-    var_x, var_y, kappa = _spread_updates(
-        post, R_old, mu_x, mu_y, mu_theta, damping)
+    var_x, var_y, kappa = _spread_updates(post, R_old, mu_x, mu_y, mu_theta)
     return RelationMatrix(mu_x, mu_y, mu_theta, var_x, var_y, kappa)
 
 
@@ -359,8 +354,7 @@ def embed_positions(dx, dy, weight_x, weight_y, theta,
 
 
 def update_relations_additive(post: Posteriors, R_old: RelationMatrix,
-                              mode: CoordinateMode,
-                              damping: float = 0.0) -> RelationMatrix:
+                              mode: CoordinateMode) -> RelationMatrix:
     """Fully additive reestimation via per-state coordinates.
 
     Headings: lag-behind anti-symmetric estimates projected onto an
@@ -385,8 +379,7 @@ def update_relations_additive(post: Posteriors, R_old: RelationMatrix,
 
     mu_x, mu_y, mu_theta = embed_relations(pos_x, pos_y, theta, mode)
 
-    var_x, var_y, kappa = _spread_updates(
-        post, R_old, mu_x, mu_y, mu_theta, damping)
+    var_x, var_y, kappa = _spread_updates(post, R_old, mu_x, mu_y, mu_theta)
     return RelationMatrix(mu_x, mu_y, mu_theta, var_x, var_y, kappa)
 
 
@@ -411,11 +404,15 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm,
     One iteration depends only on the current model, so max_iters=1 calls,
     each from the last call's model, take the steps of one longer run.
 
-    The reading features are computed once per run and each relation
-    matrix's natural parameters once: the E-step and the guard share
-    them. Every E-step writes its step operators into one buffer, in which
-    posteriors then builds xi, and leaves the backward scan to posteriors,
-    so a model that takes no M-step costs the forward scan alone.
+    Three savings per iteration change no bit of the tables. The reading
+    features are computed once per run and each relation matrix's natural
+    parameters once: the E-step and the guard share them. Every E-step
+    writes its step operators into one (T-1, N, N) buffer, in which
+    posteriors then builds xi: a learn keeps about one step tensor alive
+    instead of two or three, and its pages are faulted in once per run,
+    not twice per iteration. And the backward scan runs only when
+    posteriors reads Trellis.beta, so the E-step after the last M-step,
+    or of a refused or converged candidate, costs the forward scan alone.
     """
     mode = cfg.mode or initial.mode
     if mode is not initial.mode:
@@ -431,8 +428,7 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm,
 
     def e_step(m, eta):
         trellis = forward_backward(m, e, odometry, cfg.density_floor,
-                                   backward=False, phi=phi, eta=eta,
-                                   out=steps)
+                                   phi=phi, eta=eta, out=steps)
         if not cfg.pseudocount:
             return trellis, trellis.loglik
         with np.errstate(divide="ignore"):
@@ -447,19 +443,16 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm,
     converged = False
 
     for it in range(1, cfg.max_iters + 1):
-        post = posteriors(trellis, model, e, phi, spend_step=True)
+        post = posteriors(trellis, model, e, phi)
         relations = R = model.relations
         eta_new = eta
         if odometry:
             if cfg.constraint_level is ConstraintLevel.UNCONSTRAINED:
-                relations = update_relations_unconstrained(
-                    post, R, SPREAD_DAMPING)
+                relations = update_relations_unconstrained(post, R)
             elif cfg.constraint_level is ConstraintLevel.ANTISYMMETRIC:
-                relations = update_relations_antisym(
-                    post, R, mode, SPREAD_DAMPING)
+                relations = update_relations_antisym(post, R, mode)
             else:
-                relations = update_relations_additive(
-                    post, R, mode, SPREAD_DAMPING)
+                relations = update_relations_additive(post, R, mode)
             eta_new = natural_parameters(relations)
             q_old = float(np.vdot(post.pair, eta))
             drop = q_old - float(np.vdot(post.pair, eta_new))

@@ -50,18 +50,10 @@ as one product against 11-12 us batched, the forward fill 2.6 against
 stages of each. Every c_t and beta normalizer is still the row sum of a
 sequential step, so the recursion with odometry is unchanged bit for bit.
 
-The EM loop (estimation.em_learn) saves three kinds of work per
-iteration, none of which changes a bit of the tables. It passes
-forward_backward the reading features phi, computed once per run, and
-the model's natural parameters eta, computed once per relation matrix.
-It passes one (T-1, N, N) buffer, out, that every iteration's step
-operators reuse, and posteriors builds xi in those dead steps
-(spend_step): a learn then keeps about one step tensor alive instead of
-two or three, and its pages are faulted in once per run, not twice per
-iteration. And it defers the backward scan (backward=False) to
-posteriors, which runs it for a trellis that takes an M-step only: the
-E-step after the last M-step, or of a refused or converged candidate,
-costs the forward scan alone.
+The backward scan runs on the first read of Trellis.beta, so a trellis
+whose posteriors are never formed costs the forward scan alone, and
+posteriors builds xi in the memory of the trellis's step operators,
+which it spends; estimation.em_learn says what each saves.
 
 loglik, which scores S strings under K models forward only, runs
 Rabiner's sequential recursion instead: T Python steps over one (K, S,
@@ -77,6 +69,7 @@ strings sequential.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,19 +85,24 @@ class Trellis:
 
     step[t] is the operator of the transition t -> t+1: A times the
     densities of the reading recorded on it (A itself, broadcast, without
-    odometry). emit[t] holds the per-state observation probabilities.
-    beta is None while the backward scan is deferred (forward_backward's
-    backward=False); pending then holds what that scan needs.
+    odometry); None once posteriors has built xi in its memory. emit[t]
+    holds the per-state observation probabilities. beta runs the backward
+    scan from pending on its first read.
     """
 
     alpha: np.ndarray          # (T, N), rows sum to 1
-    beta: np.ndarray | None    # (T, N), scaled with the alpha scales
     scales: np.ndarray         # (T,) positive normalizers
     loglik: float
     use_odometry: bool
     emit: np.ndarray           # (T, N)
-    step: np.ndarray           # (T-1, N, N)
+    step: np.ndarray | None    # (T-1, N, N)
     pending: tuple | None = None   # (op, block products) of the scan
+
+    @functools.cached_property
+    def beta(self) -> np.ndarray:
+        """(T, N) backward table, scaled with the alpha scales."""
+        op, blocks = self.pending
+        return _backward_scan(self.alpha, op, self.emit, blocks)
 
 
 @dataclass
@@ -274,16 +272,15 @@ def _backward_scan(alpha, op, emit, blocks):
 def forward_backward(model: GeoHmm, e: ExperienceSequence,
                      use_odometry: bool = True,
                      density_floor: float | None = None,
-                     backward: bool = True, phi=None, eta=None,
-                     out=None) -> Trellis:
-    """Run the scaled recursions; raises ImpossibleSequenceError if some
-    step has zero total probability, before any backward work.
+                     phi=None, eta=None, out=None) -> Trellis:
+    """Run the forward scan; raises ImpossibleSequenceError if some step
+    has zero total probability. The backward scan waits for the first
+    read of Trellis.beta.
 
     With use_odometry off, all reading densities are replaced by 1 and the
-    recursion reduces to the plain observation-only HMM. With backward
-    off, the backward scan is left to posteriors (Trellis.pending). phi,
-    eta and out go to relation_density_tensor: the step operators are
-    then written into out, a (T-1, N, N) buffer.
+    recursion reduces to the plain observation-only HMM. phi, eta and out
+    go to relation_density_tensor: the step operators are then written
+    into out, a (T-1, N, N) buffer.
     """
     T, N = len(e), model.n_states
     emit = emission_probs(model, e.observations)
@@ -303,22 +300,10 @@ def forward_backward(model: GeoHmm, e: ExperienceSequence,
     bad = ~(np.isfinite(scales) & (scales > 0.0))
     if bad.any():
         raise ImpossibleSequenceError(int(np.argmax(bad)))
-    trellis = Trellis(alpha=alpha, beta=None, scales=scales,
-                      loglik=float(np.sum(np.log(scales))),
-                      use_odometry=use_odometry, emit=emit, step=step,
-                      pending=(op, blocks))
-    if backward:
-        _run_backward(trellis)
-    return trellis
-
-
-def _run_backward(trellis: Trellis) -> np.ndarray:
-    """trellis.beta, running the deferred backward scan first if needed."""
-    if trellis.beta is None:
-        op, blocks = trellis.pending
-        trellis.beta = _backward_scan(trellis.alpha, op, trellis.emit, blocks)
-        trellis.pending = None
-    return trellis.beta
+    return Trellis(alpha=alpha, scales=scales,
+                   loglik=float(np.sum(np.log(scales))),
+                   use_odometry=use_odometry, emit=emit, step=step,
+                   pending=(op, blocks))
 
 
 def loglik(models, observations) -> np.ndarray:
@@ -380,10 +365,10 @@ def _pair_sums(xi, phi):
 
 
 def posteriors(trellis: Trellis, model: GeoHmm, e: ExperienceSequence,
-               phi=None, spend_step: bool = False) -> Posteriors:
+               phi=None) -> Posteriors:
     """Gamma and expected pair statistics from a trellis computed for the
-    same inputs, with or without odometry as the trellis was; runs the
-    trellis's deferred backward scan, if any.
+    same inputs, with or without odometry as the trellis was; reads
+    trellis.beta, which runs the backward scan.
 
     xi[t] = alpha[t, :, None] * step[t] * v[t] with v = (emit * beta /
     Z)[1:]. Without odometry every step is A, so pair[k] = A * (U_k @ v)
@@ -391,15 +376,19 @@ def posteriors(trellis: Trellis, model: GeoHmm, e: ExperienceSequence,
     one contiguous (N, T-1) copy: no (T-1, N, N) or (T-1, 7, N) array is
     built. phi, the (T-1, 7) reading_features of e.readings, is computed
     when not given; without odometry it may hold only the leading F
-    features, and pair then holds F sums. With spend_step, xi is built in
-    trellis.step's memory, which then holds xi.
+    features, and pair then holds F sums. xi is built in trellis.step's
+    memory when the trellis owns a writable step tensor (with odometry
+    and T > 1), which spends it: trellis.step becomes None, and a second
+    call raises ValueError.
     """
     T, N = len(e), model.n_states
     if trellis.alpha.shape != (T, N):
         raise ValueError("trellis does not match the given model/sequence")
+    if trellis.step is None:
+        raise ValueError("trellis already spent: its step operators hold xi")
     if phi is None:
         phi = reading_features(e.readings)
-    beta = _run_backward(trellis)
+    beta = trellis.beta
 
     gamma = trellis.alpha * beta
     mass = gamma.sum(axis=1)
@@ -408,8 +397,12 @@ def posteriors(trellis: Trellis, model: GeoHmm, e: ExperienceSequence,
     v = trellis.emit[1:] * beta[1:]
     v /= (trellis.scales[1:] * mass[1:])[:, None]                # (T-1, N)
     if trellis.use_odometry:
-        xi = np.multiply(trellis.alpha[:-1, :, None], trellis.step,
-                         out=trellis.step if spend_step else None)
+        step = trellis.step
+        own = step.flags.writeable     # T = 1 gives a read-only broadcast
+        if own:
+            trellis.step = None
+        xi = np.multiply(trellis.alpha[:-1, :, None], step,
+                         out=step if own else None)
         xi *= v[:, None, :]
         return Posteriors(gamma=gamma, pair=_pair_sums(xi, phi))
     a = np.ascontiguousarray(trellis.alpha[:-1].T)                # (N, T-1)

@@ -24,7 +24,6 @@ from .model import CoordinateMode, ExperienceSequence, GeoHmm
 class RunResult:
     model: GeoHmm
     report: LearnReport
-    seed: int
 
     @property
     def final_loglik(self) -> float:
@@ -48,23 +47,23 @@ def default_bucket_config(e: ExperienceSequence) -> BucketConfig:
 def learn_runs(e: ExperienceSequence, n_states: int, cfg: LearnConfig,
                restarts: int = 1, seed: int = 0,
                initial: GeoHmm | None = None,
-               bucket_cfg: BucketConfig | None = None,
-               obs_dims=None) -> list:
+               bucket_cfg: BucketConfig | None = None) -> list:
     """Run EM `restarts` times and return every run's result.
 
     Restart 0 starts from `initial` when given, else from the odometric
     initializer (with odometry) or a seeded random model (without).
     Later restarts jitter that base model's A and B and share its
-    relations (odometry) or draw fresh random models (baseline).
+    relations (odometry) or draw fresh random models (baseline). Restart
+    k draws from SeedSequence(seed).spawn(restarts)[k]. Each alphabet is
+    read off the data: its dimension's largest symbol plus one.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if n_states < 1:
         raise ValueError("n_states must be at least 1, got %d" % n_states)
     seeds = np.random.SeedSequence(seed).spawn(restarts)
-    if obs_dims is None:
-        obs_dims = tuple(int(e.observations[:, i].max()) + 1
-                         for i in range(e.n_dims))
+    obs_dims = tuple(int(e.observations[:, i].max()) + 1
+                     for i in range(e.n_dims))
 
     mode = cfg.mode or CoordinateMode.GLOBAL
     base = initial
@@ -80,7 +79,7 @@ def learn_runs(e: ExperienceSequence, n_states: int, cfg: LearnConfig,
         else:
             start = random_model(n_states, obs_dims, rng, mode=mode)
         model, report = em_learn(e, start, cfg)
-        results.append(RunResult(model=model, report=report, seed=seed + k))
+        results.append(RunResult(model=model, report=report))
     return results
 
 

@@ -221,9 +221,11 @@ def reference_forward_backward(model: GeoHmm, e: ExperienceSequence,
     for t in range(T - 2, -1, -1):
         beta[t] = step[t] @ (emit[t + 1] * beta[t + 1]) / scales[t + 1]
 
-    return Trellis(alpha=alpha, beta=beta, scales=scales,
-                   loglik=float(np.sum(np.log(scales))),
-                   use_odometry=use_odometry, emit=emit, step=step)
+    trellis = Trellis(alpha=alpha, scales=scales,
+                      loglik=float(np.sum(np.log(scales))),
+                      use_odometry=use_odometry, emit=emit, step=step)
+    trellis.beta = beta
+    return trellis
 
 
 def reference_loglik(model: GeoHmm, observations) -> np.ndarray:

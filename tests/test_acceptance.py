@@ -262,7 +262,7 @@ def _learn_config(use_odometry):
 def _learn_arm(true_model, seq, use_odometry, seed, restarts=10):
     results = learn_runs(seq, true_model.n_states,
                          _learn_config(use_odometry), restarts=restarts,
-                         seed=seed, obs_dims=true_model.obs_dims)
+                         seed=seed)
     return ([r.model for r in results],
             [r.report.iterations_run for r in results])
 

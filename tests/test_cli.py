@@ -90,6 +90,18 @@ class TestLearn:
         assert r1 == r2
         assert len(r1["runs"]) == 3
 
+    def test_runs_carry_their_restart_index(self, tmp_path, experience_path):
+        # A run is reproduced by replaying the manifest (same --seed and
+        # --restarts); "seed" + k used to be recorded, which reproduced
+        # nothing after restart 0.
+        out = tmp_path / "m.json"
+        assert main(["learn", str(experience_path), "-o", str(out),
+                     "-n", "16", "--restarts", "3", "--seed", "10",
+                     "--max-iters", "3"]) == EXIT_OK
+        report = json.loads((tmp_path / "m.json.report.json").read_text())
+        assert [run["restart"] for run in report["runs"]] == [0, 1, 2]
+        assert not any("seed" in run for run in report["runs"])
+
     def test_additive_output_passes_check(self, tmp_path, experience_path):
         out = tmp_path / "m.json"
         assert main(["learn", str(experience_path), "-o", str(out),

@@ -7,10 +7,12 @@ import pytest
 
 from geohmm import estimation, inference, pipeline
 from geohmm import model as model_module
-from geohmm.estimation import (REL_TOL, LearnConfig, em_learn,
+from geohmm.estimation import (REL_TOL, SPREAD_DAMPING, LearnConfig, em_learn,
                                project_headings, solve_positions,
                                update_observations, update_relations_additive,
-                               update_relations_antisym, update_transitions)
+                               update_relations_antisym,
+                               update_relations_unconstrained,
+                               update_transitions)
 from geohmm.inference import (Posteriors, forward_backward, pair_statistics,
                               posteriors)
 from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
@@ -243,7 +245,10 @@ class TestUpdateRelationsAntisym:
                                      RelationMatrix.zero(2, var=1.0),
                                      CoordinateMode.GLOBAL)
         want_mu = np.average(vals, weights=weights)
-        want_var = np.average((vals - want_mu) ** 2, weights=weights)
+        # The weighted squared deviations plus SPREAD_DAMPING
+        # pseudo-observations at the old variance, 1.
+        want_var = ((np.sum(weights * (vals - want_mu) ** 2) + SPREAD_DAMPING)
+                    / (np.sum(weights) + SPREAD_DAMPING))
         assert R.mu_x[0, 1] == pytest.approx(want_mu, rel=1e-12)
         assert R.var_x[0, 1] == pytest.approx(want_var, rel=1e-12)
         # dataless reverse direction keeps its previous variance
@@ -728,6 +733,35 @@ class TestOneEStepPerIteration:
         assert np.all(np.diff(trace[1:]) >= 0.0)
 
 
+class TestEmLearnRunsTheUpdates:
+    @pytest.mark.parametrize("mode", [CoordinateMode.GLOBAL,
+                                      CoordinateMode.RELATIVE])
+    @pytest.mark.parametrize("level", list(ConstraintLevel))
+    def test_one_step_equals_a_direct_update(self, mode, level):
+        # The update functions have one behaviour, the one em_learn runs:
+        # one step's relations are, bit for bit, a direct call on the
+        # posteriors of the starting model.
+        seq = sample_sequence(make_loop_model(LoopSpec(mode=mode)), 300,
+                              np.random.default_rng(17))
+        start = init_model(seq, 16, default_bucket_config(seq), mode=mode)
+        model, report = em_learn(seq, start, LearnConfig(
+            constraint_level=level, mode=mode, max_iters=1))
+        assert report.iterations_run == 1
+        assert report.monotonicity_violations == []
+        post = posteriors(forward_backward(start, seq), start, seq)
+        R = start.relations
+        if level is ConstraintLevel.UNCONSTRAINED:
+            want = update_relations_unconstrained(post, R)
+        elif level is ConstraintLevel.ANTISYMMETRIC:
+            want = update_relations_antisym(post, R, mode)
+        else:
+            want = update_relations_additive(post, R, mode)
+        for name in ("mu_x", "mu_y", "mu_theta", "var_x", "var_y",
+                     "kappa_theta"):
+            np.testing.assert_array_equal(getattr(model.relations, name),
+                                          getattr(want, name), err_msg=name)
+
+
 def lowered_candidate(post, R, rel_drop):
     """R with the mean of its heaviest pair moved away from that pair's
     reading mean, so <post.pair, eta> falls by rel_drop of its magnitude.
@@ -754,7 +788,7 @@ class TestGemTolerance:
         # 1e-6 of Q's relation term is not.
         made = []
 
-        def update(post, R, damping):
+        def update(post, R):
             made.append((post, R, lowered_candidate(post, R, rel_drop)))
             return made[-1][2]
 

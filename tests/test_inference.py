@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from geohmm import inference
 from geohmm.circstats import KAPPA_MAX, wrap_angle
 from geohmm.inference import (emission_probs, forward_backward, loglik,
                               pair_statistics, posteriors,
@@ -445,9 +446,12 @@ class TestPosteriors:
         model = random_geohmm(3, rng)
         e = random_experience(model, 1, rng)
         trellis = forward_backward(model, e, use_odometry=use_odometry)
-        post = posteriors(trellis, model, e)
-        assert post.pair.shape == (7, 3, 3)
-        assert not post.pair.any()
+        # The step is a read-only (0, N, N) broadcast of A, even with
+        # odometry: posteriors does not spend it.
+        for _ in range(2):
+            post = posteriors(trellis, model, e)
+            assert post.pair.shape == (7, 3, 3)
+            assert not post.pair.any()
 
     def test_mismatched_trellis_rejected(self):
         rng = np.random.default_rng(23)
@@ -489,8 +493,8 @@ class TestXiFreePosteriors:
                       sparse_geohmm(5, rng)):
             e = random_experience(model, T, rng)
             trellis = forward_backward(model, e, use_odometry)
-            got = posteriors(trellis, model, e)
             want = reference_posteriors(trellis, model, e)
+            got = posteriors(trellis, model, e)   # spends trellis.step
             np.testing.assert_allclose(got.gamma, want.gamma, rtol=1e-12,
                                        atol=0)
             np.testing.assert_allclose(got.pair, want.pair, rtol=0,
@@ -513,6 +517,42 @@ class TestXiFreePosteriors:
         # Below one (T-1, 7, N) float array: the weighted alpha rows are
         # formed one feature at a time.
         assert peak < 8 * (T - 1) * 7 * n, peak
+
+
+class TestSpentTrellis:
+    """posteriors builds xi in the trellis's step operators and reads the
+    lazily computed beta."""
+
+    def test_second_posteriors_call_raises(self):
+        rng = np.random.default_rng(71)
+        model = random_geohmm(3, rng)
+        e = random_experience(model, 9, rng)
+        trellis = forward_backward(model, e)
+        posteriors(trellis, model, e)
+        assert trellis.step is None
+        with pytest.raises(ValueError, match="spent"):
+            posteriors(trellis, model, e)
+
+    @pytest.mark.parametrize("use_odometry", [True, False])
+    def test_backward_scan_runs_once(self, monkeypatch, use_odometry):
+        scans = []
+        scan = inference._backward_scan
+
+        def counted_scan(*args):
+            scans.append(1)
+            return scan(*args)
+
+        monkeypatch.setattr(inference, "_backward_scan", counted_scan)
+        rng = np.random.default_rng(79)
+        model = random_geohmm(4, rng)
+        e = random_experience(model, 30, rng)
+        trellis = forward_backward(model, e, use_odometry)
+        assert scans == []
+        first = trellis.beta
+        assert trellis.beta is first
+        post = posteriors(trellis, model, e)
+        assert len(scans) == 1
+        np.testing.assert_allclose(post.gamma.sum(axis=1), 1.0, rtol=1e-12)
 
 
 def random_spread_relations(n, rng):
