@@ -8,7 +8,7 @@ from .estimation import (LearnConfig, LearnReport, em_learn, project_headings,
                          update_transitions)
 from .evalkl import KlEstimate, kl_sampled
 from .inference import (Posteriors, Trellis, forward_backward, loglik,
-                        pair_statistics, posteriors)
+                        posteriors)
 from .initialization import (BucketConfig, bucketize, init_model,
                              perturb_model, random_model, tag_states)
 from .io import load_experience, load_model, save_experience, save_model
@@ -33,10 +33,10 @@ __all__ = [
     "default_bucket_config", "em_learn", "embed_model_positions",
     "embed_relations", "forward_backward", "init_model", "kl_sampled",
     "learn_runs", "load_experience", "load_model", "loglik",
-    "make_loop_model", "pair_statistics", "perturb_model", "posteriors",
-    "project_headings", "random_model", "render_svg", "resultant_to_kappa",
-    "sample_path", "sample_sequence", "save_experience", "save_model",
-    "solve_positions", "tag_states", "update_observations",
-    "update_relations_additive", "update_relations_antisym",
-    "update_transitions", "vm_density", "vm_sample", "wrap_angle",
+    "make_loop_model", "perturb_model", "posteriors", "project_headings",
+    "random_model", "render_svg", "resultant_to_kappa", "sample_path",
+    "sample_sequence", "save_experience", "save_model", "solve_positions",
+    "tag_states", "update_observations", "update_relations_additive",
+    "update_relations_antisym", "update_transitions", "vm_density",
+    "vm_sample", "wrap_angle",
 ]

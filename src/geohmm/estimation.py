@@ -267,6 +267,8 @@ def solve_positions(targets, n: int) -> np.ndarray:
         raise ValueError("weights must be nonnegative")
     if ((t[:, :2] < 0) | (t[:, :2] >= n)).any():
         raise ValueError("target index out of range")
+    if (t[:, :2] % 1 != 0).any():
+        raise ValueError("target indices must be integers")
     t = t[(t[:, 3] != 0) & (t[:, 0] != t[:, 1])]
     i, j = t[:, 0].astype(int), t[:, 1].astype(int)
     # Interleaved (i, j) per target: bincount then adds every entry's

@@ -40,15 +40,15 @@ Python overhead saved at the state counts used here.
 
 Without odometry every operator is A diag(emit[t+1]) with the same A, so
 forward_backward hands both scans the (N, N) matrix A, not a stride-0
-(T-1, N, N) view of it (Trellis.step stays that view). The stages then
-differ only in how their product is formed: the m block products of a
-stage are one (m N, N) @ (N, N) product, the forward fill is (m, N) @ A
-and the backward fill u @ A.T. At N=16 and T=800 (m=29 blocks; best of
-7 x 2000 calls, 2-core VM, OpenBLAS) a stage's block product took 9.7 us
-as one product against 11-12 us batched, the forward fill 2.6 against
-6.9 us and the backward fill 3.6 against 8.3 us; the scans run 28
-stages of each. Every c_t and beta normalizer is still the row sum of a
-sequential step, so the recursion with odometry is unchanged bit for bit.
+(T-1, N, N) view of it. The stages then differ only in how their product
+is formed: the m block products of a stage are one (m N, N) @ (N, N)
+product, the forward fill is (m, N) @ A and the backward fill u @ A.T.
+At N=16 and T=800 (m=29 blocks; best of 7 x 2000 calls, 2-core VM,
+OpenBLAS) a stage's block product took 9.7 us as one product against
+11-12 us batched, the forward fill 2.6 against 6.9 us and the backward
+fill 3.6 against 8.3 us; the scans run 28 stages of each. Every c_t
+and beta normalizer is still the row sum of a sequential step, so the
+recursion with odometry is unchanged bit for bit.
 
 The backward scan runs on the first read of Trellis.beta, so a trellis
 whose posteriors are never formed costs the forward scan alone, and
@@ -83,20 +83,20 @@ from .model import (ExperienceSequence, GeoHmm, ImpossibleSequenceError,
 class Trellis:
     """Scaled forward/backward tables for one (model, sequence) pair.
 
-    step[t] is the operator of the transition t -> t+1: A times the
-    densities of the reading recorded on it (A itself, broadcast, without
-    odometry); None once posteriors has built xi in its memory. emit[t]
-    holds the per-state observation probabilities. beta runs the backward
-    scan from pending on its first read.
+    pending holds the scans' operator and block products. With odometry
+    and T > 1 the operator is the (T-1, N, N) step tensor: step[t], the
+    operator of the transition t -> t+1, is A times the densities of the
+    reading recorded on it. Otherwise it is the (N, N) matrix A. pending
+    is None once posteriors has built xi in the step tensor's memory.
+    emit[t] holds the per-state observation probabilities. beta runs the
+    backward scan from pending on its first read.
     """
 
     alpha: np.ndarray          # (T, N), rows sum to 1
     scales: np.ndarray         # (T,) positive normalizers
     loglik: float
-    use_odometry: bool
     emit: np.ndarray           # (T, N)
-    step: np.ndarray | None    # (T-1, N, N)
-    pending: tuple | None = None   # (op, block products) of the scan
+    pending: tuple | None      # (operator, block products) of the scans
 
     @functools.cached_property
     def beta(self) -> np.ndarray:
@@ -282,27 +282,22 @@ def forward_backward(model: GeoHmm, e: ExperienceSequence,
     go to relation_density_tensor: the step operators are then written
     into out, a (T-1, N, N) buffer.
     """
-    T, N = len(e), model.n_states
     emit = emission_probs(model, e.observations)
-    if use_odometry and T > 1:
-        step = relation_density_tensor(model, e, phi, eta, out)
+    op = model.A
+    if use_odometry and len(e) > 1:
+        op = relation_density_tensor(model, e, phi, eta, out)
         if density_floor is not None:
-            np.maximum(step, density_floor, out=step)
-        step *= model.A
-        op = step
-    else:
-        step = np.broadcast_to(model.A, (T - 1, N, N))
-        op = model.A
+            np.maximum(op, density_floor, out=op)
+        op *= model.A
 
-    alpha, scales, blocks = _scaled_scan(np.eye(N)[model.start_state], op,
-                                         emit)
+    alpha, scales, blocks = _scaled_scan(
+        np.eye(model.n_states)[model.start_state], op, emit)
     scales[0] = emit[0, model.start_state]
     bad = ~(np.isfinite(scales) & (scales > 0.0))
     if bad.any():
         raise ImpossibleSequenceError(int(np.argmax(bad)))
     return Trellis(alpha=alpha, scales=scales,
-                   loglik=float(np.sum(np.log(scales))),
-                   use_odometry=use_odometry, emit=emit, step=step,
+                   loglik=float(np.sum(np.log(scales))), emit=emit,
                    pending=(op, blocks))
 
 
@@ -349,21 +344,6 @@ def loglik(models, observations) -> np.ndarray:
         return np.where(live, np.log(scales).sum(axis=0), -np.inf)
 
 
-def pair_statistics(xi: np.ndarray, readings: np.ndarray) -> np.ndarray:
-    """(7, N, N) xi-weighted sums over t of 1, dx, dy, dx^2, dy^2,
-    sin(dtheta) and cos(dtheta), the order of Posteriors.pair.
-
-    xi is (T-1, N, N) and readings (T-1, 3); the sums are one
-    (7, T-1) @ (T-1, N*N) product.
-    """
-    return _pair_sums(xi, reading_features(readings))
-
-
-def _pair_sums(xi, phi):
-    n = xi.shape[1]
-    return (phi.T @ xi.reshape(len(xi), n * n)).reshape(7, n, n)
-
-
 def posteriors(trellis: Trellis, model: GeoHmm, e: ExperienceSequence,
                phi=None) -> Posteriors:
     """Gamma and expected pair statistics from a trellis computed for the
@@ -371,24 +351,26 @@ def posteriors(trellis: Trellis, model: GeoHmm, e: ExperienceSequence,
     trellis.beta, which runs the backward scan.
 
     xi[t] = alpha[t, :, None] * step[t] * v[t] with v = (emit * beta /
-    Z)[1:]. Without odometry every step is A, so pair[k] = A * (U_k @ v)
-    with U_k = alpha[:-1].T * w_k(r), formed one feature at a time from
-    one contiguous (N, T-1) copy: no (T-1, N, N) or (T-1, 7, N) array is
-    built. phi, the (T-1, 7) reading_features of e.readings, is computed
-    when not given; without odometry it may hold only the leading F
-    features, and pair then holds F sums. xi is built in trellis.step's
-    memory when the trellis owns a writable step tensor (with odometry
-    and T > 1), which spends it: trellis.step becomes None, and a second
-    call raises ValueError.
+    Z)[1:], and pair is one (7, T-1) @ (T-1, N*N) product of the reading
+    features and xi. xi is built in the memory of the trellis's step
+    tensor, which spends it: trellis.pending becomes None, and a second
+    call raises ValueError. When the trellis's operator is A (without
+    odometry, or T = 1), pair[k] = A * (U_k @ v) with U_k = alpha[:-1].T
+    * w_k(r), formed one feature at a time from one contiguous (N, T-1)
+    copy: no (T-1, N, N) or (T-1, 7, N) array is built, and the trellis
+    is not spent. phi, the (T-1, 7) reading_features of e.readings, is
+    computed when not given; without odometry it may hold only the
+    leading F features, and pair then holds F sums.
     """
     T, N = len(e), model.n_states
     if trellis.alpha.shape != (T, N):
         raise ValueError("trellis does not match the given model/sequence")
-    if trellis.step is None:
+    if trellis.pending is None:
         raise ValueError("trellis already spent: its step operators hold xi")
     if phi is None:
         phi = reading_features(e.readings)
     beta = trellis.beta
+    op = trellis.pending[0]
 
     gamma = trellis.alpha * beta
     mass = gamma.sum(axis=1)
@@ -396,15 +378,12 @@ def posteriors(trellis: Trellis, model: GeoHmm, e: ExperienceSequence,
 
     v = trellis.emit[1:] * beta[1:]
     v /= (trellis.scales[1:] * mass[1:])[:, None]                # (T-1, N)
-    if trellis.use_odometry:
-        step = trellis.step
-        own = step.flags.writeable     # T = 1 gives a read-only broadcast
-        if own:
-            trellis.step = None
-        xi = np.multiply(trellis.alpha[:-1, :, None], step,
-                         out=step if own else None)
+    if op.ndim == 3:
+        trellis.pending = None
+        xi = np.multiply(trellis.alpha[:-1, :, None], op, out=op)
         xi *= v[:, None, :]
-        return Posteriors(gamma=gamma, pair=_pair_sums(xi, phi))
+        pair = (phi.T @ xi.reshape(T - 1, N * N)).reshape(7, N, N)
+        return Posteriors(gamma=gamma, pair=pair)
     a = np.ascontiguousarray(trellis.alpha[:-1].T)                # (N, T-1)
     u = np.empty_like(a)
     pair = np.empty((phi.shape[1], N, N))

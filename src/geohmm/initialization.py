@@ -54,11 +54,8 @@ class BucketConfig:
 
 @dataclass
 class Bucket:
-    id: int
     mean: np.ndarray                    # (x, y, theta); theta circular
     members: list = field(default_factory=list)
-    _sin: float = 0.0                   # sums over members; 0 for bucket 0
-    _cos: float = 0.0
 
 
 @dataclass
@@ -66,7 +63,6 @@ class TaggingResult:
     state_sequence: np.ndarray          # (T,) state indices
     coordinates: np.ndarray             # (n_used, 3) embedding of used states
     n_used: int
-    bucket_assoc: dict                  # bucket id -> set of (i, j) entries
     pair_buckets: dict                  # (i, j) -> bucket id that populated it
 
 
@@ -122,9 +118,8 @@ def bucketize(readings, cfg: BucketConfig) -> tuple:
     means = np.array(stats)
     grown = [b for b in range(1, len(stats)) if len(members[b]) > 1]
     means[grown, 2] = np.arctan2(means[grown, 3], means[grown, 4])
-    buckets = [Bucket(id=b, mean=means[b, :3].copy(), members=members[b],
-                      _sin=st[3], _cos=st[4])
-               for b, st in enumerate(stats)]
+    buckets = [Bucket(mean=means[b, :3].copy(), members=members[b])
+               for b in range(len(stats))]
     return buckets, assignment
 
 
@@ -151,7 +146,6 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
     n_used = 1
     current = 0
     sequence = [0]
-    assoc: dict = {}
     links: dict = {}                    # (bucket id, i) -> j
     pair_buckets: dict = {}
 
@@ -173,7 +167,6 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
     def associate(bucket_id, i, j):
         if bucket_id == ZERO_BUCKET or i == j:
             return
-        assoc.setdefault(bucket_id, set()).add((i, j))
         links[(bucket_id, i)] = j
         pair_buckets.setdefault((i, j), bucket_id)
 
@@ -217,26 +210,22 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
 
     return TaggingResult(state_sequence=np.asarray(sequence, dtype=int),
                          coordinates=coords[:n_used].copy(), n_used=n_used,
-                         bucket_assoc=assoc, pair_buckets=pair_buckets)
+                         pair_buckets=pair_buckets)
 
 
 def init_model(e: ExperienceSequence, n: int, cfg: BucketConfig,
-               obs_dims=None,
                mode: CoordinateMode = CoordinateMode.GLOBAL) -> GeoHmm:
     """Initial model from bucketing + state tagging + counting.
 
     Transition and observation counts along the tagged state sequence are
     smoothed by a small additive constant so no probability is exactly
-    zero. Relation means come from the tagging embedding (unused states
-    sit at the origin); spreads come from per-bucket sample statistics,
-    floored at the configured sigmas, with wide defaults for pairs that
-    no bucket supports.
+    zero; the alphabets are e.obs_dims. Relation means come from the
+    tagging embedding (unused states sit at the origin); spreads come
+    from per-bucket sample statistics, floored at the configured sigmas,
+    with wide defaults for pairs that no bucket supports.
     """
     if len(e) < 2:
         raise ValueError("need at least two steps to initialize")
-    if obs_dims is None:
-        obs_dims = tuple(int(e.observations[:, i].max()) + 1
-                         for i in range(e.n_dims))
     buckets, assignment = bucketize(e.readings, cfg)
     tags = tag_states(e.readings, buckets, assignment, n, cfg, mode)
     seq = tags.state_sequence
@@ -246,7 +235,7 @@ def init_model(e: ExperienceSequence, n: int, cfg: BucketConfig,
     A /= A.sum(axis=1, keepdims=True)
 
     B = []
-    for i, size in enumerate(obs_dims):
+    for i, size in enumerate(e.obs_dims):
         counts = np.full((size, n), SMOOTHING)
         np.add.at(counts, (e.observations[:, i], seq), 1.0)
         B.append(counts / counts.sum(axis=0, keepdims=True))
@@ -279,7 +268,7 @@ def init_model(e: ExperienceSequence, n: int, cfg: BucketConfig,
     np.fill_diagonal(kappa, kappa_prior)
 
     relations = RelationMatrix(mu_x, mu_y, mu_theta, var_x, var_y, kappa)
-    return GeoHmm(n_states=n, obs_dims=obs_dims, A=A, B=tuple(B),
+    return GeoHmm(n_states=n, obs_dims=e.obs_dims, A=A, B=tuple(B),
                   start_state=int(seq[0]), relations=relations, mode=mode)
 
 

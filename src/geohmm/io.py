@@ -2,9 +2,9 @@
 
 Model files are JSON (UTF-8, key/value with nested arrays). Experience
 files are line-oriented text: a header line with the observation vector
-length and unit tags, then one line per time step holding the observation
-symbols followed, from the second step on, by the (dx, dy, dtheta)
-reading. See the README for the exact schemas.
+length, optionally the alphabet, and unit tags, then one line per time
+step holding the observation symbols followed, from the second step on,
+by the (dx, dy, dtheta) reading. See the README for the exact schemas.
 
 Angles may be stored in degrees and lengths in mm/cm/m; both are
 converted to the canonical internal units (radians, abstract length
@@ -120,8 +120,11 @@ def load_model(path: str) -> GeoHmm:
 
 
 def save_experience(seq: ExperienceSequence, path: str):
+    header = "l=%d" % seq.n_dims
+    if seq.alphabet is not None:
+        header += " alphabet=" + ",".join(str(k) for k in seq.alphabet)
     lines = ["# geohmm experience file",
-             "l=%d angle_unit=radians length_unit=units" % seq.n_dims]
+             header + " angle_unit=radians length_unit=units"]
     for t in range(len(seq)):
         tokens = [str(int(s)) for s in seq.observations[t]]
         if t > 0:
@@ -148,6 +151,14 @@ def load_experience(path: str) -> ExperienceSequence:
         l = int(header["l"])
     except (KeyError, ValueError) as exc:
         raise ModelFormatError("experience header must declare l=<int>") from exc
+    alphabet = header.get("alphabet")
+    if alphabet is not None:
+        try:
+            alphabet = tuple(int(k) for k in alphabet.split(","))
+        except ValueError as exc:
+            raise ModelFormatError("experience header alphabet must be "
+                                   "comma-separated integers, got %r"
+                                   % header["alphabet"]) from exc
     angle_scale, length_scale = _unit_scales(
         header.get("angle_unit", "radians"), header.get("length_unit", "units"))
 
@@ -169,6 +180,7 @@ def load_experience(path: str) -> ExperienceSequence:
     with np.errstate(invalid="ignore"):    # a non-finite heading stays NaN
         readings[:, 2] = wrap_angle(readings[:, 2] * angle_scale)
     try:
-        return ExperienceSequence(np.asarray(obs, dtype=int), readings)
+        return ExperienceSequence(np.asarray(obs, dtype=int), readings,
+                                  alphabet)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc

@@ -28,11 +28,6 @@ from .circstats import (KAPPA_MAX, LOG_TWO_PI, TWO_PI, log_bessel_i0,
 
 VAR_FLOOR = 1e-6
 
-# Spread of the diagonal (self-transition) entries of RelationMatrix.zero:
-# zero mean, small but non-degenerate spread.
-DIAG_VAR = 1e-2
-DIAG_KAPPA = 50.0
-
 STOCHASTIC_TOL = 1e-9
 
 
@@ -83,18 +78,6 @@ class RelationMatrix:
     def n_states(self) -> int:
         return self.mu_x.shape[0]
 
-    @classmethod
-    def zero(cls, n: int, var: float = 1.0,
-             kappa: float = 1.0) -> "RelationMatrix":
-        """All-zero means with uniform off-diagonal spread parameters."""
-        zeros = np.zeros((n, n))
-        var_m = np.full((n, n), float(var))
-        kap_m = np.full((n, n), float(kappa))
-        np.fill_diagonal(var_m, DIAG_VAR)
-        np.fill_diagonal(kap_m, DIAG_KAPPA)
-        return cls(zeros.copy(), zeros.copy(), zeros.copy(),
-                   var_m.copy(), var_m.copy(), kap_m)
-
     def validate(self):
         n = self.n_states
         diag = np.arange(n)
@@ -141,24 +124,22 @@ class GeoHmm:
             raise ValueError("n_states must be positive")
         if self.A.shape != (n, n):
             raise ValueError("A must be (N, N), got %r" % (self.A.shape,))
-        if not np.all(np.isfinite(self.A)):
-            raise ValueError("A has non-finite entries")
-        if np.any(self.A < -STOCHASTIC_TOL):
-            raise ValueError("A has negative entries")
-        if np.max(np.abs(self.A.sum(axis=1) - 1.0)) > STOCHASTIC_TOL:
-            raise ValueError("rows of A must sum to 1")
         if len(self.B) != len(self.obs_dims):
             raise ValueError("need one B matrix per observation dimension")
+        # A's rows and each B's columns are distributions.
+        stochastic = [("A", "rows", 1, self.A)]
         for i, b in enumerate(self.B):
             if b.shape != (self.obs_dims[i], n):
                 raise ValueError("B[%d] must be (%d, %d), got %r"
                                  % (i, self.obs_dims[i], n, b.shape))
-            if not np.all(np.isfinite(b)):
-                raise ValueError("B[%d] has non-finite entries" % i)
-            if np.any(b < -STOCHASTIC_TOL):
-                raise ValueError("B[%d] has negative entries" % i)
-            if np.max(np.abs(b.sum(axis=0) - 1.0)) > STOCHASTIC_TOL:
-                raise ValueError("columns of B[%d] must sum to 1" % i)
+            stochastic.append(("B[%d]" % i, "columns", 0, b))
+        for name, lines, axis, p in stochastic:
+            if not np.all(np.isfinite(p)):
+                raise ValueError("%s has non-finite entries" % name)
+            if np.any(p < -STOCHASTIC_TOL):
+                raise ValueError("%s has negative entries" % name)
+            if np.max(np.abs(p.sum(axis=axis) - 1.0)) > STOCHASTIC_TOL:
+                raise ValueError("%s of %s must sum to 1" % (lines, name))
         if not (0 <= self.start_state < n):
             raise ValueError("start_state out of range")
         if self.relations.n_states != n:
@@ -179,16 +160,24 @@ class ExperienceSequence:
 
     observations has shape (T, l) of small nonnegative ints. readings has
     shape (T-1, 3); readings[t] is the (dx, dy, dtheta) recorded on the
-    transition from time t to t+1. Time 0 carries no reading.
+    transition from time t to t+1. Time 0 carries no reading. alphabet,
+    when declared (by an experience file, or by the model that sampled
+    the sequence), holds each dimension's symbol count, and every symbol
+    must lie below it.
     """
 
     observations: np.ndarray
     readings: np.ndarray
+    alphabet: tuple | None = None
 
     def __post_init__(self):
-        obs = np.asarray(self.observations, dtype=int)
+        raw = np.asarray(self.observations)
+        with np.errstate(invalid="ignore"):
+            obs = raw.astype(int, copy=False)
         if obs.ndim != 2:
             raise ValueError("observations must be (T, l)")
+        if np.any(obs != raw):
+            raise ValueError("observation symbols must be integers")
         rd = np.asarray(self.readings, dtype=float)
         if rd.ndim != 2 or rd.shape[1] != 3:
             raise ValueError("readings must be (T-1, 3)")
@@ -198,6 +187,17 @@ class ExperienceSequence:
             raise ValueError("readings must be finite")
         if np.any(obs < 0):
             raise ValueError("observation symbols must be nonnegative")
+        if self.alphabet is not None:
+            alphabet = tuple(int(k) for k in self.alphabet)
+            if len(alphabet) != obs.shape[1]:
+                raise ValueError("alphabet %r does not have one size per "
+                                 "observation dimension" % (alphabet,))
+            bad = np.argwhere(obs >= np.array(alphabet, dtype=int))
+            if len(bad):
+                t, i = bad[0]
+                raise ValueError("symbol %d out of alphabet on dimension %d "
+                                 "at step %d" % (obs[t, i], i, t))
+            object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "readings", rd)
 
@@ -208,11 +208,19 @@ class ExperienceSequence:
     def n_dims(self) -> int:
         return self.observations.shape[1]
 
+    @property
+    def obs_dims(self) -> tuple:
+        """The declared alphabet, else each dimension's largest symbol
+        plus one."""
+        if self.alphabet is not None:
+            return self.alphabet
+        return tuple(int(k) + 1 for k in self.observations.max(axis=0))
+
     def prefix(self, length: int) -> "ExperienceSequence":
         if not 1 <= length <= len(self):
             raise ValueError("prefix length out of range")
         return ExperienceSequence(self.observations[:length],
-                                  self.readings[:length - 1])
+                                  self.readings[:length - 1], self.alphabet)
 
 
 def _rotate_xy(theta, x, y, mode: CoordinateMode):

@@ -54,22 +54,20 @@ def learn_runs(e: ExperienceSequence, n_states: int, cfg: LearnConfig,
     initializer (with odometry) or a seeded random model (without).
     Later restarts jitter that base model's A and B and share its
     relations (odometry) or draw fresh random models (baseline). Restart
-    k draws from SeedSequence(seed).spawn(restarts)[k]. Each alphabet is
-    read off the data: its dimension's largest symbol plus one.
+    k draws from SeedSequence(seed).spawn(restarts)[k]. The alphabets
+    are e.obs_dims.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if n_states < 1:
         raise ValueError("n_states must be at least 1, got %d" % n_states)
     seeds = np.random.SeedSequence(seed).spawn(restarts)
-    obs_dims = tuple(int(e.observations[:, i].max()) + 1
-                     for i in range(e.n_dims))
 
     mode = cfg.mode or CoordinateMode.GLOBAL
     base = initial
     if base is None and cfg.use_odometry:
         base = init_model(e, n_states, bucket_cfg or default_bucket_config(e),
-                          obs_dims=obs_dims, mode=mode)
+                          mode=mode)
 
     results = []
     for k, ss in enumerate(seeds):
@@ -77,7 +75,7 @@ def learn_runs(e: ExperienceSequence, n_states: int, cfg: LearnConfig,
         if base is not None:
             start = base if k == 0 else perturb_model(base, rng, scale=0.1)
         else:
-            start = random_model(n_states, obs_dims, rng, mode=mode)
+            start = random_model(n_states, e.obs_dims, rng, mode=mode)
         model, report = em_learn(e, start, cfg)
         results.append(RunResult(model=model, report=report))
     return results

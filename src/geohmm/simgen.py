@@ -158,7 +158,8 @@ def _cdf_rows(P: np.ndarray, what: str) -> np.ndarray:
 
 def sample_path(model: GeoHmm, length: int,
                 rng: np.random.Generator) -> tuple:
-    """Monte Carlo rollout; returns (hidden state path, experience).
+    """Monte Carlo rollout; returns (hidden state path, experience), the
+    experience declaring the model's alphabet.
 
     Draw order, which fixes the RNG stream: the observation vector of the
     start state (one draw per dimension, in order), then per step the
@@ -195,7 +196,7 @@ def sample_path(model: GeoHmm, length: int,
     readings[:, 2] = wrap_angle(readings[:, 2])
     seq = ExperienceSequence(
         observations=np.array(observations, dtype=int),
-        readings=readings)
+        readings=readings, alphabet=model.obs_dims)
     return np.array(states, dtype=int), seq
 
 

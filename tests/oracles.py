@@ -14,13 +14,42 @@ import numpy as np
 from geohmm.circstats import KAPPA_MAX, TWO_PI, wrap_angle
 from geohmm.evalkl import _check_alphabets
 from geohmm.inference import (Posteriors, Trellis, emission_probs, loglik,
-                              pair_statistics, relation_density_tensor)
+                              relation_density_tensor)
 from geohmm.initialization import (BUCKET_FACTOR, TAG_FACTOR, ZERO_BUCKET,
                                    Bucket, BucketConfig, TaggingResult)
 from geohmm.model import (VAR_FLOOR, ConsistencyReport, ConsistencyViolation,
                           ConstraintLevel, CoordinateMode, ExperienceSequence,
                           GeoHmm, ImpossibleSequenceError, RelationMatrix,
-                          _rotate_xy, relation_log_density)
+                          _rotate_xy, reading_features, relation_log_density)
+
+# Spread of the diagonal (self-transition) entries of zero_relations:
+# zero mean, small but non-degenerate spread.
+DIAG_VAR = 1e-2
+DIAG_KAPPA = 50.0
+
+
+def zero_relations(n: int, var: float = 1.0,
+                   kappa: float = 1.0) -> RelationMatrix:
+    """All-zero means with uniform off-diagonal spread parameters."""
+    zeros = np.zeros((n, n))
+    var_m = np.full((n, n), float(var))
+    kap_m = np.full((n, n), float(kappa))
+    np.fill_diagonal(var_m, DIAG_VAR)
+    np.fill_diagonal(kap_m, DIAG_KAPPA)
+    return RelationMatrix(zeros.copy(), zeros.copy(), zeros.copy(),
+                          var_m.copy(), var_m.copy(), kap_m)
+
+
+def pair_statistics(xi: np.ndarray, readings: np.ndarray) -> np.ndarray:
+    """(7, N, N) xi-weighted sums over t of 1, dx, dy, dx^2, dy^2,
+    sin(dtheta) and cos(dtheta), the order of Posteriors.pair.
+
+    xi is (T-1, N, N) and readings (T-1, 3); the sums are one
+    (7, T-1) @ (T-1, N*N) product.
+    """
+    n = xi.shape[1]
+    return (reading_features(readings).T
+            @ xi.reshape(len(xi), n * n)).reshape(7, n, n)
 
 
 def normal_pdf(x, mu, var):
@@ -194,13 +223,13 @@ def reference_forward_backward(model: GeoHmm, e: ExperienceSequence,
     scale is zero or non-finite."""
     T, N = len(e), model.n_states
     emit = emission_probs(model, e.observations)
+    op = model.A
     if use_odometry and T > 1:
-        step = relation_density_tensor(model, e)
+        op = relation_density_tensor(model, e)
         if density_floor is not None:
-            np.maximum(step, density_floor, out=step)
-        step *= model.A
-    else:
-        step = np.broadcast_to(model.A, (T - 1, N, N))
+            np.maximum(op, density_floor, out=op)
+        op *= model.A
+    step = np.broadcast_to(op, (T - 1, N, N))
 
     alpha = np.zeros((T, N))
     scales = np.zeros(T)
@@ -222,8 +251,8 @@ def reference_forward_backward(model: GeoHmm, e: ExperienceSequence,
         beta[t] = step[t] @ (emit[t + 1] * beta[t + 1]) / scales[t + 1]
 
     trellis = Trellis(alpha=alpha, scales=scales,
-                      loglik=float(np.sum(np.log(scales))),
-                      use_odometry=use_odometry, emit=emit, step=step)
+                      loglik=float(np.sum(np.log(scales))), emit=emit,
+                      pending=(op, None))
     trellis.beta = beta
     return trellis
 
@@ -303,11 +332,14 @@ def reference_pair_statistics(xi, readings):
 def reference_posteriors(trellis: Trellis, model: GeoHmm,
                          e: ExperienceSequence) -> Posteriors:
     """posteriors through an explicit (T-1, N, N) xi: alpha * step *
-    emit * beta, each slab divided by its own sum."""
+    emit * beta, each slab divided by its own sum; step is the trellis's
+    operator, broadcast to T-1 steps when it is A."""
     ab = trellis.alpha * trellis.beta
     gamma = ab / ab.sum(axis=1, keepdims=True)
     emit_beta = trellis.emit[1:] * trellis.beta[1:]
-    xi = trellis.alpha[:-1, :, None] * trellis.step * emit_beta[:, None, :]
+    T, N = ab.shape
+    step = np.broadcast_to(trellis.pending[0], (T - 1, N, N))
+    xi = trellis.alpha[:-1, :, None] * step * emit_beta[:, None, :]
     xi /= xi.sum(axis=(1, 2), keepdims=True)
     return Posteriors(gamma=gamma, pair=pair_statistics(xi, e.readings))
 
@@ -593,19 +625,20 @@ def within(reading, mean, radius) -> bool:
     return bool(np.all(np.abs(d) <= radius))
 
 
-def bucket_add(bucket: Bucket, index: int, reading):
+def bucket_add(bucket: Bucket, sums, index: int, reading):
     """Add reading `index` to a bucket with per-reading numpy arithmetic:
-    running x/y means, and a theta mean from the summed sines and cosines
-    (bucket 0 keeps its zero mean)."""
+    running x/y means, and a theta mean from the summed sines and cosines,
+    sums = [sum sin, sum cos] of the bucket's headings, updated in place
+    (None for bucket 0, which keeps its zero mean)."""
     bucket.members.append(index)
     k = len(bucket.members)
-    if bucket.id == ZERO_BUCKET:
+    if sums is None:
         return
     bucket.mean[0] += (reading[0] - bucket.mean[0]) / k
     bucket.mean[1] += (reading[1] - bucket.mean[1]) / k
-    bucket._sin += np.sin(reading[2])
-    bucket._cos += np.cos(reading[2])
-    bucket.mean[2] = np.arctan2(bucket._sin, bucket._cos)
+    sums[0] += np.sin(reading[2])
+    sums[1] += np.cos(reading[2])
+    bucket.mean[2] = np.arctan2(sums[0], sums[1])
 
 
 def reference_bucketize(readings, cfg: BucketConfig) -> tuple:
@@ -620,7 +653,8 @@ def reference_bucketize(readings, cfg: BucketConfig) -> tuple:
     """
     readings = np.asarray(readings, dtype=float).reshape(-1, 3)
     radius = BUCKET_FACTOR * cfg.sigmas
-    buckets = [Bucket(id=ZERO_BUCKET, mean=np.zeros(3))]
+    buckets = [Bucket(mean=np.zeros(3))]
+    sums = [None]                       # per bucket, as bucket_add takes
     cap = len(readings) + 1
     means = np.zeros((cap, 3))          # row b mirrors buckets[b].mean
     n_buckets = 1
@@ -631,15 +665,12 @@ def reference_bucketize(readings, cfg: BucketConfig) -> tuple:
         inside = np.all(np.abs(dev) <= radius, axis=1)
         hit = int(np.argmax(inside)) if inside.any() else -1
         if hit >= 0:
-            bucket_add(buckets[hit], t, reading)
+            bucket_add(buckets[hit], sums[hit], t, reading)
             means[hit] = buckets[hit].mean
             assignment[t] = hit
         else:
-            bucket = Bucket(id=n_buckets, mean=reading.copy())
-            bucket.members.append(t)
-            bucket._sin = float(np.sin(reading[2]))
-            bucket._cos = float(np.cos(reading[2]))
-            buckets.append(bucket)
+            buckets.append(Bucket(mean=reading.copy(), members=[t]))
+            sums.append([float(np.sin(reading[2])), float(np.cos(reading[2]))])
             means[n_buckets] = reading
             assignment[t] = n_buckets
             n_buckets += 1
@@ -738,4 +769,4 @@ def reference_tag_states(readings, buckets, assignment, n_max: int,
 
     return TaggingResult(state_sequence=np.asarray(sequence, dtype=int),
                          coordinates=coords[:n_used].copy(), n_used=n_used,
-                         bucket_assoc=assoc, pair_buckets=pair_buckets)
+                         pair_buckets=pair_buckets)

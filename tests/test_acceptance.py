@@ -30,17 +30,16 @@ from geohmm.circstats import (bessel_ratio, resultant_to_kappa, vm_density,
                               wrap_angle)
 from geohmm.estimation import LearnConfig, em_learn, update_relations_antisym
 from geohmm.evalkl import kl_sampled
-from geohmm.inference import (Posteriors, forward_backward, loglik,
-                              pair_statistics, posteriors)
+from geohmm.inference import Posteriors, forward_backward, loglik, posteriors
 from geohmm.initialization import BucketConfig, bucketize, tag_states
 from geohmm.model import (ConstraintLevel, CoordinateMode, GeoHmm,
-                          RelationMatrix, check_consistency)
+                          check_consistency)
 from geohmm.pipeline import default_bucket_config, learn_runs
 from geohmm.simgen import (LoopSpec, make_loop_model, sample_observations,
                            sample_path, sample_sequence)
 from oracles import (brute_force_posteriors, constrained_two_normal_mle,
-                     path_count_model, random_experience, random_geohmm,
-                     reference_pair_statistics)
+                     pair_statistics, path_count_model, random_experience,
+                     random_geohmm, reference_pair_statistics, zero_relations)
 
 EXPERIMENT_SMOOTHING = 0.005
 KL_LENGTH = 1000
@@ -210,7 +209,7 @@ def test_criterion_4_example1_oracle():
     gamma[:-1] = xi.sum(axis=2)
     gamma[-1] = xi[-1].sum(axis=0)
     post = Posteriors(gamma=gamma, pair=pair_statistics(xi, readings))
-    R = RelationMatrix.zero(2, var=4.0, kappa=1.0)
+    R = zero_relations(2, var=4.0, kappa=1.0)
     for _ in range(400):
         R = update_relations_antisym(post, R, CoordinateMode.GLOBAL)
     mu, vp, vq = constrained_two_normal_mle(P, Q)
@@ -436,7 +435,7 @@ def test_criterion_8_numerics():
     def bernoulli(p):
         return GeoHmm(n_states=1, obs_dims=(2,), A=np.ones((1, 1)),
                       B=(np.array([[1.0 - p], [p]]),), start_state=0,
-                      relations=RelationMatrix.zero(1))
+                      relations=zero_relations(1))
 
     closed_form = 0.5 * np.log(0.5 / 0.25) + 0.5 * np.log(0.5 / 0.75)
     est = kl_sampled(bernoulli(0.5), bernoulli(0.25), seq_length=2000,

@@ -329,14 +329,41 @@ class TestEvalKl:
         other = make_loop_model(LoopSpec())
         small = tmp_path / "small.json"
         import numpy as np
-        from geohmm.model import GeoHmm, RelationMatrix
+        from geohmm.model import GeoHmm
+        from oracles import zero_relations
         tiny = GeoHmm(n_states=1, obs_dims=(2,), A=np.ones((1, 1)),
                       B=(np.array([[0.5], [0.5]]),), start_state=0,
-                      relations=RelationMatrix.zero(1))
+                      relations=zero_relations(1))
         save_model(tiny, str(small))
         assert main(["eval-kl", str(loop_model_path),
                      str(small)]) == EXIT_INPUT
 
+    def test_learned_model_keeps_the_declared_alphabet(self, tmp_path):
+        # Five steps miss symbol 3 of dimension 2; the alphabet in the
+        # header keeps it.
+        true, exp, learned = (tmp_path / "true.json", tmp_path / "exp.txt",
+                              tmp_path / "m.json")
+        assert main(["make-loop", "-o", str(true)]) == EXIT_OK
+        assert main(["simulate", str(true), "-o", str(exp),
+                     "-T", "5", "--seed", "1"]) == EXIT_OK
+        seq = load_experience(str(exp))
+        assert seq.obs_dims == (4, 4, 4)
+        assert seq.observations.max(axis=0).tolist() == [3, 3, 2]
+        learn = ["learn", str(exp), "-o", str(learned), "-n", "3",
+                 "--no-odometry", "--max-iters", "0"]
+        assert main(learn) == EXIT_OK
+        assert load_model(str(learned)).obs_dims == (4, 4, 4)
+        assert main(["eval-kl", str(true), str(learned)]) == EXIT_OK
+        # A file without the key reads the alphabet off the data.
+        lines = exp.read_text().splitlines()
+        lines[1] = lines[1].replace(" alphabet=4,4,4", "")
+        exp.write_text("\n".join(lines) + "\n")
+        assert main(learn) == EXIT_OK
+        assert load_model(str(learned)).obs_dims == (4, 4, 3)
+        # A symbol outside the declared alphabet is an input error.
+        lines[1] = lines[1].replace("l=3", "l=3 alphabet=4,4,2")
+        exp.write_text("\n".join(lines) + "\n")
+        assert main(learn) == EXIT_INPUT
 
     @pytest.mark.parametrize("flag", ["-n", "-L"])
     def test_empty_sample_is_input_error(self, tmp_path, loop_model_path,

@@ -7,23 +7,23 @@ import pytest
 
 from geohmm.evalkl import kl_sampled
 from geohmm.initialization import random_model
-from geohmm.model import GeoHmm, RelationMatrix
+from geohmm.model import GeoHmm
 from geohmm.simgen import LoopSpec, make_loop_model, sample_observations
-from oracles import kl_exact_small, reference_loglik
+from oracles import kl_exact_small, reference_loglik, zero_relations
 
 
 def bernoulli_hmm(p):
     """Single-state model emitting 1 with probability p."""
     B = (np.array([[1.0 - p], [p]]),)
     return GeoHmm(n_states=1, obs_dims=(2,), A=np.ones((1, 1)), B=B,
-                  start_state=0, relations=RelationMatrix.zero(1))
+                  start_state=0, relations=zero_relations(1))
 
 
 def two_state_hmm(rng):
     A = rng.dirichlet(np.ones(2), size=2)
     B = (rng.dirichlet(np.ones(2), size=2).T,)
     return GeoHmm(n_states=2, obs_dims=(2,), A=A, B=B, start_state=0,
-                  relations=RelationMatrix.zero(2))
+                  relations=zero_relations(2))
 
 
 class TestKlSampled:

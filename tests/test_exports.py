@@ -1,0 +1,51 @@
+"""Every public name has a reader outside the tests.
+
+A name in geohmm.__all__ that only tests read is test scaffolding; it
+belongs in tests/oracles.py, not in the package. A reader is a load of
+the name, or of an attribute of that name, in Python code under src/
+(outside the package's __init__ and outside the name's own definition),
+bench/, demos/ or experiments/, or a mention in README.md or in a shell
+script under experiments/.
+"""
+
+import ast
+import pathlib
+import re
+
+import geohmm
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def python_readers(path):
+    """Names loaded in a module, skipping each def or class's own name
+    inside its body and at its definition."""
+    found = set()
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            own = own | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in own:
+                found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in own:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return found
+
+
+def test_every_export_has_a_reader_outside_tests():
+    package = ROOT / "src" / "geohmm"
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    for folder in ("bench", "demos", "experiments"):
+        sources += sorted((ROOT / folder).rglob("*.py"))
+    read = set().union(*(python_readers(p) for p in sources))
+    texts = [ROOT / "README.md"] + sorted((ROOT / "experiments").glob("*.sh"))
+    prose = "\n".join(p.read_text(encoding="utf-8") for p in texts)
+    unread = [name for name in geohmm.__all__ if name not in read
+              and not re.search(r"\b%s\b" % re.escape(name), prose)]
+    assert not unread, "exported names that only tests read: %s" % unread

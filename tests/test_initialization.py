@@ -23,7 +23,7 @@ from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
 from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
 from geohmm.pipeline import default_bucket_config
 from oracles import (bucket_add, reference_bucketize, reference_tag_states,
-                     within)
+                     within, zero_relations)
 
 SQUARE_WALK_DEG = [
     (2.0, 94.0, 92.0),
@@ -93,20 +93,19 @@ class TestBucketize:
         cfg = BucketConfig(8.0, 8.0, 0.3)
         radius = BUCKET_FACTOR * cfg.sigmas
         # replay the pass, checking the invariant at each insertion
-        from geohmm.initialization import Bucket, ZERO_BUCKET
-        buckets = [Bucket(id=ZERO_BUCKET, mean=np.zeros(3))]
+        from geohmm.initialization import Bucket
+        buckets, sums = [Bucket(mean=np.zeros(3))], [None]
         for t, r in enumerate(readings):
             placed = False
-            for b in buckets:
+            for b, s in zip(buckets, sums):
                 if within(r, b.mean, radius):
                     assert np.all(np.abs((r - b.mean)[:2]) <= radius[:2])
-                    bucket_add(b, t, r)
+                    bucket_add(b, s, t, r)
                     placed = True
                     break
             if not placed:
-                nb = Bucket(id=len(buckets), mean=r.copy())
-                nb.members.append(t)
-                buckets.append(nb)
+                buckets.append(Bucket(mean=r.copy(), members=[t]))
+                sums.append([float(np.sin(r[2])), float(np.cos(r[2]))])
 
 
 class TestTagStates:
@@ -182,9 +181,8 @@ class TestMatchesReference:
         assert assignment.tobytes() == want_assignment.tobytes()
         assert len(buckets) == len(want_buckets)
         for got, want in zip(buckets, want_buckets):
-            assert got.id == want.id and got.members == want.members
+            assert got.members == want.members
             assert got.mean.tobytes() == want.mean.tobytes()
-            assert (got._sin, got._cos) == (want._sin, want._cos)
         return buckets, assignment, want_buckets, want_assignment
 
     def test_square_walk_buckets(self):
@@ -225,7 +223,6 @@ class TestMatchesReference:
             assert (tags.state_sequence.tobytes()
                     == want.state_sequence.tobytes())
             assert tags.coordinates.tobytes() == want.coordinates.tobytes()
-            assert tags.bucket_assoc == want.bucket_assoc
             assert tags.pair_buckets == want.pair_buckets
 
 
@@ -233,17 +230,18 @@ class TestInitModel:
     def square_walk_experience(self):
         readings = square_walk_readings()
         obs = np.zeros((9, 1), dtype=int)
-        return ExperienceSequence(observations=obs, readings=readings)
+        return ExperienceSequence(observations=obs, readings=readings,
+                                  alphabet=(2,))
 
     def test_square_walk_dominant_cycle(self):
         e = self.square_walk_experience()
-        model = init_model(e, 4, square_walk_config(), obs_dims=(2,))
+        model = init_model(e, 4, square_walk_config())
         for i in range(4):
             assert model.A[i].argmax() == (i + 1) % 4
 
     def test_no_exact_zero_probabilities(self):
         e = self.square_walk_experience()
-        model = init_model(e, 4, square_walk_config(), obs_dims=(2,))
+        model = init_model(e, 4, square_walk_config())
         assert all(b.min() > 0 for b in model.B)
         assert model.A.min() > 0
 
@@ -255,16 +253,15 @@ class TestInitModel:
         uniform = GeoHmm(
             n_states=n, obs_dims=true.obs_dims, A=np.full((n, n), 1 / n),
             B=tuple(np.full((k, n), 1 / k) for k in true.obs_dims),
-            start_state=0, relations=RelationMatrix.zero(n, var=25.0,
-                                                         kappa=0.5))
+            start_state=0, relations=zero_relations(n, var=25.0, kappa=0.5))
         ll_init = forward_backward(model, seq, use_odometry=False).loglik
         ll_uniform = forward_backward(uniform, seq, use_odometry=False).loglik
         assert ll_init >= ll_uniform
 
     def test_deterministic(self):
         e = self.square_walk_experience()
-        a = init_model(e, 4, square_walk_config(), obs_dims=(2,))
-        b = init_model(e, 4, square_walk_config(), obs_dims=(2,))
+        a = init_model(e, 4, square_walk_config())
+        b = init_model(e, 4, square_walk_config())
         np.testing.assert_array_equal(a.A, b.A)
         for x, y in zip(a.B, b.B):
             np.testing.assert_array_equal(x, y)

@@ -79,6 +79,8 @@ class TestExperienceFile:
         loaded = load_experience(str(path))
         np.testing.assert_array_equal(seq.observations, loaded.observations)
         np.testing.assert_array_equal(seq.readings, loaded.readings)
+        assert "l=3 alphabet=4,4,4 " in path.read_text()
+        assert loaded.alphabet == seq.alphabet == model.obs_dims
 
     def test_single_step_sequence(self, tmp_path):
         seq = ExperienceSequence(observations=np.array([[1, 0]]),
@@ -87,6 +89,9 @@ class TestExperienceFile:
         save_experience(seq, str(path))
         loaded = load_experience(str(path))
         assert len(loaded) == 1 and loaded.readings.shape == (0, 3)
+        # Without a declared alphabet none is written or read back.
+        assert "alphabet" not in path.read_text()
+        assert loaded.alphabet is None and loaded.obs_dims == (2, 1)
 
     def test_degrees_converted_on_load(self, tmp_path):
         path = tmp_path / "deg.txt"
@@ -121,6 +126,17 @@ class TestExperienceFile:
                 ("0 1\n0 1 1.0 2.0 3.0\n0 1.5 z 2.0 3.0\n",
                  "line 2: invalid literal for int.*'1.5'")]:
             path.write_text("l=2\n" + body)
+            with pytest.raises(ModelFormatError, match=message):
+                load_experience(str(path))
+
+    def test_alphabet_errors(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        for header, message in [
+                ("l=2 alphabet=2,2", "symbol 2 out of alphabet on dimension "
+                                     "0 at step 1"),
+                ("l=2 alphabet=3", "one size per observation dimension"),
+                ("l=2 alphabet=3,x", "alphabet must be comma-separated")]:
+            path.write_text(header + "\n0 1\n2 1 1.0 2.0 3.0\n")
             with pytest.raises(ModelFormatError, match=message):
                 load_experience(str(path))
 

@@ -11,14 +11,14 @@ from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
 from geohmm.circstats import wrap_angle
 
 from oracles import (RelationEntry, random_geohmm, reference_check_consistency,
-                     relation_density, relation_entry)
+                     relation_density, relation_entry, zero_relations)
 
 
 def simple_model(n=2, mode=CoordinateMode.GLOBAL, relations=None):
     A = np.full((n, n), 1.0 / n)
     B = (np.full((3, n), 1.0 / 3),)
     if relations is None:
-        relations = RelationMatrix.zero(n)
+        relations = zero_relations(n)
     return GeoHmm(n_states=n, obs_dims=(3,), A=A, B=B, start_state=0,
                   relations=relations, mode=mode)
 
@@ -127,7 +127,7 @@ class TestEmbedRelations:
 
 class TestCheckConsistency:
     def test_antisymmetry_violation_magnitude(self):
-        rel = RelationMatrix.zero(2)
+        rel = zero_relations(2)
         rel.mu_x[0, 1] = 5.0
         rel.mu_x[1, 0] = -4.0
         model = simple_model(2, relations=rel)
@@ -138,7 +138,7 @@ class TestCheckConsistency:
         assert v.magnitude == pytest.approx(1.0)
 
     def test_additivity_violation_magnitude(self):
-        rel = RelationMatrix.zero(3)
+        rel = zero_relations(3)
         for (i, j), v in (((0, 1), 1.0), ((1, 2), 1.0), ((0, 2), 3.0)):
             rel.mu_x[i, j] = v
             rel.mu_x[j, i] = -v
@@ -203,7 +203,7 @@ class TestCheckConsistency:
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, -np.inf])
     def test_invalid_tol_rejected(self, tol):
-        rel = RelationMatrix.zero(2)
+        rel = zero_relations(2)
         rel.mu_x[0, 1] = 5.0
         with pytest.raises(ValueError, match="tol"):
             check_consistency(simple_model(2, relations=rel),
@@ -216,13 +216,13 @@ class TestValidation:
             GeoHmm(n_states=2, obs_dims=(2,), A=np.array([[0.7, 0.6],
                                                           [0.5, 0.5]]),
                    B=(np.full((2, 2), 0.5),), start_state=0,
-                   relations=RelationMatrix.zero(2))
+                   relations=zero_relations(2))
 
     def test_bad_observation_columns(self):
         with pytest.raises(ValueError):
             GeoHmm(n_states=2, obs_dims=(2,), A=np.full((2, 2), 0.5),
                    B=(np.array([[0.9, 0.2], [0.2, 0.8]]),), start_state=0,
-                   relations=RelationMatrix.zero(2))
+                   relations=zero_relations(2))
 
     @pytest.mark.parametrize("where", ["A", "B"])
     def test_nan_transition_row_or_observation_column_rejected(self, where):
@@ -234,14 +234,14 @@ class TestValidation:
             B[:, 1] = np.nan
         with pytest.raises(ValueError):
             GeoHmm(n_states=2, obs_dims=(2,), A=A, B=(B,), start_state=0,
-                   relations=RelationMatrix.zero(2))
+                   relations=zero_relations(2))
 
     @pytest.mark.parametrize("name,bad", [
         ("var_x", np.nan), ("var_x", np.inf),
         ("var_y", np.nan), ("var_y", np.inf),
         ("kappa_theta", np.nan)])
     def test_non_finite_spread_rejected(self, name, bad):
-        rel = RelationMatrix.zero(2)
+        rel = zero_relations(2)
         getattr(rel, name)[0, 1] = bad
         with pytest.raises(ValueError):
             rel.validate()
@@ -249,7 +249,7 @@ class TestValidation:
             simple_model(2, relations=rel)
 
     def test_nonzero_diagonal_rejected(self):
-        rel = RelationMatrix.zero(2)
+        rel = zero_relations(2)
         rel.mu_x[1, 1] = 0.1
         with pytest.raises(ValueError):
             simple_model(2, relations=rel)
@@ -261,6 +261,28 @@ class TestValidation:
         seq = ExperienceSequence(observations=obs, readings=np.zeros((3, 3)))
         assert len(seq) == 4 and seq.n_dims == 2
         assert len(seq.prefix(2)) == 2
+
+    def test_experience_symbols_must_be_integral(self):
+        with pytest.raises(ValueError, match="integers"):
+            ExperienceSequence(observations=[[1.7], [2.9]],
+                               readings=np.zeros((1, 3)))
+        seq = ExperienceSequence(observations=[[1.0], [2.0]],
+                                 readings=np.zeros((1, 3)))
+        assert seq.observations.dtype.kind == "i"
+        np.testing.assert_array_equal(seq.observations, [[1], [2]])
+
+    def test_experience_alphabet(self):
+        obs = np.array([[0, 1], [2, 0]])
+        undeclared = ExperienceSequence(obs, np.zeros((1, 3)))
+        assert undeclared.alphabet is None and undeclared.obs_dims == (3, 2)
+        assert undeclared.prefix(1).obs_dims == (1, 2)
+        seq = ExperienceSequence(obs, np.zeros((1, 3)), alphabet=[4, 2])
+        assert seq.alphabet == seq.obs_dims == (4, 2)
+        assert seq.prefix(1).obs_dims == (4, 2)
+        with pytest.raises(ValueError, match="dimension 1 at step 0"):
+            ExperienceSequence(obs, np.zeros((1, 3)), alphabet=(4, 1))
+        with pytest.raises(ValueError, match="one size per"):
+            ExperienceSequence(obs, np.zeros((1, 3)), alphabet=(4,))
 
     def test_wrap_consistency_of_embedding_theta(self):
         theta = np.array([0.0, 3.0, -3.0])

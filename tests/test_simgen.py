@@ -10,7 +10,7 @@ from geohmm.model import (ConstraintLevel, CoordinateMode, GeoHmm,
 from geohmm.simgen import (LoopSpec, make_loop_model, sample_observations,
                            sample_path, sample_sequence)
 from oracles import (random_geohmm, reference_sample_observations,
-                     reference_sample_path)
+                     reference_sample_path, zero_relations)
 
 
 class TestMakeLoopModel:
@@ -88,7 +88,7 @@ class TestSampleSequence:
         A = np.array([[0.7, 0.3], [0.2, 0.8]])
         model = GeoHmm(n_states=2, obs_dims=(2,), A=A,
                        B=(np.full((2, 2), 0.5),), start_state=0,
-                       relations=RelationMatrix.zero(2, var=1.0, kappa=1.0))
+                       relations=zero_relations(2, var=1.0, kappa=1.0))
         T = 100_000
         states, _ = sample_path(model, T, np.random.default_rng(1))
         for i in range(2):
@@ -189,7 +189,7 @@ class TestSamplePathStream:
                       [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         model = GeoHmm(n_states=3, obs_dims=(2,), A=A,
                        B=(np.full((2, 3), 0.5),), start_state=1,
-                       relations=RelationMatrix.zero(3))
+                       relations=zero_relations(3))
         if nan_row:
             model.A[0] = np.nan  # set after validation, which would refuse it
         for sampler in (sample_path, reference_sample_path):
@@ -199,7 +199,7 @@ class TestSamplePathStream:
     def test_bad_observation_column_rejected(self):
         B = np.array([[1.0 + 1e-10, 0.5], [-1e-10, 0.5]])
         model = GeoHmm(n_states=2, obs_dims=(2,), A=np.full((2, 2), 0.5),
-                       B=(B,), start_state=0, relations=RelationMatrix.zero(2))
+                       B=(B,), start_state=0, relations=zero_relations(2))
         for sampler in (sample_path, reference_sample_path):
             with pytest.raises(ValueError):
                 sampler(model, 1, np.random.default_rng(0))
@@ -228,7 +228,7 @@ class TestSampleObservations:
         A = np.array([[0.7, 0.3], [0.2, 0.8]])
         B = (np.eye(2), np.array([[0.5, 0.1], [0.3, 0.1], [0.2, 0.8]]))
         model = GeoHmm(n_states=2, obs_dims=(2, 3), A=A, B=B, start_state=0,
-                       relations=RelationMatrix.zero(2))
+                       relations=zero_relations(2))
         obs = sample_observations(model, 10_000, 10,
                                   np.random.default_rng(1))
         states = obs[:, :, 0]
@@ -253,7 +253,7 @@ class TestSampleObservations:
     def test_bad_transition_row_rejected(self, bad):
         model = GeoHmm(n_states=3, obs_dims=(2,), A=np.full((3, 3), 1 / 3),
                        B=(np.full((2, 3), 0.5),), start_state=1,
-                       relations=RelationMatrix.zero(3))
+                       relations=zero_relations(3))
         # set after validation, which would refuse them
         model.A[0] = {"nan": [0.5, 0.5, np.nan],
                       "negative": [0.5 + 1e-10, 0.5, -1e-10],
@@ -266,7 +266,7 @@ class TestSampleObservations:
     def test_bad_observation_column_rejected(self, column):
         model = GeoHmm(n_states=2, obs_dims=(2,), A=np.full((2, 2), 0.5),
                        B=(np.full((2, 2), 0.5),), start_state=0,
-                       relations=RelationMatrix.zero(2))
+                       relations=zero_relations(2))
         model.B[0][:, 1] = column   # set after validation
         with pytest.raises(ValueError):
             sample_observations(model, 1, 1, np.random.default_rng(0))
