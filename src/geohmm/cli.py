@@ -1,10 +1,12 @@
 """Command-line pipeline: simulate, learn, eval-kl, check, render, replay.
 
-Every run that writes files also writes a JSON manifest recording the
-resolved arguments, seed, inputs, outputs, and timing; `geohmm replay
-<manifest>` re-executes the recorded command and reproduces the outputs
-byte for byte. All randomness flows from --seed (falling back to the
-GEOHMM_SEED environment variable, then 0).
+Every run that writes files also writes a JSON manifest recording its
+argv, seed, inputs, outputs, timing and a summary. All randomness flows
+from --seed (default 0) and no environment variable changes a run, so the
+argv and the input files are a run's whole input: `geohmm replay
+<manifest>`, from the same working directory with the same input files,
+re-executes the recorded command and reproduces the outputs byte for
+byte.
 
 Exit codes: 0 success, 2 input error, 3 impossible sequence under the
 model, 4 consistency-check failure.
@@ -53,13 +55,6 @@ class CliError(Exception):
         self.code = code
 
 
-def resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("GEOHMM_SEED")
-    return int(env) if env else 0
-
-
 def dump_json(path, payload):
     atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True)
                       + "\n")
@@ -81,6 +76,14 @@ def write_manifest(path, command, argv, seed, inputs, outputs, started,
     dump_json(path, manifest)
 
 
+def record(args, inputs, outputs, summary):
+    """Write the manifest of the run `main` parsed into args: to
+    --manifest, else next to the first output."""
+    write_manifest(args.manifest or outputs[0] + ".manifest.json",
+                   args.command, args.argv, getattr(args, "seed", 0), inputs,
+                   outputs, args.started, summary)
+
+
 def report_payload(results, chosen):
     runs = []
     for k, r in enumerate(results):
@@ -97,23 +100,19 @@ def report_payload(results, chosen):
     return {"runs": runs, "best_index": chosen}
 
 
-def cmd_simulate(args, argv):
-    started = time.time()
+def cmd_simulate(args):
     model = load_model(args.model)
-    seed = resolve_seed(args.seed)
-    seq = sample_sequence(model, args.length, np.random.default_rng(seed))
+    seq = sample_sequence(model, args.length,
+                          np.random.default_rng(args.seed))
     save_experience(seq, args.output)
-    manifest = args.manifest or args.output + ".manifest.json"
-    write_manifest(manifest, "simulate", argv, seed, [args.model],
-                   [args.output], started,
-                   {"length": args.length, "n_dims": seq.n_dims})
+    record(args, [args.model], [args.output],
+           {"length": args.length, "n_dims": seq.n_dims})
     print("wrote %s (%d steps, %d readings)" % (args.output, len(seq),
                                                 len(seq) - 1))
     return EXIT_OK
 
 
-def cmd_make_loop(args, argv):
-    started = time.time()
+def cmd_make_loop(args):
     spec = LoopSpec(
         corridor_lengths=tuple(float(v) for v in args.lengths.split(",")),
         states_per_corridor=tuple(int(v) for v in args.states.split(",")),
@@ -121,9 +120,7 @@ def cmd_make_loop(args, argv):
         sigma_y=args.sigma_xy, kappa=args.kappa, mode=_MODES[args.mode])
     model = make_loop_model(spec)
     save_model(model, args.output)
-    manifest = args.manifest or args.output + ".manifest.json"
-    write_manifest(manifest, "make-loop", argv, 0, [], [args.output],
-                   started, {"n_states": model.n_states})
+    record(args, [], [args.output], {"n_states": model.n_states})
     print("wrote %s (%d states)" % (args.output, model.n_states))
     return EXIT_OK
 
@@ -154,14 +151,13 @@ def _bucket_config(args, seq):
                         sigma_theta=args.sigma_theta)
 
 
-def cmd_learn(args, argv):
-    started = time.time()
+def cmd_learn(args):
     seq = load_experience(args.experience)
-    seed = resolve_seed(args.seed)
     initial = load_model(args.initial) if args.initial else None
     if initial is None and args.n_states is None:
         raise CliError("either --initial or --n-states is required")
-    n_states = initial.n_states if initial is not None else args.n_states
+    # learn_runs rejects an -n that disagrees with --initial.
+    n_states = initial.n_states if args.n_states is None else args.n_states
     mode = _MODES[args.mode] if initial is None else initial.mode
     cfg = _learn_config(args, mode)
     bucket_cfg = None
@@ -174,7 +170,7 @@ def cmd_learn(args, argv):
 
     def learn_best(sub, model_path):
         results = learn_runs(sub, n_states, cfg, restarts=args.restarts,
-                             seed=seed, initial=initial,
+                             seed=args.seed, initial=initial,
                              bucket_cfg=bucket_cfg)
         chosen = best_index(results)
         save_model(results[chosen].model, model_path)
@@ -214,20 +210,16 @@ def cmd_learn(args, argv):
               % (args.output, results[chosen].final_loglik,
                  results[chosen].report.iterations_run, args.restarts))
 
-    manifest = args.manifest or outputs[0] + ".manifest.json"
-    write_manifest(manifest, "learn", argv, seed, inputs, outputs, started,
-                   summary)
+    record(args, inputs, outputs, summary)
     return EXIT_OK
 
 
-def cmd_eval_kl(args, argv):
-    started = time.time()
+def cmd_eval_kl(args):
     true_model = load_model(args.true_model)
     learned = load_model(args.learned_model)
-    seed = resolve_seed(args.seed)
     est = kl_sampled(true_model, learned, seq_length=args.length,
                      n_sequences=args.sequences,
-                     rng=np.random.default_rng(seed))
+                     rng=np.random.default_rng(args.seed))
     payload = {
         "value_nats_per_symbol": est.value,
         "std_error": est.std_error,
@@ -241,14 +233,12 @@ def cmd_eval_kl(args, argv):
         print(est)
     if args.output:
         dump_json(args.output, payload)
-        manifest = args.manifest or args.output + ".manifest.json"
-        write_manifest(manifest, "eval-kl", argv, seed,
-                       [args.true_model, args.learned_model], [args.output],
-                       started, payload)
+        record(args, [args.true_model, args.learned_model], [args.output],
+               payload)
     return EXIT_OK
 
 
-def cmd_check(args, argv):
+def cmd_check(args):
     model = load_model(args.model)
     report = check_consistency(model, _LEVELS[args.level], args.tol)
     payload = {
@@ -269,22 +259,19 @@ def cmd_check(args, argv):
     return EXIT_OK if report.consistent else EXIT_INCONSISTENT
 
 
-def cmd_render(args, argv):
-    started = time.time()
+def cmd_render(args):
     if min(args.width, args.height) <= 2 * MARGIN:
         raise CliError("--width and --height must exceed %d px, the margins"
                        % (2 * MARGIN))
     model = load_model(args.model)
     svg = render_svg(model, width=args.width, height=args.height)
     atomic_write_text(args.output, svg)
-    manifest = args.manifest or args.output + ".manifest.json"
-    write_manifest(manifest, "render", argv, 0, [args.model], [args.output],
-                   started, {"n_states": model.n_states})
+    record(args, [args.model], [args.output], {"n_states": model.n_states})
     print("wrote %s" % args.output)
     return EXIT_OK
 
 
-def cmd_replay(args, _argv):
+def cmd_replay(args):
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -307,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("-T", "--length", type=int, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_simulate)
 
@@ -338,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="plain Baum-Welch baseline")
     p.add_argument("--restarts", type=int, default=1,
                    help="EM runs, best kept; odometry restarts jitter A, B")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--smoothing", type=float, default=0.0,
                    help="pseudocount for A and B updates")
@@ -357,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("learned_model")
     p.add_argument("-L", "--length", type=int, default=1000)
     p.add_argument("-n", "--sequences", type=int, default=10)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("-o", "--output")
     p.add_argument("--manifest")
@@ -390,8 +377,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv, args.started = argv, time.time()
     try:
-        return args.func(args, argv)
+        return args.func(args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code

@@ -94,7 +94,7 @@ class RelationMatrix:
             raise ValueError("kappa must lie in [0, KAPPA_MAX]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeoHmm:
     """Hidden Markov model with odometric relations.
 
@@ -126,7 +126,8 @@ class GeoHmm:
             raise ValueError("A must be (N, N), got %r" % (self.A.shape,))
         if len(self.B) != len(self.obs_dims):
             raise ValueError("need one B matrix per observation dimension")
-        # A's rows and each B's columns are distributions.
+        # A's rows and each B's columns are distributions: no entry below
+        # 0, as the sampler demands, and sums within STOCHASTIC_TOL of 1.
         stochastic = [("A", "rows", 1, self.A)]
         for i, b in enumerate(self.B):
             if b.shape != (self.obs_dims[i], n):
@@ -136,7 +137,7 @@ class GeoHmm:
         for name, lines, axis, p in stochastic:
             if not np.all(np.isfinite(p)):
                 raise ValueError("%s has non-finite entries" % name)
-            if np.any(p < -STOCHASTIC_TOL):
+            if np.any(p < 0):
                 raise ValueError("%s has negative entries" % name)
             if np.max(np.abs(p.sum(axis=axis) - 1.0)) > STOCHASTIC_TOL:
                 raise ValueError("%s of %s must sum to 1" % (lines, name))
@@ -154,7 +155,7 @@ class GeoHmm:
         return dataclasses.replace(self, **kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperienceSequence:
     """Time-indexed observations plus the readings between them.
 

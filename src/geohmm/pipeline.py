@@ -50,17 +50,20 @@ def learn_runs(e: ExperienceSequence, n_states: int, cfg: LearnConfig,
                bucket_cfg: BucketConfig | None = None) -> list:
     """Run EM `restarts` times and return every run's result.
 
-    Restart 0 starts from `initial` when given, else from the odometric
-    initializer (with odometry) or a seeded random model (without).
-    Later restarts jitter that base model's A and B and share its
-    relations (odometry) or draw fresh random models (baseline). Restart
-    k draws from SeedSequence(seed).spawn(restarts)[k]. The alphabets
-    are e.obs_dims.
+    Restart 0 starts from `initial` (of n_states states) when given, else
+    from the odometric initializer (with odometry) or a seeded random
+    model (without). Later restarts jitter that base model's A and B and
+    share its relations (odometry) or draw fresh random models
+    (baseline). Restart k draws from SeedSequence(seed).spawn(restarts)[k].
+    The alphabets are e.obs_dims.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if n_states < 1:
         raise ValueError("n_states must be at least 1, got %d" % n_states)
+    if initial is not None and initial.n_states != n_states:
+        raise ValueError("the initial model has %d states, n_states is %d"
+                         % (initial.n_states, n_states))
     seeds = np.random.SeedSequence(seed).spawn(restarts)
 
     mode = cfg.mode or CoordinateMode.GLOBAL

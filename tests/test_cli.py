@@ -1,7 +1,9 @@
 """Command-line surface: files, exit codes, determinism, replay."""
 
+import ast
 import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -188,6 +190,17 @@ class TestLearn:
                             "-o", str(resumed)]) == EXIT_OK
         assert sha(resumed) == sha(whole)
 
+    def test_n_states_must_match_initial(self, tmp_path, capsys,
+                                         loop_model_path, experience_path):
+        # -n used to give way to the 16 states of --initial without a word.
+        argv = ["learn", str(experience_path), "-o", str(tmp_path / "m.json"),
+                "--initial", str(loop_model_path), "--max-iters", "1"]
+        before = set(tmp_path.iterdir())
+        assert main(argv + ["-n", "5"]) == EXIT_INPUT
+        assert "16 states, n_states is 5" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+        assert main(argv + ["-n", "16"]) == EXIT_OK
+
     def test_missing_n_states_is_input_error(self, tmp_path,
                                              experience_path):
         assert main(["learn", str(experience_path), "-o",
@@ -280,6 +293,22 @@ class TestNoDeadKnobs:
                                        "make-loop", "render", "replay",
                                        "simulate"]
         assert not unread
+
+    def test_no_environment_variable_is_read(self):
+        # An environment variable is a knob the manifest cannot record.
+        src = pathlib.Path(__file__).resolve().parent.parent / "src" / "geohmm"
+        reads = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "os"
+                        and node.attr in ("environ", "getenv")):
+                    reads.append((path.name, node.lineno))
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    reads += [(path.name, node.lineno) for a in node.names
+                              if a.name in ("environ", "getenv")]
+        assert not reads
 
 
 class TestCheck:
@@ -399,25 +428,52 @@ class TestRenderAndReplay:
                      "--width", "81", "--height", "81"]) == EXIT_OK
         assert out.read_text().count("<circle") == 16
 
-    def test_replay_reproduces_outputs(self, tmp_path, loop_model_path):
-        out = tmp_path / "exp.txt"
-        main(["simulate", str(loop_model_path), "-o", str(out), "-T", "60",
-              "--seed", "21"])
-        before = sha(out)
-        assert main(["replay", str(tmp_path / "exp.txt.manifest.json")]) \
-            == EXIT_OK
-        assert sha(out) == before
+    @pytest.mark.parametrize("command", ["make-loop", "simulate", "learn",
+                                         "eval-kl", "render"])
+    def test_replay_reproduces_outputs(self, tmp_path, loop_model_path,
+                                       experience_path, command):
+        model, exp = str(loop_model_path), str(experience_path)
+        out = str(tmp_path / "out")
+        argv = {
+            "make-loop": ["make-loop", "-o", out, "--states", "4,3,4,3"],
+            "simulate": ["simulate", model, "-o", out, "-T", "60",
+                         "--seed", "21"],
+            "learn": ["learn", exp, "-o", out, "-n", "16", "--restarts", "2",
+                      "--max-iters", "3", "--seed", "4"],
+            "eval-kl": ["eval-kl", model, model, "-L", "50", "-n", "2",
+                        "--seed", "3", "-o", out],
+            "render": ["render", model, "-o", out],
+        }[command]
+        assert main(argv) == EXIT_OK
+        manifest = tmp_path / "out.manifest.json"
+        recorded = json.loads(manifest.read_text())
+        assert recorded["command"] == command and recorded["argv"] == argv
+        outputs = [pathlib.Path(p) for p in recorded["outputs"]]
+        assert outputs[0] == pathlib.Path(out)
+        before = [sha(p) for p in outputs]
+        for path in outputs:
+            path.unlink()
+        assert main(["replay", str(manifest)]) == EXIT_OK
+        assert [sha(p) for p in outputs] == before
 
     def test_replay_rejects_non_manifest(self, tmp_path, loop_model_path):
         assert main(["replay", str(loop_model_path)]) == EXIT_INPUT
 
-    def test_env_seed_fallback(self, tmp_path, loop_model_path, monkeypatch):
+    def test_environment_changes_no_run(self, tmp_path, loop_model_path,
+                                        monkeypatch):
+        # GEOHMM_SEED used to seed a run given no --seed, while its manifest
+        # recorded an argv that did not reproduce it.
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        monkeypatch.setenv("GEOHMM_SEED", "77")
-        main(["simulate", str(loop_model_path), "-o", str(a), "-T", "40"])
+        monkeypatch.setenv("GEOHMM_SEED", "5")
+        assert main(["simulate", str(loop_model_path), "-o", str(a),
+                     "-T", "20"]) == EXIT_OK
+        assert main(["simulate", str(loop_model_path), "-o", str(b),
+                     "-T", "20", "--seed", "0"]) == EXIT_OK
+        assert sha(a) == sha(b)
         monkeypatch.delenv("GEOHMM_SEED")
-        main(["simulate", str(loop_model_path), "-o", str(b), "-T", "40",
-              "--seed", "77"])
+        a.unlink()
+        assert main(["replay", str(tmp_path / "a.txt.manifest.json")]) \
+            == EXIT_OK
         assert sha(a) == sha(b)
 
 

@@ -993,6 +993,15 @@ class TestEStepReuse:
                          "natural_parameters": len(runs) + steps}
 
 
+def test_learn_runs_rejects_initial_of_another_size():
+    # The initial model's 16 states used to override n_states silently.
+    seq = relative_loop()
+    initial = make_loop_model(LoopSpec(mode=CoordinateMode.RELATIVE))
+    with pytest.raises(ValueError, match="16 states, n_states is 5"):
+        learn_runs(seq, 5, LearnConfig(mode=CoordinateMode.RELATIVE),
+                   restarts=2, initial=initial)
+
+
 class TestLearnConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"pseudocount": -0.5}, {"pseudocount": float("inf")},

@@ -445,8 +445,8 @@ class TestPosteriors:
         model = random_geohmm(3, rng)
         e = random_experience(model, 1, rng)
         trellis = forward_backward(model, e, use_odometry=use_odometry)
-        # The step is a read-only (0, N, N) broadcast of A, even with
-        # odometry: posteriors does not spend it.
+        # With T = 1 the trellis's operator is A itself, even with
+        # odometry, so posteriors does not spend it.
         for _ in range(2):
             post = posteriors(trellis, model, e)
             assert post.pair.shape == (7, 3, 3)

@@ -9,6 +9,7 @@ from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
                           check_consistency, embed_relations,
                           relation_log_density)
 from geohmm.circstats import wrap_angle
+from geohmm.simgen import LoopSpec, make_loop_model
 
 from oracles import (RelationEntry, random_geohmm, reference_check_consistency,
                      relation_density, relation_entry, zero_relations)
@@ -247,6 +248,28 @@ class TestValidation:
             rel.validate()
         with pytest.raises(ValueError):
             simple_model(2, relations=rel)
+
+    @pytest.mark.parametrize("where", ["A", "B"])
+    def test_entry_just_below_zero_rejected(self, where):
+        # An entry within STOCHASTIC_TOL below 0 used to validate, and
+        # sample_sequence then refused the model.
+        model = make_loop_model(LoopSpec())
+        A, B = model.A.copy(), model.B[0].copy()
+        if where == "A":
+            A[0, 5], A[0, 1] = -5e-10, A[0, 1] + 5e-10
+        else:
+            B[1, 3], B[0, 3] = -5e-10, B[0, 3] + 5e-10
+        with pytest.raises(ValueError, match="negative"):
+            model.replace(A=A, B=(B,) + model.B[1:])
+
+    def test_equality_is_identity(self):
+        # The generated __eq__ compared array fields and raised.
+        a, b = make_loop_model(LoopSpec()), make_loop_model(LoopSpec())
+        assert (a == b) is False and (a == a) is True
+        obs, readings = np.zeros((3, 1), dtype=int), np.zeros((2, 3))
+        e, f = (ExperienceSequence(obs, readings),
+                ExperienceSequence(obs, readings))
+        assert (e == f) is False and (e == e) is True
 
     def test_nonzero_diagonal_rejected(self):
         rel = zero_relations(2)

@@ -184,22 +184,22 @@ class TestSamplePathStream:
 
     @pytest.mark.parametrize("bad", [np.nan, -1e-10])
     def test_bad_transition_row_rejected(self, bad):
-        nan_row = np.isnan(bad)
-        A = np.array([[0.5, 0.5, 0.0] if nan_row else [0.5 - bad, 0.5, bad],
-                      [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        A = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         model = GeoHmm(n_states=3, obs_dims=(2,), A=A,
                        B=(np.full((2, 3), 0.5),), start_state=1,
                        relations=zero_relations(3))
-        if nan_row:
-            model.A[0] = np.nan  # set after validation, which would refuse it
+        # Set after validation, which refuses both rows.
+        model.A[0] = np.nan if np.isnan(bad) else [0.5 - bad, 0.5, bad]
         for sampler in (sample_path, reference_sample_path):
             with pytest.raises(ValueError):
                 sampler(model, 5, np.random.default_rng(0))
 
     def test_bad_observation_column_rejected(self):
-        B = np.array([[1.0 + 1e-10, 0.5], [-1e-10, 0.5]])
         model = GeoHmm(n_states=2, obs_dims=(2,), A=np.full((2, 2), 0.5),
-                       B=(B,), start_state=0, relations=zero_relations(2))
+                       B=(np.full((2, 2), 0.5),), start_state=0,
+                       relations=zero_relations(2))
+        # Set after validation, which refuses a negative entry.
+        model.B[0][:, 0] = [1.0 + 1e-10, -1e-10]
         for sampler in (sample_path, reference_sample_path):
             with pytest.raises(ValueError):
                 sampler(model, 1, np.random.default_rng(0))
