@@ -1,7 +1,6 @@
 """Hidden Markov models with geometrically consistent odometric relations."""
 
-from .circstats import (KAPPA_MAX, bessel_i0, bessel_ratio, resultant_to_kappa,
-                        vm_density, vm_sample, wrap_angle)
+from .circstats import KAPPA_MAX, bessel_ratio, resultant_to_kappa, wrap_angle
 from .estimation import (LearnConfig, LearnReport, em_learn, project_headings,
                          solve_positions, update_observations,
                          update_relations_additive, update_relations_antisym,
@@ -28,7 +27,7 @@ __all__ = [
     "ConstraintLevel", "CoordinateMode", "ExperienceSequence", "GeoHmm",
     "GeoHmmError", "ImpossibleSequenceError", "KlEstimate", "LearnConfig",
     "LearnReport", "LoopSpec", "ModelFormatError", "Posteriors",
-    "RelationMatrix", "RunResult", "Trellis", "bessel_i0", "bessel_ratio",
+    "RelationMatrix", "RunResult", "Trellis", "bessel_ratio",
     "best_index", "best_run", "bucketize", "check_consistency",
     "default_bucket_config", "em_learn", "embed_model_positions",
     "embed_relations", "forward_backward", "init_model", "kl_sampled",
@@ -37,6 +36,5 @@ __all__ = [
     "random_model", "render_svg", "resultant_to_kappa", "sample_path",
     "sample_sequence", "save_experience", "save_model", "solve_positions",
     "tag_states", "update_observations", "update_relations_additive",
-    "update_relations_antisym", "update_transitions", "vm_density",
-    "vm_sample", "wrap_angle",
+    "update_relations_antisym", "update_transitions", "wrap_angle",
 ]

@@ -1,13 +1,16 @@
-"""Von Mises primitives and circular arithmetic.
+"""Bessel functions and circular arithmetic for von Mises headings.
 
 Angles are radians throughout, canonicalized to the half-open interval
-(-pi, pi]. The von Mises density is
+(-pi, pi]. A heading change is von Mises,
 
     f(theta; mu, kappa) = exp(kappa * cos(theta - mu)) / (2 pi I0(kappa))
 
-with I0 the modified Bessel function of the first kind and order 0.
-Concentrations are clamped to [0, KAPPA_MAX]; beyond that the
-distribution is numerically a point mass.
+with I0 the modified Bessel function of the first kind and order 0. The
+density is the heading factor of model.natural_parameters and the draws
+are simgen.sample_path's; this module holds log I0, the mean resultant
+length A = I1/I0 and its inverse, and the angle wrap. Concentrations are
+clamped to [0, KAPPA_MAX]; beyond that the distribution is numerically a
+point mass.
 """
 
 from __future__ import annotations
@@ -53,12 +56,6 @@ def log_bessel_i0(kappa):
     return _like(k + np.log(i0e(k)), kappa)
 
 
-def bessel_i0(kappa):
-    """Modified Bessel function I0. Overflows to inf for kappa > ~709."""
-    k = _nonnegative(kappa)
-    return _like(i0e(k) * np.exp(k), kappa)
-
-
 def bessel_ratio(kappa):
     """A(kappa) = I1(kappa) / I0(kappa), the mean resultant length."""
     k = _nonnegative(kappa)
@@ -88,34 +85,6 @@ def resultant_to_kappa(r):
         kappa = np.clip(kappa - (a - rr) / np.maximum(slope, 1e-12),
                         0.0, KAPPA_MAX)
     return _like(np.where(rr >= bessel_ratio(KAPPA_MAX), KAPPA_MAX, kappa), r)
-
-
-def vm_density(theta, mu, kappa):
-    """Von Mises density at theta for mean direction mu and concentration
-    kappa; broadcasts over array arguments."""
-    kappa = np.clip(kappa, 0.0, KAPPA_MAX)
-    out = np.exp(kappa * np.cos(np.asarray(theta) - mu) - LOG_TWO_PI
-                 - log_bessel_i0(kappa))
-    if np.ndim(theta) == 0 and np.ndim(mu) == 0 and np.ndim(kappa) == 0:
-        return float(out)
-    return out
-
-
-def vm_sample(mu, kappa, rng: np.random.Generator, size=None):
-    """Draw from von Mises(mu, kappa) using the given generator.
-
-    Uses the generator's wrapped-rejection von Mises sampler, so draws are
-    reproducible for a fixed seed. Results are wrapped into (-pi, pi].
-    """
-    kappa = np.clip(kappa, 0.0, KAPPA_MAX)
-    draws = rng.vonmises(mu, kappa, size=size)
-    return wrap_angle(draws)
-
-
-def circular_mean(angles):
-    """Direction of the resultant vector, in (-pi, pi]."""
-    angles = np.asarray(angles, dtype=float)
-    return float(np.arctan2(np.sin(angles).sum(), np.cos(angles).sum()))
 
 
 def mean_resultant_length(angles):

@@ -1,12 +1,12 @@
 """Command-line pipeline: simulate, learn, eval-kl, check, render, replay.
 
 Every run that writes files also writes a JSON manifest recording its
-argv, seed, inputs, outputs, timing and a summary. All randomness flows
-from --seed (default 0) and no environment variable changes a run, so the
-argv and the input files are a run's whole input: `geohmm replay
-<manifest>`, from the same working directory with the same input files,
-re-executes the recorded command and reproduces the outputs byte for
-byte.
+argv, working directory, seed, inputs, outputs, timing and a summary. All
+randomness flows from --seed (default 0) and no environment variable
+changes a run, so the argv and the input files are a run's whole input:
+`geohmm replay <manifest>` re-executes the recorded command in the
+recorded directory and, given the same input files, reproduces the
+outputs byte for byte.
 
 Exit codes: 0 success, 2 input error, 3 impossible sequence under the
 model, 4 consistency-check failure.
@@ -67,6 +67,7 @@ def write_manifest(path, command, argv, seed, inputs, outputs, started,
         "version": __version__,
         "command": command,
         "argv": list(argv),
+        "cwd": os.getcwd(),
         "seed": seed,
         "inputs": list(inputs),
         "outputs": list(outputs),
@@ -79,7 +80,8 @@ def write_manifest(path, command, argv, seed, inputs, outputs, started,
 def record(args, inputs, outputs, summary):
     """Write the manifest of the run `main` parsed into args: to
     --manifest, else next to the first output."""
-    write_manifest(args.manifest or outputs[0] + ".manifest.json",
+    write_manifest(getattr(args, "manifest", None)
+                   or outputs[0] + ".manifest.json",
                    args.command, args.argv, getattr(args, "seed", 0), inputs,
                    outputs, args.started, summary)
 
@@ -192,7 +194,7 @@ def cmd_learn(args):
             results, chosen = learn_best(seq.prefix(length),
                                          "%s.p%d.model.json" % (base, length))
             sweep[str(length)] = report_payload(results, chosen)
-        report_path = "%s.report.json" % base
+        report_path = args.report or "%s.report.json" % base
         dump_json(report_path, {"command": "learn", "prefix_sweep": sweep})
         outputs.append(report_path)
         summary["prefix_lengths"] = lengths
@@ -231,10 +233,11 @@ def cmd_eval_kl(args):
         print(json.dumps(payload, sort_keys=True))
     else:
         print(est)
-    if args.output:
+    outputs = [args.output] if args.output else []
+    if outputs:
         dump_json(args.output, payload)
-        record(args, [args.true_model, args.learned_model], [args.output],
-               payload)
+    if outputs or args.manifest:
+        record(args, [args.true_model, args.learned_model], outputs, payload)
     return EXIT_OK
 
 
@@ -256,6 +259,8 @@ def cmd_check(args):
         print(report.summary())
     if args.output:
         dump_json(args.output, payload)
+        record(args, [args.model], [args.output],
+               {"consistent": report.consistent})
     return EXIT_OK if report.consistent else EXIT_INCONSISTENT
 
 
@@ -279,7 +284,12 @@ def cmd_replay(args):
         raise CliError("cannot read manifest %s: %s" % (args.manifest, exc))
     if manifest.get("format") != "geohmm-manifest":
         raise CliError("%s is not a geohmm manifest" % args.manifest)
-    return main(manifest["argv"])
+    here = os.getcwd()
+    os.chdir(manifest.get("cwd", here))
+    try:
+        return main(manifest["argv"])
+    finally:
+        os.chdir(here)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -148,6 +148,16 @@ def relation_density(reading, entry: RelationEntry) -> float:
     return float(np.exp(relation_log_density(reading, entry)))
 
 
+def heading_density(theta, mu, kappa) -> float:
+    """The model's reading density at (0, 0, theta) under an entry with zero
+    mean displacement and variances 1/(2 pi). Both normal factors are 1
+    there, so this is the von Mises density of theta that learning, sampling
+    and scoring use."""
+    var = 1.0 / TWO_PI
+    return relation_density((0.0, 0.0, theta),
+                            RelationEntry(0.0, 0.0, mu, var, var, kappa))
+
+
 def constrained_two_normal_mle(P, Q):
     """ML estimate of (mu, var_P, var_Q) for two normal samples whose
     means are constrained to be negatives of each other.

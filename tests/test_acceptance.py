@@ -26,8 +26,7 @@ import pytest
 from scipy import stats as scipy_stats
 from scipy.integrate import quad
 
-from geohmm.circstats import (bessel_ratio, resultant_to_kappa, vm_density,
-                              wrap_angle)
+from geohmm.circstats import bessel_ratio, resultant_to_kappa, wrap_angle
 from geohmm.estimation import LearnConfig, em_learn, update_relations_antisym
 from geohmm.evalkl import kl_sampled
 from geohmm.inference import Posteriors, forward_backward, loglik, posteriors
@@ -38,8 +37,9 @@ from geohmm.pipeline import default_bucket_config, learn_runs
 from geohmm.simgen import (LoopSpec, make_loop_model, sample_observations,
                            sample_path, sample_sequence)
 from oracles import (brute_force_posteriors, constrained_two_normal_mle,
-                     pair_statistics, path_count_model, random_experience,
-                     random_geohmm, reference_pair_statistics, zero_relations)
+                     heading_density, pair_statistics, path_count_model,
+                     random_experience, random_geohmm,
+                     reference_pair_statistics, zero_relations)
 
 EXPERIMENT_SMOOTHING = 0.005
 KL_LENGTH = 1000
@@ -423,8 +423,8 @@ def test_path_count_model_hand_counts():
 def test_criterion_8_numerics():
     worst_quad = 0.0
     for kappa in (0.0, 0.5, 2.0, 10.0, 50.0):
-        total, _ = quad(lambda t: vm_density(t, 0.3, kappa), -np.pi, np.pi,
-                        limit=200)
+        total, _ = quad(lambda t: heading_density(t, 0.3, kappa), -np.pi,
+                        np.pi, limit=200)
         worst_quad = max(worst_quad, abs(total - 1.0))
     worst_inv = 0.0
     for r in np.linspace(0.0, 0.99, 100):

@@ -9,10 +9,11 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from geohmm.circstats import (KAPPA_MAX, bessel_i0, bessel_ratio,
-                              circular_mean, log_bessel_i0,
+from geohmm.circstats import (KAPPA_MAX, bessel_ratio, log_bessel_i0,
                               mean_resultant_length, resultant_to_kappa,
-                              vm_density, vm_sample, wrap_angle)
+                              wrap_angle)
+from geohmm.simgen import LoopSpec, make_loop_model, sample_path
+from oracles import heading_density
 
 
 def i0_power_series_oracle(kappa, tol=1e-18):
@@ -27,19 +28,20 @@ def i0_power_series_oracle(kappa, tol=1e-18):
 
 
 class TestBesselI0:
+    # I0 as the pipeline computes it: exp(log_bessel_i0).
     def test_zero(self):
-        assert bessel_i0(0.0) == 1.0
+        assert np.exp(log_bessel_i0(0.0)) == 1.0
 
     @pytest.mark.parametrize("kappa,expected", [(1.0, 1.266066), (2.0, 2.279585)])
     def test_frozen_values(self, kappa, expected):
-        assert bessel_i0(kappa) == pytest.approx(expected, abs=5e-7)
-        assert bessel_i0(kappa) == pytest.approx(i0_power_series_oracle(kappa),
-                                                 rel=1e-12)
+        i0 = np.exp(log_bessel_i0(kappa))
+        assert i0 == pytest.approx(expected, abs=5e-7)
+        assert i0 == pytest.approx(i0_power_series_oracle(kappa), rel=1e-12)
 
     def test_matches_scipy_over_range(self):
         for kappa in [0.1, 0.5, 1, 3, 7, 14.9, 15.1, 30, 80, 200, 500]:
-            assert bessel_i0(kappa) == pytest.approx(special.i0(kappa),
-                                                     rel=1e-10)
+            assert np.exp(log_bessel_i0(kappa)) == pytest.approx(
+                special.i0(kappa), rel=1e-10)
 
     def test_log_variant_large_kappa(self):
         # log I0(k) ~ k - 0.5 log(2 pi k) for large k; exact vs scipy's
@@ -49,27 +51,30 @@ class TestBesselI0:
                 k + np.log(special.i0e(k)), rel=1e-12)
 
     def test_negative_rejected(self):
-        for fn in (bessel_i0, log_bessel_i0, bessel_ratio):
+        for fn in (log_bessel_i0, bessel_ratio):
             for kappa in (-1.0, np.array([1.0, -1.0])):
                 with pytest.raises(ValueError):
                     fn(kappa)
 
 
 class TestVmDensity:
+    # The von Mises density as learning, sampling and scoring use it: the
+    # heading factor of the model's reading density.
     def test_uniform_when_flat(self):
-        assert vm_density(0.7, 123.4, 0.0) == pytest.approx(1 / (2 * np.pi),
-                                                            rel=1e-12)
+        assert heading_density(0.7, 123.4, 0.0) == pytest.approx(
+            1 / (2 * np.pi), rel=1e-12)
 
     def test_frozen_peak_and_antipode(self):
-        assert vm_density(0.0, 0.0, 1.0) == pytest.approx(0.341710, abs=5e-7)
+        assert heading_density(0.0, 0.0, 1.0) == pytest.approx(0.341710,
+                                                               abs=5e-7)
         mu = 0.3
-        assert vm_density(mu + np.pi, mu, 1.0) == pytest.approx(0.046245,
-                                                                abs=5e-7)
+        assert heading_density(mu + np.pi, mu, 1.0) == pytest.approx(
+            0.046245, abs=5e-7)
 
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 2.0, 10.0, 50.0])
     def test_integrates_to_one(self, kappa):
-        total, _ = quad(lambda t: vm_density(t, 0.4, kappa), -np.pi, np.pi,
-                        limit=200)
+        total, _ = quad(lambda t: heading_density(t, 0.4, kappa), -np.pi,
+                        np.pi, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_periodicity_exact_after_wrapping(self):
@@ -80,8 +85,8 @@ class TestVmDensity:
             kappa = rng.uniform(0, 30)
             for k in (-2, -1, 1, 3):
                 shifted = wrap_angle(theta + 2 * np.pi * k)
-                assert vm_density(shifted, mu, kappa) == pytest.approx(
-                    vm_density(theta, mu, kappa), rel=1e-12)
+                assert heading_density(shifted, mu, kappa) == pytest.approx(
+                    heading_density(theta, mu, kappa), rel=1e-12)
 
 
 class TestResultantToKappa:
@@ -124,28 +129,33 @@ class TestResultantToKappa:
         np.testing.assert_allclose(bessel_ratio(grid), scalars, rtol=1e-10)
 
 
+def pair_headings(kappa, seed):
+    """Heading readings sample_path draws on the (0, 1) pair of a 4-state
+    loop whose relations all have concentration kappa (about 22 500 of
+    100 000 steps), and that pair's mean heading change."""
+    model = make_loop_model(LoopSpec(states_per_corridor=(1, 1, 1, 1),
+                                     kappa=kappa))
+    states, seq = sample_path(model, 100_000, np.random.default_rng(seed))
+    on_pair = (states[:-1] == 0) & (states[1:] == 1)
+    return seq.readings[on_pair, 2], model.relations.mu_theta[0, 1]
+
+
 class TestVmSample:
+    # The von Mises draws as sample_path makes them.
     def test_flat_concentration_is_uniform(self):
-        rng = np.random.default_rng(7)
-        draws = vm_sample(0.3, 0.0, rng, size=100_000)
+        draws, _ = pair_headings(0.0, 7)
         assert mean_resultant_length(draws) < 0.02
         assert draws.min() > -np.pi and draws.max() <= np.pi
 
     def test_tight_concentration_centers_on_mu(self):
-        rng = np.random.default_rng(11)
-        draws = vm_sample(1.0, 50.0, rng, size=100_000)
-        assert abs(circular_mean(draws) - 1.0) < 0.02
+        draws, mu = pair_headings(50.0, 11)
+        center = np.arctan2(np.sin(draws).sum(), np.cos(draws).sum())
+        assert abs(wrap_angle(center - mu)) < 0.02
 
     def test_resultant_matches_bessel_ratio(self):
-        rng = np.random.default_rng(13)
-        draws = vm_sample(0.0, 2.0, rng, size=100_000)
-        assert mean_resultant_length(draws) == pytest.approx(0.697775,
-                                                             abs=0.01)
-
-    def test_reproducible(self):
-        a = vm_sample(0.5, 3.0, np.random.default_rng(42), size=100)
-        b = vm_sample(0.5, 3.0, np.random.default_rng(42), size=100)
-        np.testing.assert_array_equal(a, b)
+        draws, _ = pair_headings(2.0, 13)
+        assert mean_resultant_length(draws) == pytest.approx(
+            bessel_ratio(2.0), abs=0.01)
 
 
 class TestWrapAngle:

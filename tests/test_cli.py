@@ -129,6 +129,17 @@ class TestLearn:
         report = json.loads((tmp_path / "sweep.report.json").read_text())
         assert set(report["prefix_sweep"]) == {"100", "200"}
 
+    def test_prefix_sweep_writes_the_report_asked_for(self, tmp_path,
+                                                      experience_path):
+        out, report = tmp_path / "m.json", tmp_path / "myreport.json"
+        assert main(["learn", str(experience_path), "-o", str(out),
+                     "-n", "16", "--prefix-lengths", "100",
+                     "--max-iters", "2", "--report", str(report)]) == EXIT_OK
+        assert set(json.loads(report.read_text())["prefix_sweep"]) == {"100"}
+        assert not (tmp_path / "m.report.json").exists()
+        manifest = tmp_path / "m.p100.model.json.manifest.json"
+        assert json.loads(manifest.read_text())["outputs"][-1] == str(report)
+
     def test_prefix_length_out_of_range_writes_nothing(self, tmp_path,
                                                        experience_path):
         # Every length is checked before the first learn: 900 > 300 steps.
@@ -394,6 +405,15 @@ class TestEvalKl:
         exp.write_text("\n".join(lines) + "\n")
         assert main(learn) == EXIT_INPUT
 
+    def test_manifest_without_output_file(self, tmp_path, loop_model_path):
+        model, manifest = str(loop_model_path), tmp_path / "kl.m.json"
+        assert main(["eval-kl", model, model, "-L", "20", "-n", "2",
+                     "--manifest", str(manifest)]) == EXIT_OK
+        recorded = json.loads(manifest.read_text())
+        assert recorded["command"] == "eval-kl"
+        assert recorded["inputs"] == [model, model]
+        assert recorded["outputs"] == []
+
     @pytest.mark.parametrize("flag", ["-n", "-L"])
     def test_empty_sample_is_input_error(self, tmp_path, loop_model_path,
                                          flag):
@@ -429,7 +449,7 @@ class TestRenderAndReplay:
         assert out.read_text().count("<circle") == 16
 
     @pytest.mark.parametrize("command", ["make-loop", "simulate", "learn",
-                                         "eval-kl", "render"])
+                                         "eval-kl", "check", "render"])
     def test_replay_reproduces_outputs(self, tmp_path, loop_model_path,
                                        experience_path, command):
         model, exp = str(loop_model_path), str(experience_path)
@@ -442,6 +462,7 @@ class TestRenderAndReplay:
                       "--max-iters", "3", "--seed", "4"],
             "eval-kl": ["eval-kl", model, model, "-L", "50", "-n", "2",
                         "--seed", "3", "-o", out],
+            "check": ["check", model, "-o", out],
             "render": ["render", model, "-o", out],
         }[command]
         assert main(argv) == EXIT_OK
@@ -458,6 +479,49 @@ class TestRenderAndReplay:
 
     def test_replay_rejects_non_manifest(self, tmp_path, loop_model_path):
         assert main(["replay", str(loop_model_path)]) == EXIT_INPUT
+
+    def test_replay_runs_where_the_run_ran(self, tmp_path, monkeypatch):
+        # Relative paths in the argv used to resolve wherever replay was
+        # started: this replay sampled ./true.json over ./exp.txt.
+        ident = tmp_path / "ident"
+        ident.mkdir()
+        monkeypatch.chdir(ident)
+        assert main(["make-loop", "--states", "4,3,4,3",
+                     "-o", "true.json"]) == EXIT_OK
+        assert main(["simulate", "true.json", "-o", "exp.txt",
+                     "-T", "20"]) == EXIT_OK
+        recorded = (ident / "exp.txt").read_bytes()
+        (ident / "exp.txt").unlink()
+        monkeypatch.chdir(tmp_path)
+        assert main(["make-loop", "-o", "true.json"]) == EXIT_OK
+        (tmp_path / "exp.txt").write_text("unrelated\n")
+        assert main(["replay", "ident/exp.txt.manifest.json"]) == EXIT_OK
+        assert (ident / "exp.txt").read_bytes() == recorded
+        assert (tmp_path / "exp.txt").read_text() == "unrelated\n"
+        assert pathlib.Path.cwd().samefile(tmp_path)
+
+    def test_replay_unrecorded_or_missing_directory(self, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    loop_model_path):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", loop_model_path.name, "-o", "a.txt",
+                     "-T", "20"]) == EXIT_OK
+        manifest, out = tmp_path / "a.txt.manifest.json", tmp_path / "a.txt"
+        recorded = json.loads(manifest.read_text())
+        assert pathlib.Path(recorded["cwd"]).samefile(tmp_path)
+        before = sha(out)
+        out.unlink()
+        # A manifest without the key replays in the current directory.
+        del recorded["cwd"]
+        manifest.write_text(json.dumps(recorded))
+        assert main(["replay", str(manifest)]) == EXIT_OK
+        assert sha(out) == before
+        out.unlink()
+        recorded["cwd"] = str(tmp_path / "gone")
+        manifest.write_text(json.dumps(recorded))
+        assert main(["replay", str(manifest)]) == EXIT_INPUT
+        assert "gone" in capsys.readouterr().err
+        assert not out.exists() and pathlib.Path.cwd().samefile(tmp_path)
 
     def test_environment_changes_no_run(self, tmp_path, loop_model_path,
                                         monkeypatch):

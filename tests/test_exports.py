@@ -4,8 +4,9 @@ A name in geohmm.__all__ that only tests read is test scaffolding; it
 belongs in tests/oracles.py, not in the package. A reader is a load of
 the name, or of an attribute of that name, in Python code under src/
 (outside the package's __init__ and outside the name's own definition),
-bench/, demos/ or experiments/, or a mention in README.md or in a shell
-script under experiments/.
+bench/ or experiments/, or a mention in README.md or in a shell script
+under experiments/. The scripts under demos/ are examples, not callers, so
+they do not count.
 """
 
 import ast
@@ -41,7 +42,7 @@ def python_readers(path):
 def test_every_export_has_a_reader_outside_tests():
     package = ROOT / "src" / "geohmm"
     sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
-    for folder in ("bench", "demos", "experiments"):
+    for folder in ("bench", "experiments"):
         sources += sorted((ROOT / folder).rglob("*.py"))
     read = set().union(*(python_readers(p) for p in sources))
     texts = [ROOT / "README.md"] + sorted((ROOT / "experiments").glob("*.sh"))
