@@ -3,6 +3,7 @@
 Run:  python demos/02_models_and_consistency.py
 """
 
+import dataclasses
 import os
 import tempfile
 
@@ -30,12 +31,14 @@ print("  density at the mean reading: %.4f"
       % np.exp(relation_log_density(reading, R))[0, 1])
 
 print("\nBreaking anti-symmetry by hand and re-checking:")
-model.relations.mu_x[0, 1] += 0.25
-report = check_consistency(model, ConstraintLevel.ANTISYMMETRIC, 1e-9)
+# Models and relation tables are read-only: build a changed one instead.
+mu_x = R.mu_x.copy()
+mu_x[0, 1] += 0.25
+broken = model.replace(relations=dataclasses.replace(R, mu_x=mu_x))
+report = check_consistency(broken, ConstraintLevel.ANTISYMMETRIC, 1e-9)
 print(" ", report.summary().splitlines()[0])
 for line in report.summary().splitlines()[1:4]:
     print(" ", line)
-model.relations.mu_x[0, 1] -= 0.25
 
 print("\nRelations from per-state coordinates (relative frames):")
 x = np.array([0.0, 2.0, 2.0])

@@ -15,6 +15,7 @@ model, 4 consistency-check failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -79,11 +80,11 @@ def write_manifest(path, command, argv, seed, inputs, outputs, started,
 
 def record(args, inputs, outputs, summary):
     """Write the manifest of the run `main` parsed into args: to
-    --manifest, else next to the first output."""
+    --manifest, else next to the first output (seed null if none)."""
     write_manifest(getattr(args, "manifest", None)
                    or outputs[0] + ".manifest.json",
-                   args.command, args.argv, getattr(args, "seed", 0), inputs,
-                   outputs, args.started, summary)
+                   args.command, args.argv, getattr(args, "seed", None),
+                   inputs, outputs, args.started, summary)
 
 
 def report_payload(results, chosen):
@@ -248,10 +249,7 @@ def cmd_check(args):
         "level": args.level,
         "tol": args.tol,
         "consistent": report.consistent,
-        "violations": [
-            {"kind": v.kind, "component": v.component,
-             "indices": list(v.indices), "magnitude": v.magnitude}
-            for v in report.violations],
+        "violations": [dataclasses.asdict(v) for v in report.violations],
     }
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -282,12 +280,18 @@ def cmd_replay(args):
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError("cannot read manifest %s: %s" % (args.manifest, exc))
-    if manifest.get("format") != "geohmm-manifest":
+    if not (isinstance(manifest, dict)
+            and manifest.get("format") == "geohmm-manifest"):
         raise CliError("%s is not a geohmm manifest" % args.manifest)
     here = os.getcwd()
-    os.chdir(manifest.get("cwd", here))
+    argv, cwd = manifest.get("argv"), manifest.get("cwd", here)
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        raise CliError("%s: argv must be a list of strings" % args.manifest)
+    if not isinstance(cwd, str):
+        raise CliError("%s: cwd must be a string" % args.manifest)
+    os.chdir(cwd)
     try:
-        return main(manifest["argv"])
+        return main(argv)
     finally:
         os.chdir(here)
 

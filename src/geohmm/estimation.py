@@ -33,7 +33,7 @@ from .circstats import (KAPPA_MAX, bessel_ratio, resultant_to_kappa,
 from .inference import Posteriors, forward_backward, posteriors
 from .model import (VAR_FLOOR, ConstraintLevel, CoordinateMode,
                     ExperienceSequence, GeoHmm, RelationMatrix, _rotate_xy,
-                    embed_relations, natural_parameters, reading_features)
+                    embed_relations)
 
 
 # Fixed tuning of the EM loop: the relative loglik gain below which a run
@@ -173,7 +173,7 @@ def _spread_updates(post: Posteriors, R_old, mu_x, mu_y, mu_theta):
     resultant = np.zeros_like(s0)
     resultant[live] = (np.cos(mu_theta[live]) * scos[live]
                        + np.sin(mu_theta[live]) * ssin[live]) / s0[live]
-    old_resultant = bessel_ratio(np.clip(R_old.kappa_theta, 0.0, KAPPA_MAX))
+    old_resultant = bessel_ratio(R_old.kappa_theta)
     resultant[live] = ((s0[live] * resultant[live]
                         + SPREAD_DAMPING * old_resultant[live]) / denom[live])
     kappa = np.array(R_old.kappa_theta, copy=True)
@@ -396,8 +396,8 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm,
     gains less than REL_TOL relative, or after cfg.max_iters M-steps.
 
     A and B updates are exact maximizers. A relation candidate that lowers
-    Q's relation term <post.pair, natural_parameters(R)> by more than GEM_TOL
-    of its magnitude is not taken: R is kept and (iteration, drop) goes into
+    Q's relation term <post.pair, R.eta> by more than GEM_TOL of its
+    magnitude is not taken: R is kept and (iteration, drop) goes into
     monotonicity_violations. So Q, and by the EM inequality the objective,
     cannot fall by more than that. A step that lowers it anyway (rounding, or
     a density_floor, whose clipping voids the inequality) is not taken and
@@ -406,9 +406,9 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm,
     One iteration depends only on the current model, so max_iters=1 calls,
     each from the last call's model, take the steps of one longer run.
 
-    Three savings per iteration change no bit of the tables. The reading
-    features are computed once per run and each relation matrix's natural
-    parameters once: the E-step and the guard share them. Every E-step
+    Three savings per iteration change no bit of the tables. The E-steps
+    and the guard share e.features and each relation table's eta, both
+    cached on their objects, as do restarts that share them. Every E-step
     writes its step operators into one (T-1, N, N) buffer, in which
     posteriors then builds xi: a learn keeps about one step tensor alive
     instead of two or three, and its pages are faulted in once per run,
@@ -423,14 +423,13 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm,
     odometry = cfg.use_odometry
     # Without odometry the M-step reads only gamma and pair[0], the
     # expected transition counts, which weigh the constant feature alone.
-    phi = (reading_features(e.readings) if odometry
-           else np.ones((len(e) - 1, 1)))
+    phi = None if odometry else np.ones((len(e) - 1, 1))
     n = initial.n_states
     steps = np.empty((len(e) - 1, n, n)) if odometry else None
 
-    def e_step(m, eta):
+    def e_step(m):
         trellis = forward_backward(m, e, odometry, cfg.density_floor,
-                                   phi=phi, eta=eta, out=steps)
+                                   out=steps)
         if not cfg.pseudocount:
             return trellis, trellis.loglik
         with np.errstate(divide="ignore"):
@@ -438,8 +437,7 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm,
         return trellis, trellis.loglik + cfg.pseudocount * float(log_prior)
 
     model = initial
-    eta = natural_parameters(model.relations) if odometry else None
-    trellis, value = e_step(model, eta)
+    trellis, value = e_step(model)
     trace = [value]
     violations = []
     converged = False
@@ -447,7 +445,6 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm,
     for it in range(1, cfg.max_iters + 1):
         post = posteriors(trellis, model, e, phi)
         relations = R = model.relations
-        eta_new = eta
         if odometry:
             if cfg.constraint_level is ConstraintLevel.UNCONSTRAINED:
                 relations = update_relations_unconstrained(post, R)
@@ -455,22 +452,21 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm,
                 relations = update_relations_antisym(post, R, mode)
             else:
                 relations = update_relations_additive(post, R, mode)
-            eta_new = natural_parameters(relations)
-            q_old = float(np.vdot(post.pair, eta))
-            drop = q_old - float(np.vdot(post.pair, eta_new))
+            q_old = float(np.vdot(post.pair, R.eta))
+            drop = q_old - float(np.vdot(post.pair, relations.eta))
             if drop > GEM_TOL * abs(q_old):
                 violations.append((it, drop))
-                relations, eta_new = R, eta
+                relations = R
         candidate = model.replace(
             A=update_transitions(post, model.A, cfg.pseudocount),
             B=update_observations(post, e, model.B, cfg.pseudocount),
             relations=relations)
-        trellis, value = e_step(candidate, eta_new)
+        trellis, value = e_step(candidate)
         previous = trace[-1]
         if value < previous:
             converged = True
             break
-        model, eta = candidate, eta_new
+        model = candidate
         trace.append(value)
         if value - previous < REL_TOL * abs(previous):
             converged = True

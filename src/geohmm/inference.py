@@ -75,8 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ExperienceSequence, GeoHmm, ImpossibleSequenceError,
-                    natural_parameters, reading_features)
+from .model import ExperienceSequence, GeoHmm, ImpossibleSequenceError
 
 
 @dataclass
@@ -147,20 +146,16 @@ def emission_probs(model: GeoHmm, observations, out=None) -> np.ndarray:
 
 
 def relation_density_tensor(model: GeoHmm, e: ExperienceSequence,
-                            phi=None, eta=None, out=None) -> np.ndarray:
+                            out=None) -> np.ndarray:
     """(T-1, N, N) tensor of reading densities f(r_{t+1} | R[i,j]):
-    exp(phi @ eta) as in model.relation_log_density, written into out if
-    given. phi (reading_features of e.readings) and eta
-    (natural_parameters of model.relations) are computed when not given.
+    exp(e.features @ model.relations.eta), as in model.relation_log_density,
+    written into out if given. Both factors are cached on their objects.
     """
-    if phi is None:
-        phi = reading_features(e.readings)
-    if eta is None:
-        eta = natural_parameters(model.relations)
-    n = model.n_states
+    phi, n = e.features, model.n_states
     if out is None:
         out = np.empty((len(phi), n, n))
-    np.matmul(phi, eta.reshape(7, n * n), out=out.reshape(len(phi), n * n))
+    np.matmul(phi, model.relations.eta.reshape(7, n * n),
+              out=out.reshape(len(phi), n * n))
     return np.exp(out, out=out)
 
 
@@ -272,20 +267,19 @@ def _backward_scan(alpha, op, emit, blocks):
 def forward_backward(model: GeoHmm, e: ExperienceSequence,
                      use_odometry: bool = True,
                      density_floor: float | None = None,
-                     phi=None, eta=None, out=None) -> Trellis:
+                     out=None) -> Trellis:
     """Run the forward scan; raises ImpossibleSequenceError if some step
     has zero total probability. The backward scan waits for the first
     read of Trellis.beta.
 
     With use_odometry off, all reading densities are replaced by 1 and the
-    recursion reduces to the plain observation-only HMM. phi, eta and out
-    go to relation_density_tensor: the step operators are then written
-    into out, a (T-1, N, N) buffer.
+    recursion reduces to the plain observation-only HMM. With it on, the
+    step operators are written into out, a (T-1, N, N) buffer, if given.
     """
     emit = emission_probs(model, e.observations)
     op = model.A
     if use_odometry and len(e) > 1:
-        op = relation_density_tensor(model, e, phi, eta, out)
+        op = relation_density_tensor(model, e, out)
         if density_floor is not None:
             np.maximum(op, density_floor, out=op)
         op *= model.A
@@ -358,9 +352,9 @@ def posteriors(trellis: Trellis, model: GeoHmm, e: ExperienceSequence,
     odometry, or T = 1), pair[k] = A * (U_k @ v) with U_k = alpha[:-1].T
     * w_k(r), formed one feature at a time from one contiguous (N, T-1)
     copy: no (T-1, N, N) or (T-1, 7, N) array is built, and the trellis
-    is not spent. phi, the (T-1, 7) reading_features of e.readings, is
-    computed when not given; without odometry it may hold only the
-    leading F features, and pair then holds F sums.
+    is not spent. phi defaults to e.features, the (T-1, 7) reading
+    features; without odometry it may hold only the leading F features,
+    and pair then holds F sums.
     """
     T, N = len(e), model.n_states
     if trellis.alpha.shape != (T, N):
@@ -368,7 +362,7 @@ def posteriors(trellis: Trellis, model: GeoHmm, e: ExperienceSequence,
     if trellis.pending is None:
         raise ValueError("trellis already spent: its step operators hold xi")
     if phi is None:
-        phi = reading_features(e.readings)
+        phi = e.features
     beta = trellis.beta
     op = trellis.pending[0]
 

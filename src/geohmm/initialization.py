@@ -294,8 +294,8 @@ def perturb_model(model: GeoHmm, rng: np.random.Generator,
     """Jitter A and B for a restart; keep the model's geometry.
 
     A's rows, then each B's columns, are scaled by exp(scale * normal)
-    and renormalized. The relations are shared, not copied: learning
-    never writes a relation array in place.
+    and renormalized. The relations are shared, not copied: a
+    RelationMatrix is read-only, so no learn can change the base model's.
     """
     A = model.A * np.exp(rng.normal(0.0, scale, size=model.A.shape))
     A /= A.sum(axis=1, keepdims=True)

@@ -180,7 +180,6 @@ def load_experience(path: str) -> ExperienceSequence:
     with np.errstate(invalid="ignore"):    # a non-finite heading stays NaN
         readings[:, 2] = wrap_angle(readings[:, 2] * angle_scale)
     try:
-        return ExperienceSequence(np.asarray(obs, dtype=int), readings,
-                                  alphabet)
+        return ExperienceSequence(obs, readings, alphabet)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -59,39 +60,58 @@ class ConstraintLevel(enum.Enum):
     ADDITIVE = "additive"
 
 
+def _read_only(a, dtype=float) -> np.ndarray:
+    """A read-only copy of a, which later edits of a do not reach."""
+    out = np.array(a, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class RelationMatrix:
-    """N x N table of relation parameters, stored as six dense arrays."""
+    """N x N table of relation parameters: six read-only dense arrays."""
 
-    __slots__ = ("mu_x", "mu_y", "mu_theta", "var_x", "var_y", "kappa_theta")
+    __slots__ = ("mu_x", "mu_y", "mu_theta", "var_x", "var_y", "kappa_theta",
+                 "_eta")
+    mu_x: np.ndarray
+    mu_y: np.ndarray
+    mu_theta: np.ndarray
+    var_x: np.ndarray
+    var_y: np.ndarray
+    kappa_theta: np.ndarray
 
-    def __init__(self, mu_x, mu_y, mu_theta, var_x, var_y, kappa_theta):
-        arrays = [np.asarray(a, dtype=float) for a in
-                  (mu_x, mu_y, mu_theta, var_x, var_y, kappa_theta)]
-        n = arrays[0].shape[0]
-        for a in arrays:
+    def __post_init__(self):
+        n = len(self.mu_x)
+        for f in dataclasses.fields(self):
+            a = _read_only(getattr(self, f.name))
             if a.shape != (n, n):
                 raise ValueError("relation arrays must all be (N, N)")
-        self.mu_x, self.mu_y, self.mu_theta = arrays[0], arrays[1], arrays[2]
-        self.var_x, self.var_y, self.kappa_theta = arrays[3], arrays[4], arrays[5]
-
-    @property
-    def n_states(self) -> int:
-        return self.mu_x.shape[0]
-
-    def validate(self):
-        n = self.n_states
-        diag = np.arange(n)
-        for name in self.__slots__:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError("non-finite values in relation %s" % name)
-        for name, arr in (("mu_x", self.mu_x), ("mu_y", self.mu_y),
-                          ("mu_theta", self.mu_theta)):
-            if np.any(np.abs(arr[diag, diag]) > 0):
+            if not np.all(np.isfinite(a)):
+                raise ValueError("non-finite values in relation %s" % f.name)
+            object.__setattr__(self, f.name, a)
+        for name in ("mu_x", "mu_y", "mu_theta"):
+            if np.any(np.diagonal(getattr(self, name)) != 0):
                 raise ValueError("relation diagonal of %s must be zero" % name)
         if np.any(self.var_x <= 0) or np.any(self.var_y <= 0):
             raise ValueError("relation variances must be positive")
         if np.any(self.kappa_theta < 0) or np.any(self.kappa_theta > KAPPA_MAX):
             raise ValueError("kappa must lie in [0, KAPPA_MAX]")
+
+    def __reduce__(self):
+        # Pickle's default restore would assign the frozen slots.
+        return RelationMatrix, dataclasses.astuple(self)
+
+    @property
+    def n_states(self) -> int:
+        return self.mu_x.shape[0]
+
+    @property
+    def eta(self) -> np.ndarray:
+        """(7, N, N) natural_parameters of the table, computed on first use."""
+        if not hasattr(self, "_eta"):
+            object.__setattr__(self, "_eta",
+                               _read_only(natural_parameters(self)))
+        return self._eta
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +121,7 @@ class GeoHmm:
     A is row-stochastic (N x N). B is one matrix per observation dimension
     with shape (alphabet size, N); each column is the symbol distribution
     for one state. The start distribution is the indicator at start_state.
+    A, each B and the relation table are read-only and checked when built.
     """
 
     n_states: int
@@ -113,12 +134,8 @@ class GeoHmm:
 
     def __post_init__(self):
         object.__setattr__(self, "obs_dims", tuple(int(d) for d in self.obs_dims))
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "B",
-                           tuple(np.asarray(b, dtype=float) for b in self.B))
-        self.validate()
-
-    def validate(self):
+        object.__setattr__(self, "A", _read_only(self.A))
+        object.__setattr__(self, "B", tuple(_read_only(b) for b in self.B))
         n = self.n_states
         if n < 1:
             raise ValueError("n_states must be positive")
@@ -145,7 +162,6 @@ class GeoHmm:
             raise ValueError("start_state out of range")
         if self.relations.n_states != n:
             raise ValueError("relation matrix size mismatch")
-        self.relations.validate()
 
     @property
     def n_obs_dims(self) -> int:
@@ -164,7 +180,7 @@ class ExperienceSequence:
     transition from time t to t+1. Time 0 carries no reading. alphabet,
     when declared (by an experience file, or by the model that sampled
     the sequence), holds each dimension's symbol count, and every symbol
-    must lie below it.
+    must lie below it. Both arrays are read-only copies, checked when built.
     """
 
     observations: np.ndarray
@@ -199,8 +215,8 @@ class ExperienceSequence:
                 raise ValueError("symbol %d out of alphabet on dimension %d "
                                  "at step %d" % (obs[t, i], i, t))
             object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "observations", obs)
-        object.__setattr__(self, "readings", rd)
+        object.__setattr__(self, "observations", _read_only(obs, int))
+        object.__setattr__(self, "readings", _read_only(rd))
 
     def __len__(self) -> int:
         return self.observations.shape[0]
@@ -216,6 +232,11 @@ class ExperienceSequence:
         if self.alphabet is not None:
             return self.alphabet
         return tuple(int(k) + 1 for k in self.observations.max(axis=0))
+
+    @functools.cached_property
+    def features(self) -> np.ndarray:
+        """(T-1, 7) reading_features of the readings."""
+        return _read_only(reading_features(self.readings))
 
     def prefix(self, length: int) -> "ExperienceSequence":
         if not 1 <= length <= len(self):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circstats import KAPPA_MAX, wrap_angle
+from .circstats import wrap_angle
 from .model import (CoordinateMode, ExperienceSequence, GeoHmm,
                     RelationMatrix, embed_relations)
 
@@ -139,18 +139,9 @@ def make_loop_model(spec: LoopSpec) -> GeoHmm:
                   mode=spec.mode)
 
 
-def _cdf_rows(P: np.ndarray, what: str) -> np.ndarray:
+def _cdf_rows(P: np.ndarray) -> np.ndarray:
     """Cumulative table of each row of P, as `Generator.choice` builds it.
-
-    Raises ValueError where `choice` would: on a NaN or negative entry, or
-    on a row that does not sum to 1 within sqrt(machine epsilon).
-    """
-    if np.isnan(P).any():
-        raise ValueError("%s probabilities contain NaN" % what)
-    if (P < 0).any():
-        raise ValueError("%s probabilities are not non-negative" % what)
-    if np.any(np.abs(P.sum(axis=1) - 1.0) > np.sqrt(np.finfo(float).eps)):
-        raise ValueError("%s probabilities do not sum to 1" % what)
+    GeoHmm checked the rows as `choice` would, stricter: sums within 1e-9."""
     cdf = np.cumsum(P, axis=1)
     cdf /= cdf[:, -1:]
     return cdf
@@ -172,12 +163,12 @@ def sample_path(model: GeoHmm, length: int,
     if length < 1:
         raise ValueError("length must be at least 1")
     R = model.relations
-    trans_cdf = _cdf_rows(model.A, "transition").tolist()
-    obs_cdf = [_cdf_rows(b.T, "observation").tolist() for b in model.B]
+    trans_cdf = _cdf_rows(model.A).tolist()
+    obs_cdf = [_cdf_rows(b.T).tolist() for b in model.B]
     mu_x, mu_y, mu_theta = (R.mu_x.tolist(), R.mu_y.tolist(),
                             R.mu_theta.tolist())
     sd_x, sd_y = np.sqrt(R.var_x).tolist(), np.sqrt(R.var_y).tolist()
-    kappa = np.clip(R.kappa_theta, 0.0, KAPPA_MAX).tolist()
+    kappa = R.kappa_theta.tolist()
     random, normal, vonmises = rng.random, rng.normal, rng.vonmises
 
     state = model.start_state
@@ -194,9 +185,7 @@ def sample_path(model: GeoHmm, length: int,
                              for cdf in obs_cdf])
     readings = np.array(readings, dtype=float).reshape(length - 1, 3)
     readings[:, 2] = wrap_angle(readings[:, 2])
-    seq = ExperienceSequence(
-        observations=np.array(observations, dtype=int),
-        readings=readings, alphabet=model.obs_dims)
+    seq = ExperienceSequence(observations, readings, model.obs_dims)
     return np.array(states, dtype=int), seq
 
 
@@ -220,8 +209,8 @@ def sample_observations(model: GeoHmm, length: int, n: int,
     """
     if length < 1 or n < 1:
         raise ValueError("length and n must be at least 1")
-    trans_cdf = _cdf_rows(model.A, "transition").tolist()
-    obs_cdf = [_cdf_rows(b.T, "observation") for b in model.B]
+    trans_cdf = _cdf_rows(model.A).tolist()
+    obs_cdf = [_cdf_rows(b.T) for b in model.B]
     u_trans = rng.random((n, length - 1)).tolist()
     u_obs = rng.random((n, length, len(obs_cdf)))
     paths = []

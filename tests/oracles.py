@@ -7,7 +7,7 @@ paths, and component densities are written out longhand.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +38,18 @@ def zero_relations(n: int, var: float = 1.0,
     np.fill_diagonal(kap_m, DIAG_KAPPA)
     return RelationMatrix(zeros.copy(), zeros.copy(), zeros.copy(),
                           var_m.copy(), var_m.copy(), kap_m)
+
+
+def with_entries(R: RelationMatrix, **cells) -> RelationMatrix:
+    """A new relation table: R's arrays with some entries replaced. Each
+    keyword names an array and maps (i, j) to the entry's new value; the
+    new table runs the constructor's checks."""
+    arrays = {f.name: getattr(R, f.name).copy()
+              for f in fields(RelationMatrix)}
+    for name, entries in cells.items():
+        for (i, j), value in entries.items():
+            arrays[name][i, j] = value
+    return RelationMatrix(**arrays)
 
 
 def pair_statistics(xi: np.ndarray, readings: np.ndarray) -> np.ndarray:

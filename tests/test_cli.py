@@ -13,6 +13,7 @@ from geohmm.cli import (EXIT_IMPOSSIBLE, EXIT_INCONSISTENT, EXIT_INPUT,
 from geohmm.io import load_experience, load_model, save_experience, save_model
 from geohmm.model import ExperienceSequence
 from geohmm.simgen import LoopSpec, make_loop_model
+from oracles import with_entries
 
 
 def sha(path):
@@ -326,21 +327,26 @@ class TestCheck:
     def test_consistent_model_exit_zero(self, loop_model_path):
         assert main(["check", str(loop_model_path)]) == EXIT_OK
 
-    def test_violations_exit_code(self, tmp_path, loop_model_path):
+    @staticmethod
+    def save_broken(tmp_path, loop_model_path, shift):
+        """The loop model with mu_x[0, 1] shifted, which breaks
+        anti-symmetry; returns its path."""
         model = load_model(str(loop_model_path))
-        model.relations.mu_x[0, 1] += 0.5   # break anti-symmetry
+        R = model.relations
+        relations = with_entries(R, mu_x={(0, 1): R.mu_x[0, 1] + shift})
         bad = tmp_path / "bad.json"
-        save_model(model, str(bad))
+        save_model(model.replace(relations=relations), str(bad))
+        return bad
+
+    def test_violations_exit_code(self, tmp_path, loop_model_path):
+        bad = self.save_broken(tmp_path, loop_model_path, 0.5)
         assert main(["check", str(bad), "--level", "antisym"]) \
             == EXIT_INCONSISTENT
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_invalid_tol_is_input_error(self, tmp_path, loop_model_path,
                                         tol, capsys):
-        model = load_model(str(loop_model_path))
-        model.relations.mu_x[0, 1] += 5.0   # break anti-symmetry
-        bad = tmp_path / "bad.json"
-        save_model(model, str(bad))
+        bad = self.save_broken(tmp_path, loop_model_path, 5.0)
         out = tmp_path / "check.json"
         assert main(["check", str(bad), "--level", "antisym", "--tol", tol,
                      "-o", str(out)]) == EXIT_INPUT
@@ -352,6 +358,15 @@ class TestCheck:
                      "json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["consistent"] is True
+
+    def test_json_lists_each_violation_record(self, tmp_path,
+                                              loop_model_path, capsys):
+        bad = self.save_broken(tmp_path, loop_model_path, 0.5)
+        assert main(["check", str(bad), "--level", "antisym", "--format",
+                     "json"]) == EXIT_INCONSISTENT
+        (v,) = json.loads(capsys.readouterr().out)["violations"]
+        assert v == {"kind": "antisymmetry", "component": "x",
+                     "indices": [0, 1], "magnitude": pytest.approx(0.5)}
 
 
 class TestEvalKl:
@@ -522,6 +537,44 @@ class TestRenderAndReplay:
         assert main(["replay", str(manifest)]) == EXIT_INPUT
         assert "gone" in capsys.readouterr().err
         assert not out.exists() and pathlib.Path.cwd().samefile(tmp_path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("argv", None), ("argv", "make-loop -o t.json"),
+        ("argv", ["make-loop", 5]), ("cwd", 5), ("cwd", None)])
+    def test_replay_rejects_malformed_manifest(self, tmp_path, capsys, key,
+                                               value):
+        # A missing argv ended in a KeyError traceback, an argv string was
+        # parsed letter by letter, and cwd 5 reached os.chdir as a file
+        # descriptor.
+        manifest = {"format": "geohmm-manifest",
+                    "argv": ["make-loop", "-o", str(tmp_path / "t.json")]}
+        if value is None and key == "argv":
+            del manifest["argv"]
+        else:
+            manifest[key] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["replay", str(path)]) == EXIT_INPUT
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
+    def test_replay_rejects_a_manifest_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[1, 2]")
+        assert main(["replay", str(path)]) == EXIT_INPUT
+
+    def test_seedless_commands_record_no_seed(self, tmp_path,
+                                              loop_model_path):
+        # make-loop, render and check take no --seed and recorded seed 0.
+        model = str(loop_model_path)
+        for argv, out, seed in [
+                (["make-loop"], "m.json", None),
+                (["render", model], "r.svg", None),
+                (["check", model], "c.json", None),
+                (["simulate", model, "-T", "5", "--seed", "3"], "s.txt", 3)]:
+            assert main(argv + ["-o", str(tmp_path / out)]) == EXIT_OK
+            manifest = tmp_path / (out + ".manifest.json")
+            assert json.loads(manifest.read_text())["seed"] == seed
 
     def test_environment_changes_no_run(self, tmp_path, loop_model_path,
                                         monkeypatch):

@@ -1,6 +1,7 @@
 """M-step updates, constrained MLE oracle checks, and the EM driver."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from oracles import (brute_force_posteriors, constrained_two_normal_mle,
                      pair_statistics, random_experience, random_geohmm,
                      reference_antisym_means, reference_relation_log_density,
                      reference_solve_positions, reference_update_observations,
-                     zero_relations)
+                     with_entries, zero_relations)
 
 
 def posteriors_from_xi(xi, readings=None):
@@ -259,10 +260,10 @@ class TestUpdateRelationsAntisym:
         xi = np.zeros((2, 3, 3))
         xi[:, 0, 1] = 1.0
         readings = np.array([[1.0, 0, 0], [1.2, 0, 0]])
-        R_old = zero_relations(3, var=1.0)
-        R_old.mu_x[1, 2], R_old.mu_x[2, 1] = 7.0, -7.0
-        R_old.mu_y[1, 2], R_old.mu_y[2, 1] = 2.0, -3.0
-        R_old.mu_theta[1, 2], R_old.mu_theta[2, 1] = 0.4, -0.4
+        R_old = with_entries(zero_relations(3, var=1.0),
+                             mu_x={(1, 2): 7.0, (2, 1): -7.0},
+                             mu_y={(1, 2): 2.0, (2, 1): -3.0},
+                             mu_theta={(1, 2): 0.4, (2, 1): -0.4})
         R = update_relations_antisym(posteriors_from_xi(xi, readings),
                                      R_old, mode)
         for name in ("mu_x", "mu_y", "mu_theta"):
@@ -839,13 +840,13 @@ class TestRestartsKeepGeometry:
         seq = relative_loop()
         base = init_model(seq, 16, default_bucket_config(seq),
                           mode=CoordinateMode.RELATIVE)
-        before = [getattr(base.relations, k).copy()
-                  for k in RelationMatrix.__slots__]
+        names = [f.name for f in fields(RelationMatrix)]
+        before = [getattr(base.relations, k).copy() for k in names]
         learn_runs(seq, 16, LearnConfig(
             constraint_level=ConstraintLevel.ADDITIVE,
             mode=CoordinateMode.RELATIVE, max_iters=8), restarts=3, seed=5,
             initial=base)
-        for k, want in zip(RelationMatrix.__slots__, before):
+        for k, want in zip(names, before):
             np.testing.assert_array_equal(getattr(base.relations, k), want)
 
     @pytest.mark.parametrize("spec, rng_seed, seed", [
@@ -969,9 +970,10 @@ class TestEStepReuse:
         assert peak < 2 * 8 * (T - 1) * n * n, peak
 
     def test_features_once_eta_once_per_relation_matrix(self, monkeypatch):
-        # The reading features are computed once per run, and the natural
-        # parameters once per start and once per M-step: the E-step and
-        # the GEM guard share them (27 and 39 calls before).
+        # The reading features are computed once per sequence, and the
+        # natural parameters once per relation matrix: the E-steps and the
+        # GEM guard share them, and the restarts share the sequence and
+        # the base relations (27 and 39 calls once, then 3 and 15).
         calls = {"reading_features": 0, "natural_parameters": 0}
         for name in calls:
             original = getattr(model_module, name)
@@ -980,8 +982,7 @@ class TestEStepReuse:
                 calls[name] += 1
                 return original(*args)
 
-            for module in (model_module, inference, estimation):
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(model_module, name, counted)
         seq = sample_sequence(make_loop_model(LoopSpec()), 800,
                               np.random.default_rng(7))
         runs = learn_runs(seq, 16, LearnConfig(
@@ -989,8 +990,40 @@ class TestEStepReuse:
             max_iters=4), restarts=3, seed=5)
         steps = sum(r.report.iterations_run for r in runs)
         assert steps == 12
-        assert calls == {"reading_features": len(runs),
-                         "natural_parameters": len(runs) + steps}
+        assert calls == {"reading_features": 1,
+                         "natural_parameters": 1 + steps}
+
+
+class TestInvalidMStepRaises:
+    """Every candidate passes through the constructors' checks, so an
+    M-step that computes a NaN in A or a negative variance stops em_learn
+    instead of reaching the next E-step."""
+
+    def learn(self):
+        true = make_loop_model(LoopSpec())
+        seq = sample_sequence(true, 100, np.random.default_rng(3))
+        return em_learn(seq, true, LearnConfig(max_iters=3))
+
+    def test_nan_in_transitions(self, monkeypatch):
+        def nan_row(post, prev_A, pseudocount=0.0):
+            A = np.array(prev_A)
+            A[0] = np.nan
+            return A
+
+        monkeypatch.setattr(estimation, "update_transitions", nan_row)
+        with pytest.raises(ValueError, match="A has non-finite"):
+            self.learn()
+
+    def test_negative_variance(self, monkeypatch):
+        spread = estimation._spread_updates
+
+        def negative(*args):
+            var_x, var_y, kappa = spread(*args)
+            return -var_x, var_y, kappa
+
+        monkeypatch.setattr(estimation, "_spread_updates", negative)
+        with pytest.raises(ValueError, match="variances must be positive"):
+            self.learn()
 
 
 def test_learn_runs_rejects_initial_of_another_size():

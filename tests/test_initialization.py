@@ -300,12 +300,10 @@ class TestRandomAndPerturb:
         a = random_model(5, (3, 2), np.random.default_rng(9))
         b = random_model(5, (3, 2), np.random.default_rng(9))
         np.testing.assert_array_equal(a.A, b.A)
-        a.validate()
 
     def test_perturb_keeps_consistency(self):
         true = make_loop_model(LoopSpec())
         jittered = perturb_model(true, np.random.default_rng(10), scale=0.2)
-        jittered.validate()
         report = check_consistency(jittered, ConstraintLevel.ADDITIVE, 1e-9)
         assert report.consistent
         assert not np.allclose(jittered.A, true.A)

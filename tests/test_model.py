@@ -1,5 +1,9 @@
 """Model containers, transforms, relation densities, consistency checks."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, fields
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,7 +16,8 @@ from geohmm.circstats import wrap_angle
 from geohmm.simgen import LoopSpec, make_loop_model
 
 from oracles import (RelationEntry, random_geohmm, reference_check_consistency,
-                     relation_density, relation_entry, zero_relations)
+                     relation_density, relation_entry, with_entries,
+                     zero_relations)
 
 
 def simple_model(n=2, mode=CoordinateMode.GLOBAL, relations=None):
@@ -128,9 +133,8 @@ class TestEmbedRelations:
 
 class TestCheckConsistency:
     def test_antisymmetry_violation_magnitude(self):
-        rel = zero_relations(2)
-        rel.mu_x[0, 1] = 5.0
-        rel.mu_x[1, 0] = -4.0
+        rel = with_entries(zero_relations(2),
+                           mu_x={(0, 1): 5.0, (1, 0): -4.0})
         model = simple_model(2, relations=rel)
         report = check_consistency(model, ConstraintLevel.ANTISYMMETRIC, 1e-9)
         assert len(report.violations) == 1
@@ -139,10 +143,9 @@ class TestCheckConsistency:
         assert v.magnitude == pytest.approx(1.0)
 
     def test_additivity_violation_magnitude(self):
-        rel = zero_relations(3)
-        for (i, j), v in (((0, 1), 1.0), ((1, 2), 1.0), ((0, 2), 3.0)):
-            rel.mu_x[i, j] = v
-            rel.mu_x[j, i] = -v
+        rel = with_entries(zero_relations(3), mu_x={
+            (0, 1): 1.0, (1, 0): -1.0, (1, 2): 1.0, (2, 1): -1.0,
+            (0, 2): 3.0, (2, 0): -3.0})
         model = simple_model(3, relations=rel)
         report = check_consistency(model, ConstraintLevel.ADDITIVE, 1e-9)
         assert report.violations
@@ -179,8 +182,9 @@ class TestCheckConsistency:
         assert check_consistency(model, ConstraintLevel.ADDITIVE,
                                  1e-9).consistent
         # plain negation of the relative vectors breaks the constraint
-        rel.mu_x[1, 0] = -rel.mu_x[0, 1]
-        rel.mu_y[1, 0] = -rel.mu_y[0, 1]
+        negated = with_entries(rel, mu_x={(1, 0): -rel.mu_x[0, 1]},
+                               mu_y={(1, 0): -rel.mu_y[0, 1]})
+        model = simple_model(2, CoordinateMode.RELATIVE, negated)
         report = check_consistency(model, ConstraintLevel.ANTISYMMETRIC, 1e-9)
         assert not report.consistent
 
@@ -195,7 +199,9 @@ class TestCheckConsistency:
             # see residuals near zero as well as large ones
             near = random_geohmm(n, rng, mode=mode, consistent=True)
             if n > 1:
-                near.relations.mu_x[0, 1] += 1e-10
+                R = near.relations
+                near = near.replace(relations=with_entries(
+                    R, mu_x={(0, 1): R.mu_x[0, 1] + 1e-10}))
             for m in (model, near):
                 got = check_consistency(m, level, tol)
                 want = reference_check_consistency(m, level, tol)
@@ -204,8 +210,7 @@ class TestCheckConsistency:
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, -np.inf])
     def test_invalid_tol_rejected(self, tol):
-        rel = zero_relations(2)
-        rel.mu_x[0, 1] = 5.0
+        rel = with_entries(zero_relations(2), mu_x={(0, 1): 5.0})
         with pytest.raises(ValueError, match="tol"):
             check_consistency(simple_model(2, relations=rel),
                               ConstraintLevel.ANTISYMMETRIC, tol)
@@ -242,12 +247,8 @@ class TestValidation:
         ("var_y", np.nan), ("var_y", np.inf),
         ("kappa_theta", np.nan)])
     def test_non_finite_spread_rejected(self, name, bad):
-        rel = zero_relations(2)
-        getattr(rel, name)[0, 1] = bad
-        with pytest.raises(ValueError):
-            rel.validate()
-        with pytest.raises(ValueError):
-            simple_model(2, relations=rel)
+        with pytest.raises(ValueError, match="non-finite"):
+            with_entries(zero_relations(2), **{name: {(0, 1): bad}})
 
     @pytest.mark.parametrize("where", ["A", "B"])
     def test_entry_just_below_zero_rejected(self, where):
@@ -262,6 +263,51 @@ class TestValidation:
         with pytest.raises(ValueError, match="negative"):
             model.replace(A=A, B=(B,) + model.B[1:])
 
+    def test_built_objects_are_read_only(self):
+        # Each object is checked once, when built, so none can change after:
+        # every array refuses writes, derived ones too, and no relation
+        # table field can be rebound.
+        model = make_loop_model(LoopSpec())
+        R = model.relations
+        seq = ExperienceSequence(np.zeros((3, 2), dtype=int),
+                                 np.zeros((2, 3)))
+        arrays = ([model.A, *model.B, R.eta, seq.observations, seq.readings,
+                   seq.features]
+                  + [getattr(R, f.name) for f in fields(RelationMatrix)])
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
+        for f in fields(RelationMatrix):
+            with pytest.raises(FrozenInstanceError):
+                setattr(R, f.name, getattr(R, f.name).copy())
+
+    def test_pickle_rebuilds_a_checked_relation_table(self):
+        # Pickle's default restore assigned the frozen slots and raised.
+        R = make_loop_model(LoopSpec()).relations
+        for copied in (pickle.loads(pickle.dumps(R)), copy.deepcopy(R)):
+            np.testing.assert_array_equal(copied.var_x, R.var_x)
+            assert not copied.var_x.flags.writeable
+
+    def test_callers_arrays_stay_theirs(self):
+        # A model copies what it is given: the caller's arrays stay
+        # writable, and their later edits do not reach it.
+        A, B = np.full((2, 2), 0.5), np.full((3, 2), 1.0 / 3)
+        mu = np.zeros((2, 2))
+        model = simple_model(2, relations=RelationMatrix(
+            mu, mu, mu, np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2))))
+        model = model.replace(A=A, B=(B,))
+        A[0], B[:, 0], mu[0, 1] = [1.0, 0.0], [1.0, 0.0, 0.0], 9.0
+        assert model.A[0, 0] == 0.5 and model.B[0][0, 0] == 1.0 / 3
+        assert model.relations.mu_x[0, 1] == 0.0
+
+    def test_replace_does_not_recheck_kept_relations(self):
+        # A relation table checks itself when built; a model checks only
+        # that it has N states. A table made invalid behind its
+        # constructor's back shows replace leaves it unchecked.
+        model = make_loop_model(LoopSpec())
+        object.__setattr__(model.relations, "var_x", -model.relations.var_x)
+        assert model.replace(start_state=1).relations is model.relations
+
     def test_equality_is_identity(self):
         # The generated __eq__ compared array fields and raised.
         a, b = make_loop_model(LoopSpec()), make_loop_model(LoopSpec())
@@ -272,10 +318,8 @@ class TestValidation:
         assert (e == f) is False and (e == e) is True
 
     def test_nonzero_diagonal_rejected(self):
-        rel = zero_relations(2)
-        rel.mu_x[1, 1] = 0.1
-        with pytest.raises(ValueError):
-            simple_model(2, relations=rel)
+        with pytest.raises(ValueError, match="diagonal of mu_x"):
+            with_entries(zero_relations(2), mu_x={(1, 1): 0.1})
 
     def test_experience_shape_checks(self):
         obs = np.zeros((4, 2), dtype=int)
