@@ -287,6 +287,9 @@ def cmd_replay(args):
     argv, cwd = manifest.get("argv"), manifest.get("cwd", here)
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
         raise CliError("%s: argv must be a list of strings" % args.manifest)
+    if argv[:1] == ["replay"]:
+        raise CliError("%s: argv replays a manifest; no run records one"
+                       % args.manifest)
     if not isinstance(cwd, str):
         raise CliError("%s: cwd must be a string" % args.manifest)
     os.chdir(cwd)

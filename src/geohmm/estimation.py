@@ -407,14 +407,15 @@ def em_learn(e: ExperienceSequence, initial: GeoHmm,
     each from the last call's model, take the steps of one longer run.
 
     Three savings per iteration change no bit of the tables. The E-steps
-    and the guard share e.features and each relation table's eta, both
-    cached on their objects, as do restarts that share them. Every E-step
-    writes its step operators into one (T-1, N, N) buffer, in which
-    posteriors then builds xi: a learn keeps about one step tensor alive
-    instead of two or three, and its pages are faulted in once per run,
-    not twice per iteration. And the backward scan runs only when
-    posteriors reads Trellis.beta, so the E-step after the last M-step,
-    or of a refused or converged candidate, costs the forward scan alone.
+    share e.symbols, the encoded observations, and with the guard
+    e.features and each relation table's eta, all cached on their objects,
+    as do restarts that share them. Every E-step writes its step operators
+    into one (T-1, N, N) buffer, in which posteriors then builds xi: a
+    learn keeps about one step tensor alive instead of two or three, and
+    its pages are faulted in once per run, not twice per iteration. And
+    the backward scan runs only when posteriors reads Trellis.beta, so the
+    E-step after the last M-step, or of a refused or converged candidate,
+    costs the forward scan alone.
     """
     mode = cfg.mode or initial.mode
     if mode is not initial.mode:

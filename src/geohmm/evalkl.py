@@ -51,13 +51,12 @@ def kl_sampled(true_model: GeoHmm, learned: GeoHmm, seq_length: int = 1000,
     rng.random((n, L - 1)) block of transition uniforms, then one
     rng.random((n, L, D)) block of observation uniforms. Then one
     forward-only `loglik` call scores the (n, L, D) strings under both
-    models at once. Peak memory is that call's (L, 2, n, N) float64
-    emission table, N the larger state count (about 2.6 MB at n=10,
-    L=1000, N=16), plus one (n, L, N) gather while it fills, and no block
-    products; the (n, L, D) uniforms and the gathered (n, L, V) CDF rows
-    of one alphabet of V symbols are smaller. If the learned model
-    assigns zero probability to any sampled sequence, the estimate is
-    flagged +inf. Both n_sequences and seq_length must be at least 1.
+    models at once. Peak memory is that call's gathered (L, 2, n, N)
+    float64 emission array, N the larger state count (about 2.6 MB at
+    n=10, L=1000, N=16), and no block products; the (n, L, D) uniforms
+    and the gathered (n, L, V) CDF rows of one alphabet of V symbols are
+    smaller. If the learned model assigns zero probability to any sampled
+    sequence, the estimate is flagged +inf. Both n_sequences and seq_length must be at least 1.
     """
     if n_sequences < 1 or seq_length < 1:
         raise ValueError("n_sequences and seq_length must be at least 1, "

@@ -64,7 +64,8 @@ OpenBLAS), one sequence took 3.6 ms blocked against 9.0 ms sequential,
 and the batch lost from S=10 on: 20.1 against 12.9 ms at S=10, 46 against
 17 ms at S=20 and 86 against 25 ms at S=40. One long sequence whose
 block products the backward pass reuses thus goes blocked, a batch of
-strings sequential.
+strings sequential. Both gather their emissions from one table per model
+over the distinct symbol vectors that occur (emission_probs).
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ExperienceSequence, GeoHmm, ImpossibleSequenceError
+from .model import (ExperienceSequence, GeoHmm, ImpossibleSequenceError,
+                    encode_symbols)
 
 
 @dataclass
@@ -119,29 +121,22 @@ class Posteriors:
     pair: np.ndarray           # (7, N, N): s0, sx, sy, sxx, syy, ssin, scos
 
 
-def emission_probs(model: GeoHmm, observations, out=None) -> np.ndarray:
-    """(..., T, N) per-state probabilities of the symbol vectors (..., T, D),
-    one gather per dimension, written into out if given. Negative symbols
-    are rejected along with out-of-alphabet ones, since callers may pass
-    a raw array."""
-    obs = np.asarray(observations)
-    if obs.ndim < 2 or obs.shape[-1] != model.n_obs_dims:
-        raise ValueError("observations of shape %r do not have the model's "
-                         "%d dimensions" % (obs.shape, model.n_obs_dims))
-    if not np.issubdtype(obs.dtype, np.integer):
-        raise ValueError("observation symbols must be integers, got %s"
-                         % obs.dtype)
-    for i, size in enumerate(model.obs_dims):
-        bad = (obs[..., i] < 0) | (obs[..., i] >= size)
-        if bad.any():
-            where = tuple(np.argwhere(bad)[0])
-            raise ValueError("symbol %d out of alphabet on dimension %d at "
-                             "step %d" % (obs[where + (i,)], i, where[-1]))
-    if out is None:
-        out = np.empty(obs.shape[:-1] + (model.n_states,))
-    out[...] = 1.0
+def emission_probs(model: GeoHmm, vectors, index) -> np.ndarray:
+    """(U, N) per-state probabilities of the U symbol vectors of
+    model.encode_symbols, B rows multiplied in dimension order. Negative
+    and out-of-alphabet symbols are rejected, naming the first step of
+    index that holds one, since callers may pass a raw array."""
+    if vectors.shape[-1] != model.n_obs_dims:
+        raise ValueError("observations of %d dimensions do not have the "
+                         "model's %d" % (vectors.shape[-1], model.n_obs_dims))
+    bad = (vectors < 0) | (vectors >= np.array(model.obs_dims))
+    if bad.any():
+        *where, i = np.argwhere(bad[index])[0]
+        raise ValueError("symbol %d out of alphabet on dimension %d at step "
+                         "%d" % (vectors[index[tuple(where)], i], i, where[-1]))
+    out = np.ones((len(vectors), model.n_states))
     for i, b in enumerate(model.B):
-        out *= b[obs[..., i]]
+        out *= b[vectors[:, i]]
     return out
 
 
@@ -276,7 +271,8 @@ def forward_backward(model: GeoHmm, e: ExperienceSequence,
     recursion reduces to the plain observation-only HMM. With it on, the
     step operators are written into out, a (T-1, N, N) buffer, if given.
     """
-    emit = emission_probs(model, e.observations)
+    vectors, index = e.symbols
+    emit = emission_probs(model, vectors, index)[index]
     op = model.A
     if use_odometry and len(e) > 1:
         op = relation_density_tensor(model, e, out)
@@ -307,9 +303,10 @@ def loglik(models, observations) -> np.ndarray:
     is alpha @ A, times the emissions, then the row sum c_t into a (T, K,
     S) buffer and alpha / c_t; a row scores sum_t log c_t. A row that
     dies (some c_t zero or not finite) scores -inf and touches no other
-    row. Peak memory is one (T, K, S, N) float64 emission table (2.6 MB
-    at K=2, S=10, T=1000, N=16), filled in place, plus one (S, T, N)
-    gather of one dimension while it fills; no block products are formed.
+    row. The strings are checked and encoded once (model.encode_symbols),
+    and the emissions are one gather from the K models' (U, N) tables.
+    Peak memory is that (T, K, S, N) float64 array (2.6 MB at K=2, S=10,
+    T=1000, N=16) and a few (T, K, S) ones; no block products are formed.
     """
     models = list(models)
     obs = np.asarray(observations)
@@ -318,15 +315,18 @@ def loglik(models, observations) -> np.ndarray:
                          "shape %r" % (obs.shape,))
     S, T, _ = obs.shape
     K, N = len(models), max((m.n_states for m in models), default=0)
-    emit = np.zeros((T, K, S, N))
+    vectors, index = encode_symbols(obs)
+    tables = np.zeros((K, len(vectors), N))
     A = np.zeros((K, N, N))
     alpha = np.zeros((K, S, N))
     scales = np.empty((T, K, S))
     for k, m in enumerate(models):
-        emission_probs(m, obs, out=emit[:, k, :, :m.n_states].swapaxes(0, 1))
+        tables[k, :, :m.n_states] = emission_probs(m, vectors, index)
         A[k, :m.n_states, :m.n_states] = m.A
         alpha[k, :, m.start_state] = 1.0
-        scales[0, k] = emit[0, k, :, m.start_state]
+        scales[0, k] = tables[k, index[:, 0], m.start_state]
+    # emit[t, k, s] = tables[k, index[s, t]]: one gather of table rows.
+    emit = tables[np.arange(K)[:, None], index.T[:, None, :]]
     row, ones, col = np.empty_like(alpha), np.ones(N), scales[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(1, T):

@@ -67,8 +67,19 @@ def _read_only(a, dtype=float) -> np.ndarray:
     return out
 
 
+class _Rebuilt:
+    # Pickle and deepcopy through the constructor: the default restore
+    # assigns frozen slots, skips the checks and the read-only copies, and
+    # carries cached values (eta, features, symbols) over unchecked.
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name)
+                                 for f in dataclasses.fields(self))
+
+
 @dataclass(frozen=True, eq=False)
-class RelationMatrix:
+class RelationMatrix(_Rebuilt):
     """N x N table of relation parameters: six read-only dense arrays."""
 
     __slots__ = ("mu_x", "mu_y", "mu_theta", "var_x", "var_y", "kappa_theta",
@@ -97,10 +108,6 @@ class RelationMatrix:
         if np.any(self.kappa_theta < 0) or np.any(self.kappa_theta > KAPPA_MAX):
             raise ValueError("kappa must lie in [0, KAPPA_MAX]")
 
-    def __reduce__(self):
-        # Pickle's default restore would assign the frozen slots.
-        return RelationMatrix, dataclasses.astuple(self)
-
     @property
     def n_states(self) -> int:
         return self.mu_x.shape[0]
@@ -115,7 +122,7 @@ class RelationMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class GeoHmm:
+class GeoHmm(_Rebuilt):
     """Hidden Markov model with odometric relations.
 
     A is row-stochastic (N x N). B is one matrix per observation dimension
@@ -172,7 +179,7 @@ class GeoHmm:
 
 
 @dataclass(frozen=True, eq=False)
-class ExperienceSequence:
+class ExperienceSequence(_Rebuilt):
     """Time-indexed observations plus the readings between them.
 
     observations has shape (T, l) of small nonnegative ints. readings has
@@ -238,6 +245,12 @@ class ExperienceSequence:
         """(T-1, 7) reading_features of the readings."""
         return _read_only(reading_features(self.readings))
 
+    @functools.cached_property
+    def symbols(self) -> tuple:
+        """encode_symbols of the observations: (vectors (U, l), index (T,))."""
+        return tuple(_read_only(a, int)
+                     for a in encode_symbols(self.observations))
+
     def prefix(self, length: int) -> "ExperienceSequence":
         if not 1 <= length <= len(self):
             raise ValueError("prefix length out of range")
@@ -253,6 +266,28 @@ def _rotate_xy(theta, x, y, mode: CoordinateMode):
         return x, y
     c, s = np.cos(theta), np.sin(theta)
     return x * c - y * s, x * s + y * c
+
+
+def encode_symbols(observations) -> tuple:
+    """(vectors (U, D), index (...)) of an integer array (..., D): its U
+    distinct vectors, ordered by mixed-radix codes over the data's own
+    symbol ranges, and each position's row, so vectors[index] is the array.
+    A table over the rows is bounded by the data, not by the alphabet.
+    """
+    obs = np.asarray(observations)
+    if not np.issubdtype(obs.dtype, np.integer):
+        raise ValueError("observation symbols must be integers, got %s"
+                         % obs.dtype)
+    # One contiguous row per dimension: reducing rows is many times faster
+    # than reducing the (n, D) array along its long axis.
+    digits = np.array(obs.reshape(-1, obs.shape[-1]).T, order="C")
+    low = digits.min(axis=1, initial=0)
+    digits -= low[:, None]
+    radix = digits.max(axis=1, initial=0) + 1
+    codes, index = np.unique(np.ravel_multi_index(tuple(digits), radix),
+                             return_inverse=True)
+    vectors = np.stack(np.unravel_index(codes, radix), axis=1) + low
+    return vectors, index.reshape(obs.shape[:-1])
 
 
 def reading_features(readings) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from geohmm.circstats import KAPPA_MAX, TWO_PI, wrap_angle
 from geohmm.evalkl import _check_alphabets
-from geohmm.inference import (Posteriors, Trellis, emission_probs, loglik,
+from geohmm.inference import (Posteriors, Trellis, loglik,
                               relation_density_tensor)
 from geohmm.initialization import (BUCKET_FACTOR, TAG_FACTOR, ZERO_BUCKET,
                                    Bucket, BucketConfig, TaggingResult)
@@ -89,6 +89,16 @@ def obs_prob(model: GeoHmm, state: int, v) -> float:
                              % (v[i], i))
         out *= b[v[i], state]
     return float(out)
+
+
+def reference_emissions(model: GeoHmm, observations) -> np.ndarray:
+    """(..., N) per-state probabilities of symbol vectors (..., D), one
+    gather of B per dimension, multiplied longhand in dimension order."""
+    obs = np.asarray(observations)
+    emit = np.ones(obs.shape[:-1] + (model.n_states,))
+    for i, b in enumerate(model.B):
+        emit *= b[obs[..., i]]
+    return emit
 
 
 def path_density(model: GeoHmm, e: ExperienceSequence, path,
@@ -244,7 +254,7 @@ def reference_forward_backward(model: GeoHmm, e: ExperienceSequence,
     alpha scales. Raises ImpossibleSequenceError at the first step whose
     scale is zero or non-finite."""
     T, N = len(e), model.n_states
-    emit = emission_probs(model, e.observations)
+    emit = reference_emissions(model, e.observations)
     op = model.A
     if use_odometry and T > 1:
         op = relation_density_tensor(model, e)
@@ -286,9 +296,7 @@ def reference_loglik(model: GeoHmm, observations) -> np.ndarray:
     rows alone."""
     obs = np.asarray(observations)
     S, T, _ = obs.shape
-    emit = np.ones((S, T, model.n_states))
-    for i, b in enumerate(model.B):
-        emit *= b[obs[:, :, i]]
+    emit = reference_emissions(model, obs)
     alpha = np.zeros((S, model.n_states))
     alpha[:, model.start_state] = emit[:, 0, model.start_state]
     log_scales = np.zeros((S, T))

@@ -558,6 +558,14 @@ class TestRenderAndReplay:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "t.json").exists()
 
+    def test_replay_rejects_a_replay(self, tmp_path, capsys):
+        # A manifest that replayed itself recursed until RecursionError.
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"format": "geohmm-manifest",
+                                    "argv": ["replay", str(path)]}))
+        assert main(["replay", str(path)]) == EXIT_INPUT
+        assert "argv replays a manifest" in capsys.readouterr().err
+
     def test_replay_rejects_a_manifest_that_is_not_an_object(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("[1, 2]")

@@ -12,12 +12,14 @@ from geohmm.inference import (emission_probs, forward_backward, loglik,
 from geohmm.initialization import random_model
 from geohmm.model import (VAR_FLOOR, ExperienceSequence, GeoHmm,
                           ImpossibleSequenceError, RelationMatrix,
-                          relation_log_density)
-from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
+                          encode_symbols, relation_log_density)
+from geohmm.simgen import (LoopSpec, make_loop_model, sample_observations,
+                           sample_sequence)
 from oracles import (brute_force_posteriors, obs_prob, pair_statistics,
                      path_density, random_experience, random_geohmm,
                      reference_forward_backward, reference_loglik,
-                     reference_pair_statistics, reference_posteriors,
+                     reference_emissions, reference_pair_statistics,
+                     reference_posteriors,
                      reference_relation_density_tensor,
                      reference_relation_log_density, zero_relations)
 
@@ -47,6 +49,28 @@ class TestObsProb:
         model = random_geohmm(2, np.random.default_rng(0))
         with pytest.raises(ValueError):
             obs_prob(model, 0, [99])
+
+    # Both callers gather rows of one table over the distinct symbol
+    # vectors; each step's row must be the longhand product, bit for bit.
+    @pytest.mark.parametrize("obs_dims", [(4,), (3, 2), (2, 5, 3)])
+    @pytest.mark.parametrize("used", [1.0, 0.5])
+    def test_gathered_table_is_the_longhand_product(self, obs_dims, used):
+        rng = np.random.default_rng(len(obs_dims))
+        model = random_geohmm(5, rng, obs_dims=obs_dims)
+        # used < 1 leaves the upper symbols of each alphabet out.
+        high = [max(1, int(k * used)) for k in obs_dims]
+        obs = np.stack([rng.integers(0, k, size=(3, 40)) for k in high], -1)
+        vectors, index = encode_symbols(obs)
+        np.testing.assert_array_equal(vectors[index], obs)
+        assert len(vectors) == len(np.unique(obs.reshape(-1, len(high)),
+                                             axis=0))
+        np.testing.assert_array_equal(
+            emission_probs(model, vectors, index)[index],
+            reference_emissions(model, obs))
+        e = ExperienceSequence(obs[0], np.zeros((39, 3)))
+        np.testing.assert_array_equal(
+            forward_backward(model, e, use_odometry=False).emit,
+            reference_emissions(model, obs[0]))
 
 
 class TestForwardBackward:
@@ -343,16 +367,21 @@ class TestLoglik:
     # Different state counts share one zero-padded (K, S, N) stack; each
     # model's row must still be its own sequential score.
     @pytest.mark.parametrize("T", [1, 2, 37])
-    def test_models_of_different_sizes_match_reference(self, T):
+    @pytest.mark.parametrize("K", [0, 1, 2])
+    def test_models_of_different_sizes_match_reference(self, T, K):
         rng = np.random.default_rng(500 + T)
         loop = make_loop_model(LoopSpec())
-        for models in ([random_geohmm(5, rng, obs_dims=(3, 2)),
-                        sparse_geohmm(3, rng, obs_dims=(3, 2))],
-                       [loop, random_model(12, loop.obs_dims, rng)]):
-            obs = strings([random_experience(models[0], T, rng)
-                           for _ in range(4)])
+        # The last pair's strings use 3 of its 6 symbols.
+        for models, used in ([[random_geohmm(5, rng, obs_dims=(3, 2)),
+                               sparse_geohmm(3, rng, obs_dims=(3, 2))], (3, 2)],
+                             [[loop, random_model(12, loop.obs_dims, rng)],
+                              loop.obs_dims],
+                             [[random_geohmm(4, rng, obs_dims=(6,)),
+                               random_geohmm(2, rng, obs_dims=(6,))], (3,)]):
+            obs = rng.integers(0, used, size=(4, T, len(used)))
+            models = models[:K]
             got = loglik(models, obs)
-            assert got.shape == (2, 4)
+            assert got.shape == (K, 4)
             for k, model in enumerate(models):
                 np.testing.assert_allclose(got[k], reference_loglik(model, obs),
                                            rtol=1e-12, atol=0)
@@ -390,10 +419,31 @@ class TestLoglik:
         model = random_geohmm(2, np.random.default_rng(8))
         obs = np.zeros((2, 5, 1), dtype=int)
         obs[1, 3, 0] = symbol
-        with pytest.raises(ValueError, match="out of alphabet"):
+        message = "symbol %d out of alphabet on dimension 0 at step 3" % symbol
+        with pytest.raises(ValueError, match=message):
             loglik([model], obs)
-        with pytest.raises(ValueError, match="out of alphabet"):
-            emission_probs(model, obs[1])
+        with pytest.raises(ValueError, match=message):
+            emission_probs(model, *encode_symbols(obs[1]))
+        if symbol >= 0:
+            e = ExperienceSequence(obs[1], np.zeros((4, 3)))
+            with pytest.raises(ValueError, match=message):
+                forward_backward(model, e)
+
+    def test_peak_memory(self):
+        # kl_sampled's call: the (T, K, S, N) emission array alone is
+        # 2.56 MB, and a per-model, per-dimension fill peaked at 4.15 MB.
+        S, T = 10, 1000
+        rng = np.random.default_rng(12)
+        true = make_loop_model(LoopSpec())
+        other = random_model(16, true.obs_dims, rng)
+        obs = sample_observations(true, T, S, rng)
+        tracemalloc.start()
+        try:
+            loglik([true, other], obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2e6, peak
 
     def test_non_integer_symbols_rejected(self):
         model = random_geohmm(2, np.random.default_rng(9))

@@ -272,7 +272,7 @@ class TestValidation:
         seq = ExperienceSequence(np.zeros((3, 2), dtype=int),
                                  np.zeros((2, 3)))
         arrays = ([model.A, *model.B, R.eta, seq.observations, seq.readings,
-                   seq.features]
+                   seq.features, *seq.symbols]
                   + [getattr(R, f.name) for f in fields(RelationMatrix)])
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -287,6 +287,25 @@ class TestValidation:
         for copied in (pickle.loads(pickle.dumps(R)), copy.deepcopy(R)):
             np.testing.assert_array_equal(copied.var_x, R.var_x)
             assert not copied.var_x.flags.writeable
+
+    def test_pickle_rebuilds_read_only_models_and_sequences(self):
+        # The default restore set the attributes of a copy to writable
+        # arrays, and carried the cached values over unchecked.
+        model = make_loop_model(LoopSpec())
+        seq = ExperienceSequence(np.array([[0, 1], [2, 1]]),
+                                 np.zeros((1, 3)), alphabet=(3, 2))
+        model.relations.eta, seq.features, seq.symbols
+        for copy_of in (lambda x: pickle.loads(pickle.dumps(x)),
+                        copy.deepcopy):
+            m, e = copy_of(model), copy_of(seq)
+            assert m.obs_dims == model.obs_dims and e.alphabet == (3, 2)
+            for got, want in [(m.A, model.A), (m.B[1], model.B[1]),
+                              (e.observations, seq.observations),
+                              (e.readings, seq.readings)]:
+                np.testing.assert_array_equal(got, want)
+                assert not got.flags.writeable
+            assert not hasattr(m.relations, "_eta")
+            assert not {"features", "symbols"} & set(vars(e))
 
     def test_callers_arrays_stay_theirs(self):
         # A model copies what it is given: the caller's arrays stay
