@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end reproduction: simulate a corridor loop, learn with and
-# without odometry, and print the KL comparison table. Runs unattended.
+# without odometry, and print the KL comparison table and the script's
+# wall time in seconds. Runs unattended.
 #
 # Usage: experiments/loop.sh [output-dir] [seed]
 # Runs the CLI as $GEOHMM; unset, that is python3 -m geohmm on this
@@ -50,3 +51,4 @@ echo
 $GEOHMM check "$OUT/with1.json" --level additive
 $GEOHMM render "$OUT/with1.json" -o "$OUT/map_with1.svg" > /dev/null
 echo "map written to $OUT/map_with1.svg"
+echo "elapsed $SECONDS s"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -299,7 +300,11 @@ def cmd_replay(args):
         os.chdir(here)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every call:
+    parse_args gives each call a fresh Namespace, and no caller may add
+    to the parser."""
     parser = argparse.ArgumentParser(
         prog="geohmm",
         description="Learn and evaluate HMMs with geometrically consistent "
@@ -392,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.argv, args.started = argv, time.time()
     try:
         return args.func(args)

@@ -125,11 +125,12 @@ def save_experience(seq: ExperienceSequence, path: str):
         header += " alphabet=" + ",".join(str(k) for k in seq.alphabet)
     lines = ["# geohmm experience file",
              header + " angle_unit=radians length_unit=units"]
-    for t in range(len(seq)):
-        tokens = [str(int(s)) for s in seq.observations[t]]
-        if t > 0:
-            tokens.extend(repr(float(v)) for v in seq.readings[t - 1])
-        lines.append(" ".join(tokens))
+    # Python ints and floats from tolist() format faster than NumPy
+    # scalars, to the same text.
+    readings = [[]] + seq.readings.tolist()
+    for symbols, reading in zip(seq.observations.tolist(), readings):
+        lines.append(" ".join([str(s) for s in symbols]
+                              + [repr(v) for v in reading]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

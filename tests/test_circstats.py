@@ -1,5 +1,6 @@
 """Von Mises primitives against independent oracles."""
 
+import json
 import os
 import subprocess
 import sys
@@ -181,16 +182,66 @@ class TestWrapAngle:
         assert np.all(vals > -np.pi) and np.all(vals <= np.pi)
 
 
-def test_import_leaves_scipy_optimize_out():
-    # The Bessel functions need scipy.special only; a root finder would
-    # pull in scipy.optimize and its start-up cost.
+def _python(code, cwd=None):
+    """Run code in a fresh interpreter on this checkout's src/; stdout."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, geohmm; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_import_leaves_scipy_optimize_out():
+    # No scipy module at all: scipy.special, the only one the pipeline
+    # uses, loads on the first Bessel evaluation; a root finder would
+    # pull in scipy.optimize and its start-up cost.
+    out = _python("import sys, geohmm, geohmm.cli; "
+                  "print(sorted(m for m in sys.modules "
+                  "if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"
+
+
+# The CLI runs of a plain Baum-Welch comparison, then a with-odometry
+# learn; prints whether scipy.special was loaded after each, and the
+# sha256 of the learned model.
+_CLI_RUNS = """
+import hashlib, json, sys
+%s
+from geohmm.cli import main
+
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+
+run("make-loop", "-o", "true.json")
+run("simulate", "true.json", "-o", "exp.txt", "-T", "200", "--seed", "4")
+run("check", "true.json")
+run("render", "true.json", "-o", "map.svg")
+run("learn", "exp.txt", "-o", "without.json", "-n", "16", "--no-odometry",
+    "--max-iters", "5", "--seed", "5")
+run("eval-kl", "true.json", "without.json", "-L", "100", "-n", "2")
+after_baseline = "scipy.special" in sys.modules
+run("learn", "exp.txt", "-o", "with.json", "-n", "16", "--max-iters", "3",
+    "--seed", "6")
+with open("with.json", "rb") as fh:
+    digest = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps([after_baseline, "scipy.special" in sys.modules, digest]))
+"""
+
+
+def test_scipy_special_loads_at_first_bessel_evaluation(tmp_path):
+    lazy, eager = tmp_path / "lazy", tmp_path / "eager"
+    lazy.mkdir()
+    eager.mkdir()
+    after_baseline, after_learn, digest = json.loads(
+        _python(_CLI_RUNS % "", cwd=lazy).splitlines()[-1])
+    assert not after_baseline
+    assert after_learn
+    # Loading scipy.special up front changes no byte of the model.
+    *_, eager_digest = json.loads(
+        _python(_CLI_RUNS % "import scipy.special",
+                cwd=eager).splitlines()[-1])
+    assert digest == eager_digest

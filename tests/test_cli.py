@@ -66,6 +66,11 @@ class TestSimulate:
         assert main(["simulate", str(tmp_path / "nope.json"), "-o",
                      str(tmp_path / "x.txt"), "-T", "5"]) == EXIT_INPUT
 
+    def test_file_bytes_are_pinned(self, experience_path):
+        # The experience file format must not change by a byte.
+        assert sha(experience_path) == (
+            "237e18f0af30dc4a41eeb5738415704cd0d96273bc110e41d8f475a919b84eea")
+
 
 class TestLearn:
     def test_square_walk_recovers_cycle(self, tmp_path):
@@ -438,6 +443,65 @@ class TestEvalKl:
         assert not out.exists()
 
 
+class TestParserReuse:
+    """main parses every call with one parser per process; no call's
+    options reach the next."""
+
+    def test_check_format_does_not_carry_over(self, loop_model_path,
+                                               capsys):
+        assert main(["check", str(loop_model_path), "--format",
+                     "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["consistent"] is True
+        assert main(["check", str(loop_model_path)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("consistent at level")
+
+    def test_eval_kl_output_does_not_carry_over(self, tmp_path,
+                                                 loop_model_path, capsys):
+        model = str(loop_model_path)
+        assert main(["eval-kl", model, model, "-L", "50", "-n", "2",
+                     "-o", str(tmp_path / "kl.json")]) == EXIT_OK
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert "kl.json" in before
+        assert main(["eval-kl", model, model, "-L", "50", "-n",
+                     "2"]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert capsys.readouterr().out.splitlines()[-1].startswith(
+            "KL estimate")
+
+    def test_bad_option_after_good_call_exits_2(self, loop_model_path,
+                                                capsys):
+        assert main(["check", str(loop_model_path)]) == EXIT_OK
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(loop_model_path), "--no-such-option"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: geohmm") and "--no-such-option" in err
+
+    def test_at_most_one_parser_tree(self, tmp_path, loop_model_path,
+                                     monkeypatch):
+        import argparse
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "geohmm":
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        model = str(loop_model_path)
+        assert main(["check", model]) == EXIT_OK
+        assert main(["render", model, "-o", str(tmp_path / "m.svg")]) \
+            == EXIT_OK
+        assert main(["make-loop", "-o", str(tmp_path / "l.json")]) == EXIT_OK
+        assert main(["replay", str(tmp_path / "l.json.manifest.json")]) \
+            == EXIT_OK
+        assert len(built) <= 1
+
+
 class TestRenderAndReplay:
     def test_render_svg(self, tmp_path, loop_model_path):
         out = tmp_path / "map.svg"
@@ -650,3 +714,6 @@ class TestEndToEndScript:
         assert "KL(nats/symbol)" in proc.stdout
         assert "with" in proc.stdout and "without" in proc.stdout
         assert (tmp_path / "out" / "map_with1.svg").exists()
+        # The script's wall time, in whole seconds, is its last line.
+        last = proc.stdout.splitlines()[-1].split()
+        assert last[0] == "elapsed" and last[1].isdigit() and last[2] == "s"
