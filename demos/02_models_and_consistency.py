@@ -9,10 +9,9 @@ import tempfile
 
 import numpy as np
 
-from geohmm import (ConstraintLevel, CoordinateMode, LoopSpec,
-                    check_consistency, embed_relations, load_model,
+from geohmm import (ConstraintLevel, CoordinateMode, ExperienceSequence,
+                    LoopSpec, check_consistency, embed_relations, load_model,
                     make_loop_model, save_model)
-from geohmm.model import relation_log_density
 
 print("A 16-state corridor loop (the default experiment environment):")
 model = make_loop_model(LoopSpec())
@@ -27,8 +26,11 @@ reading = (R.mu_x[0, 1], R.mu_y[0, 1], R.mu_theta[0, 1])
 print("  mean (dx, dy, dtheta) = (%.3f, %.3f, %.3f), var (x, y) = (%.4f, "
       "%.4f), kappa = %.1f" % (reading + (R.var_x[0, 1], R.var_y[0, 1],
                                           R.kappa_theta[0, 1])))
+# log f(r | R[i, j]) = features(r) . eta[:, i, j]: the sequence caches its
+# reading features, the table its natural parameters.
+walk = ExperienceSequence(np.zeros((2, 3), dtype=int), [reading])
 print("  density at the mean reading: %.4f"
-      % np.exp(relation_log_density(reading, R))[0, 1])
+      % np.exp(walk.features[0] @ R.eta[:, 0, 1]))
 
 print("\nBreaking anti-symmetry by hand and re-checking:")
 # Models and relation tables are read-only: build a changed one instead.

@@ -6,7 +6,7 @@ Angles are radians throughout, canonicalized to the half-open interval
     f(theta; mu, kappa) = exp(kappa * cos(theta - mu)) / (2 pi I0(kappa))
 
 with I0 the modified Bessel function of the first kind and order 0. The
-density is the heading factor of model.natural_parameters and the draws
+density is the heading factor of RelationMatrix.eta and the draws
 are simgen.sample_path's; this module holds log I0, the mean resultant
 length A = I1/I0 and its inverse, and the angle wrap. Concentrations are
 clamped to [0, KAPPA_MAX]; beyond that the distribution is numerically a

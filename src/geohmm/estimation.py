@@ -24,6 +24,7 @@ receive no posterior weight keep their previous parameters.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,9 @@ class LearnConfig:
             if value is not None and not (math.isfinite(value) and value >= 0):
                 raise ValueError("%s must be finite and >= 0, got %r"
                                  % (name, value))
+        if not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError("max_iters must be an integer, got %r"
+                             % (self.max_iters,))
 
 
 @dataclass

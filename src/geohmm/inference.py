@@ -15,7 +15,7 @@ The reading densities form an exponential family, log f(r | R[i,j]) =
 phi(r) . eta[i,j], so the whole (T-1, N, N) tensor is one product of
 the (T-1, 7) reading features phi = (1, dx, dy, dx^2, dy^2, sin dtheta,
 cos dtheta) and the (7, N^2) natural parameters, then one in-place exp
-(model.relation_log_density). The same features weigh the expected pair
+(RelationMatrix.eta). The same features weigh the expected pair
 statistics that the M-step reads. posteriors needs no sum over xi: the
 forward recursion gives its normalizer Z_t = c_{t+1} sum_j
 alpha_{t+1}(j) beta_{t+1}(j), the row sum that gamma divides by.
@@ -126,9 +126,9 @@ def emission_probs(model: GeoHmm, vectors, index) -> np.ndarray:
     model.encode_symbols, B rows multiplied in dimension order. Negative
     and out-of-alphabet symbols are rejected, naming the first step of
     index that holds one, since callers may pass a raw array."""
-    if vectors.shape[-1] != model.n_obs_dims:
+    if vectors.shape[-1] != len(model.B):
         raise ValueError("observations of %d dimensions do not have the "
-                         "model's %d" % (vectors.shape[-1], model.n_obs_dims))
+                         "model's %d" % (vectors.shape[-1], len(model.B)))
     bad = (vectors < 0) | (vectors >= np.array(model.obs_dims))
     if bad.any():
         *where, i = np.argwhere(bad[index])[0]
@@ -143,8 +143,8 @@ def emission_probs(model: GeoHmm, vectors, index) -> np.ndarray:
 def relation_density_tensor(model: GeoHmm, e: ExperienceSequence,
                             out=None) -> np.ndarray:
     """(T-1, N, N) tensor of reading densities f(r_{t+1} | R[i,j]):
-    exp(e.features @ model.relations.eta), as in model.relation_log_density,
-    written into out if given. Both factors are cached on their objects.
+    exp(e.features @ model.relations.eta), written into out if given. Both
+    factors are cached on their objects.
     """
     phi, n = e.features, model.n_states
     if out is None:

@@ -44,8 +44,10 @@ class BucketConfig:
     sigma_theta: float
 
     def __post_init__(self):
-        if min(self.sigma_x, self.sigma_y, self.sigma_theta) <= 0:
-            raise ValueError("sigmas must be positive")
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError("%s must be finite and > 0, got %r"
+                                 % (name, value))
 
     @property
     def sigmas(self) -> np.ndarray:
@@ -61,8 +63,7 @@ class Bucket:
 @dataclass
 class TaggingResult:
     state_sequence: np.ndarray          # (T,) state indices
-    coordinates: np.ndarray             # (n_used, 3) embedding of used states
-    n_used: int
+    coordinates: np.ndarray             # (states used, 3) embedding
     pair_buckets: dict                  # (i, j) -> bucket id that populated it
 
 
@@ -209,7 +210,7 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
         current = nxt
 
     return TaggingResult(state_sequence=np.asarray(sequence, dtype=int),
-                         coordinates=coords[:n_used].copy(), n_used=n_used,
+                         coordinates=coords[:n_used].copy(),
                          pair_buckets=pair_buckets)
 
 
@@ -241,7 +242,7 @@ def init_model(e: ExperienceSequence, n: int, cfg: BucketConfig,
         B.append(counts / counts.sum(axis=0, keepdims=True))
 
     coords = np.zeros((n, 3))
-    coords[:tags.n_used] = tags.coordinates
+    coords[:len(tags.coordinates)] = tags.coordinates
     mu_x, mu_y, mu_theta = embed_relations(coords[:, 0], coords[:, 1],
                                            coords[:, 2], mode)
 
@@ -268,8 +269,8 @@ def init_model(e: ExperienceSequence, n: int, cfg: BucketConfig,
     np.fill_diagonal(kappa, kappa_prior)
 
     relations = RelationMatrix(mu_x, mu_y, mu_theta, var_x, var_y, kappa)
-    return GeoHmm(n_states=n, obs_dims=e.obs_dims, A=A, B=tuple(B),
-                  start_state=int(seq[0]), relations=relations, mode=mode)
+    return GeoHmm(A=A, B=tuple(B), start_state=int(seq[0]),
+                  relations=relations, mode=mode)
 
 
 def random_model(n: int, obs_dims, rng: np.random.Generator,
@@ -285,8 +286,7 @@ def random_model(n: int, obs_dims, rng: np.random.Generator,
     mu_x, mu_y, mu_theta = embed_relations(x, y, theta, mode)
     relations = RelationMatrix(mu_x, mu_y, mu_theta, np.ones((n, n)),
                                np.ones((n, n)), np.full((n, n), 0.5))
-    return GeoHmm(n_states=n, obs_dims=tuple(obs_dims), A=A, B=B,
-                  start_state=0, relations=relations, mode=mode)
+    return GeoHmm(A=A, B=B, start_state=0, relations=relations, mode=mode)
 
 
 def perturb_model(model: GeoHmm, rng: np.random.Generator,

@@ -29,6 +29,7 @@ MODEL_VERSION = 1
 
 _LENGTH_SCALES = {"units": 1.0, "m": 1.0, "cm": 0.01, "mm": 0.001}
 _ANGLE_UNITS = ("radians", "degrees")
+_INTEGER_KEYS = ("n_states", "obs_dims", "start_state")
 
 
 def atomic_write_text(path: str, text: str):
@@ -80,7 +81,21 @@ def model_from_dict(data: dict) -> GeoHmm:
             raise ModelFormatError("not a %s file" % MODEL_FORMAT)
         angle_scale, length_scale = _unit_scales(
             data.get("angle_unit", "radians"), data.get("length_unit", "units"))
-        n = int(data["n_states"])
+        n, obs_dims, start_state = (data[k] for k in _INTEGER_KEYS)
+        for key, values in zip(_INTEGER_KEYS, ([n], obs_dims, [start_state])):
+            if not all(type(v) is int for v in values):
+                raise ModelFormatError("%s: expected integers, got %r"
+                                       % (key, data[key]))
+        A = np.asarray(data["A"], dtype=float)
+        B = tuple(np.asarray(b, dtype=float) for b in data["B"])
+        # The sizes restate A's and B's, so a file must agree with itself.
+        if len(A) != n:
+            raise ModelFormatError("n_states %d disagrees with A's %d rows"
+                                   % (n, len(A)))
+        rows = [len(b) for b in B]
+        if rows != list(obs_dims):
+            raise ModelFormatError("obs_dims %r disagrees with B's row counts "
+                                   "%r" % (obs_dims, rows))
         rel = np.asarray(data["relations"], dtype=float)
         if rel.shape != (n, n, 6):
             raise ModelFormatError("relations must be an N x N x 6 array")
@@ -90,15 +105,8 @@ def model_from_dict(data: dict) -> GeoHmm:
             rel[:, :, 0] * length_scale, rel[:, :, 1] * length_scale,
             mu_theta, rel[:, :, 3] * length_scale ** 2,
             rel[:, :, 4] * length_scale ** 2, rel[:, :, 5])
-        return GeoHmm(
-            n_states=n,
-            obs_dims=tuple(int(d) for d in data["obs_dims"]),
-            A=np.asarray(data["A"], dtype=float),
-            B=tuple(np.asarray(b, dtype=float) for b in data["B"]),
-            start_state=int(data["start_state"]),
-            relations=relations,
-            mode=CoordinateMode(data.get("mode", "global")),
-        )
+        return GeoHmm(A=A, B=B, start_state=start_state, relations=relations,
+                      mode=CoordinateMode(data.get("mode", "global")))
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -82,8 +82,6 @@ class _Rebuilt:
 class RelationMatrix(_Rebuilt):
     """N x N table of relation parameters: six read-only dense arrays."""
 
-    __slots__ = ("mu_x", "mu_y", "mu_theta", "var_x", "var_y", "kappa_theta",
-                 "_eta")
     mu_x: np.ndarray
     mu_y: np.ndarray
     mu_theta: np.ndarray
@@ -112,13 +110,26 @@ class RelationMatrix(_Rebuilt):
     def n_states(self) -> int:
         return self.mu_x.shape[0]
 
-    @property
+    @functools.cached_property
     def eta(self) -> np.ndarray:
-        """(7, N, N) natural_parameters of the table, computed on first use."""
-        if not hasattr(self, "_eta"):
-            object.__setattr__(self, "_eta",
-                               _read_only(natural_parameters(self)))
-        return self._eta
+        """(7, N, N) natural parameters of the reading densities, computed
+        on first use. Normal dx and dy and von Mises dtheta, independent,
+        form an exponential family: log f(r | R[i, j]) = features(r) .
+        eta[:, i, j] (ExperienceSequence.features), eta = (c0, mu_x/var_x,
+        mu_y/var_y, -1/(2 var_x), -1/(2 var_y), kappa sin(mu_theta), kappa
+        cos(mu_theta)), c0 = -(mu_x^2/var_x + log(2 pi var_x))/2 -
+        (mu_y^2/var_y + log(2 pi var_y))/2 - log(2 pi) - log I0(kappa). So
+        sum_k Posteriors.pair[k] * eta[k] is the relation term of the
+        expected complete-data loglik. Expanding the squares costs about eps
+        * (dx^2 + mu_x^2) / var_x (and likewise in y) of absolute accuracy.
+        """
+        mx, my, mt = self.mu_x, self.mu_y, self.mu_theta
+        vx, vy, kappa = self.var_x, self.var_y, self.kappa_theta
+        c0 = (-0.5 * (mx * mx / vx + np.log(TWO_PI * vx))
+              - 0.5 * (my * my / vy + np.log(TWO_PI * vy))
+              - LOG_TWO_PI - log_bessel_i0(kappa))
+        return _read_only(np.stack([c0, mx / vx, my / vy, -0.5 / vx, -0.5 / vy,
+                                    kappa * np.sin(mt), kappa * np.cos(mt)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +142,6 @@ class GeoHmm(_Rebuilt):
     A, each B and the relation table are read-only and checked when built.
     """
 
-    n_states: int
-    obs_dims: tuple
     A: np.ndarray
     B: tuple
     start_state: int
@@ -140,23 +149,19 @@ class GeoHmm(_Rebuilt):
     mode: CoordinateMode = CoordinateMode.GLOBAL
 
     def __post_init__(self):
-        object.__setattr__(self, "obs_dims", tuple(int(d) for d in self.obs_dims))
         object.__setattr__(self, "A", _read_only(self.A))
         object.__setattr__(self, "B", tuple(_read_only(b) for b in self.B))
+        if self.A.ndim != 2 or not 1 <= len(self.A) == self.A.shape[1]:
+            raise ValueError("A must be (N, N) with N >= 1, got %r"
+                             % (self.A.shape,))
         n = self.n_states
-        if n < 1:
-            raise ValueError("n_states must be positive")
-        if self.A.shape != (n, n):
-            raise ValueError("A must be (N, N), got %r" % (self.A.shape,))
-        if len(self.B) != len(self.obs_dims):
-            raise ValueError("need one B matrix per observation dimension")
         # A's rows and each B's columns are distributions: no entry below
         # 0, as the sampler demands, and sums within STOCHASTIC_TOL of 1.
         stochastic = [("A", "rows", 1, self.A)]
         for i, b in enumerate(self.B):
-            if b.shape != (self.obs_dims[i], n):
-                raise ValueError("B[%d] must be (%d, %d), got %r"
-                                 % (i, self.obs_dims[i], n, b.shape))
+            if b.ndim != 2 or b.shape[1] != n:
+                raise ValueError("B[%d] must be (alphabet size, %d), got %r"
+                                 % (i, n, b.shape))
             stochastic.append(("B[%d]" % i, "columns", 0, b))
         for name, lines, axis, p in stochastic:
             if not np.all(np.isfinite(p)):
@@ -171,8 +176,13 @@ class GeoHmm(_Rebuilt):
             raise ValueError("relation matrix size mismatch")
 
     @property
-    def n_obs_dims(self) -> int:
-        return len(self.obs_dims)
+    def n_states(self) -> int:
+        return len(self.A)
+
+    @property
+    def obs_dims(self) -> tuple:
+        """Each observation dimension's alphabet size: B's row counts."""
+        return tuple(len(b) for b in self.B)
 
     def replace(self, **kwargs) -> "GeoHmm":
         return dataclasses.replace(self, **kwargs)
@@ -242,8 +252,11 @@ class ExperienceSequence(_Rebuilt):
 
     @functools.cached_property
     def features(self) -> np.ndarray:
-        """(T-1, 7) reading_features of the readings."""
-        return _read_only(reading_features(self.readings))
+        """(T-1, 7) sufficient statistics of the readings, the factor of
+        RelationMatrix.eta: 1, dx, dy, dx^2, dy^2, sin(dtheta), cos(dtheta)."""
+        dx, dy, dtheta = self.readings.T
+        return _read_only(np.stack([np.ones_like(dx), dx, dy, dx * dx, dy * dy,
+                                    np.sin(dtheta), np.cos(dtheta)], axis=-1))
 
     @functools.cached_property
     def symbols(self) -> tuple:
@@ -288,48 +301,6 @@ def encode_symbols(observations) -> tuple:
                              return_inverse=True)
     vectors = np.stack(np.unravel_index(codes, radix), axis=1) + low
     return vectors, index.reshape(obs.shape[:-1])
-
-
-def reading_features(readings) -> np.ndarray:
-    """(..., 7) sufficient statistics of (dx, dy, dtheta) readings (..., 3):
-    1, dx, dy, dx^2, dy^2, sin(dtheta) and cos(dtheta)."""
-    r = np.asarray(readings, dtype=float)
-    dx, dy, dtheta = r[..., 0], r[..., 1], r[..., 2]
-    return np.stack([np.ones_like(dx), dx, dy, dx * dx, dy * dy,
-                     np.sin(dtheta), np.cos(dtheta)], axis=-1)
-
-
-def natural_parameters(relations) -> np.ndarray:
-    """(7, N, N) natural parameters eta of a RelationMatrix's reading
-    densities, or (7,) of one entry (any object with scalar fields mu_x,
-    mu_y, mu_theta, var_x, var_y and kappa_theta).
-
-    Normal dx and dy and von Mises dtheta (kappa clipped to [0,
-    KAPPA_MAX]), independent, form an exponential family: log f(r | R) =
-    reading_features(r) . eta(R), eta = (c0, mu_x/var_x, mu_y/var_y,
-    -1/(2 var_x), -1/(2 var_y), kappa sin(mu_theta), kappa cos(mu_theta)),
-    c0 = -(mu_x^2/var_x + log(2 pi var_x))/2 - (mu_y^2/var_y + log(2 pi
-    var_y))/2 - log(2 pi) - log I0(kappa). So sum_k Posteriors.pair[k] *
-    eta[k] is the relation term of the expected complete-data loglik.
-    """
-    mx, my, mt = relations.mu_x, relations.mu_y, relations.mu_theta
-    vx, vy = relations.var_x, relations.var_y
-    kappa = np.clip(relations.kappa_theta, 0.0, KAPPA_MAX)
-    c0 = (-0.5 * (mx * mx / vx + np.log(TWO_PI * vx))
-          - 0.5 * (my * my / vy + np.log(TWO_PI * vy))
-          - LOG_TWO_PI - log_bessel_i0(kappa))
-    return np.stack([c0, mx / vx, my / vy, -0.5 / vx, -0.5 / vy,
-                     kappa * np.sin(mt), kappa * np.cos(mt)])
-
-
-def relation_log_density(readings, relations) -> np.ndarray:
-    """Log density of readings (..., 3) under every entry (out: (..., N,
-    N)) or one entry (out: ...), as reading_features @ natural_parameters.
-    Expanding the squares costs about eps * (dx^2 + mu_x^2) / var_x (and
-    likewise in y) of absolute accuracy."""
-    eta = natural_parameters(relations)
-    phi = reading_features(readings)
-    return (phi @ eta.reshape(7, -1)).reshape(phi.shape[:-1] + eta.shape[1:])
 
 
 def embed_relations(x, y, theta, mode: CoordinateMode) -> tuple:

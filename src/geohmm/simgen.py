@@ -134,8 +134,7 @@ def make_loop_model(spec: LoopSpec) -> GeoHmm:
         b[OBS_UNKNOWN, np.arange(n)] += spec.obs_noise
         B.append(b)
 
-    return GeoHmm(n_states=n, obs_dims=(OBS_ALPHABET,) * OBS_DIMS, A=A,
-                  B=tuple(B), start_state=0, relations=relations,
+    return GeoHmm(A=A, B=tuple(B), start_state=0, relations=relations,
                   mode=spec.mode)
 
 

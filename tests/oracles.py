@@ -7,7 +7,7 @@ paths, and component densities are written out longhand.
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from geohmm.initialization import (BUCKET_FACTOR, TAG_FACTOR, ZERO_BUCKET,
 from geohmm.model import (VAR_FLOOR, ConsistencyReport, ConsistencyViolation,
                           ConstraintLevel, CoordinateMode, ExperienceSequence,
                           GeoHmm, ImpossibleSequenceError, RelationMatrix,
-                          _rotate_xy, reading_features, relation_log_density)
+                          _rotate_xy)
 
 # Spread of the diagonal (self-transition) entries of zero_relations:
 # zero mean, small but non-degenerate spread.
@@ -60,8 +60,10 @@ def pair_statistics(xi: np.ndarray, readings: np.ndarray) -> np.ndarray:
     (7, T-1) @ (T-1, N*N) product.
     """
     n = xi.shape[1]
-    return (reading_features(readings).T
-            @ xi.reshape(len(xi), n * n)).reshape(7, n, n)
+    dx, dy, dtheta = np.asarray(readings, dtype=float).T
+    features = np.stack([np.ones_like(dx), dx, dy, dx * dx, dy * dy,
+                         np.sin(dtheta), np.cos(dtheta)])
+    return (features @ xi.reshape(len(xi), n * n)).reshape(7, n, n)
 
 
 def normal_pdf(x, mu, var):
@@ -79,9 +81,9 @@ EXACT_TERM_GUARD = 10_000_000
 def obs_prob(model: GeoHmm, state: int, v) -> float:
     """Probability of observation vector v in the given state."""
     v = np.asarray(v, dtype=int)
-    if v.shape != (model.n_obs_dims,):
+    if v.shape != (len(model.obs_dims),):
         raise ValueError("observation vector must have length %d"
-                         % model.n_obs_dims)
+                         % len(model.obs_dims))
     out = 1.0
     for i, b in enumerate(model.B):
         if not 0 <= v[i] < model.obs_dims[i]:
@@ -166,8 +168,31 @@ def relation_entry(R: RelationMatrix, i: int, j: int) -> RelationEntry:
 
 
 def relation_density(reading, entry: RelationEntry) -> float:
-    """Joint density of a (dx, dy, dtheta) reading for one relation entry."""
-    return float(np.exp(relation_log_density(reading, entry)))
+    """Joint density of a (dx, dy, dtheta) reading for one relation entry,
+    written out: normal dx and dy, von Mises dtheta, independent. I0 is
+    i0e(kappa) e^kappa, so no factor overflows."""
+    from scipy.special import i0e
+    dx, dy, dtheta = (float(v) for v in reading)
+    e = entry
+    log_f = (-0.5 * ((dx - e.mu_x) ** 2 / e.var_x
+                     + math.log(TWO_PI * e.var_x))
+             - 0.5 * ((dy - e.mu_y) ** 2 / e.var_y
+                      + math.log(TWO_PI * e.var_y))
+             + e.kappa_theta * (math.cos(dtheta - e.mu_theta) - 1.0)
+             - math.log(TWO_PI * float(i0e(e.kappa_theta))))
+    return math.exp(log_f)
+
+
+def model_density(reading, entry: RelationEntry) -> float:
+    """The model's density of one (dx, dy, dtheta) reading under one entry,
+    through relation_density_tensor: the entry sits at (0, 1) of a
+    two-state table."""
+    R = with_entries(zero_relations(2), **{
+        name: {(0, 1): value} for name, value in asdict(entry).items()})
+    model = GeoHmm(A=np.full((2, 2), 0.5), B=(np.ones((1, 2)),), start_state=0,
+                   relations=R)
+    e = ExperienceSequence(np.zeros((2, 1), dtype=int), [reading])
+    return float(relation_density_tensor(model, e)[0, 0, 1])
 
 
 def heading_density(theta, mu, kappa) -> float:
@@ -176,8 +201,8 @@ def heading_density(theta, mu, kappa) -> float:
     there, so this is the von Mises density of theta that learning, sampling
     and scoring use."""
     var = 1.0 / TWO_PI
-    return relation_density((0.0, 0.0, theta),
-                            RelationEntry(0.0, 0.0, mu, var, var, kappa))
+    return model_density((0.0, 0.0, theta),
+                         RelationEntry(0.0, 0.0, mu, var, var, kappa))
 
 
 def constrained_two_normal_mle(P, Q):
@@ -333,7 +358,7 @@ def kl_exact_small(true_model: GeoHmm, learned: GeoHmm, horizon: int) -> float:
     symbol_space = list(itertools.product(
         *[range(size) for size in true_model.obs_dims]))
     strings = np.array(list(itertools.product(symbol_space, repeat=horizon)),
-                       dtype=int).reshape(-1, horizon, true_model.n_obs_dims)
+                       dtype=int).reshape(-1, horizon, len(true_model.B))
     lp_true, lp_learned = loglik([true_model, learned], strings)
     possible = lp_true > -math.inf
     lp_true, lp_learned = lp_true[possible], lp_learned[possible]
@@ -515,8 +540,8 @@ def random_geohmm(n, rng, obs_dims=(3,), mode=CoordinateMode.GLOBAL,
     var_y = rng.uniform(0.2, 2.0, size=(n, n))
     kappa = rng.uniform(0.0, 5.0, size=(n, n))
     rel = RelationMatrix(mu_x, mu_y, mu_t, var_x, var_y, kappa)
-    return GeoHmm(n_states=n, obs_dims=tuple(obs_dims), A=A, B=B,
-                  start_state=int(rng.integers(n)), relations=rel, mode=mode)
+    return GeoHmm(A=A, B=B, start_state=int(rng.integers(n)), relations=rel,
+                  mode=mode)
 
 
 def random_experience(model, T, rng):
@@ -540,7 +565,7 @@ def reference_sample_path(model: GeoHmm, length: int, rng):
     R = model.relations
     states = np.zeros(length, dtype=int)
     states[0] = model.start_state
-    observations = np.zeros((length, model.n_obs_dims), dtype=int)
+    observations = np.zeros((length, len(model.obs_dims)), dtype=int)
     readings = np.zeros((length - 1, 3))
     for i, b in enumerate(model.B):
         observations[0, i] = rng.choice(b.shape[0], p=b[:, states[0]])
@@ -571,8 +596,8 @@ def reference_sample_observations(model: GeoHmm, length: int, n: int, rng):
         return int(np.searchsorted(cdf, u, side="right"))
 
     u_trans = rng.random((n, length - 1))
-    u_obs = rng.random((n, length, model.n_obs_dims))
-    out = np.zeros((n, length, model.n_obs_dims), dtype=int)
+    u_obs = rng.random((n, length, len(model.obs_dims)))
+    out = np.zeros((n, length, len(model.obs_dims)), dtype=int)
     for k in range(n):
         state = model.start_state
         for t in range(length):
@@ -798,5 +823,5 @@ def reference_tag_states(readings, buckets, assignment, n_max: int,
         current = nxt
 
     return TaggingResult(state_sequence=np.asarray(sequence, dtype=int),
-                         coordinates=coords[:n_used].copy(), n_used=n_used,
+                         coordinates=coords[:n_used].copy(),
                          pair_buckets=pair_buckets)

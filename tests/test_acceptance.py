@@ -90,8 +90,7 @@ def _randomized_run(rng, level):
     T = int(rng.integers(50, 401))
     seq = sample_sequence(generator, T, rng)
     start = random_geohmm(n, rng, consistent=True)
-    start = GeoHmm(n_states=n, obs_dims=generator.obs_dims, A=start.A,
-                   B=start.B, start_state=generator.start_state,
+    start = GeoHmm(A=start.A, B=start.B, start_state=generator.start_state,
                    relations=start.relations, mode=CoordinateMode.GLOBAL)
     cfg = LearnConfig(constraint_level=level, max_iters=30)
     _, rep = em_learn(seq, start, cfg)
@@ -433,9 +432,8 @@ def test_criterion_8_numerics():
 
     # Bernoulli closed form against the sampled divergence
     def bernoulli(p):
-        return GeoHmm(n_states=1, obs_dims=(2,), A=np.ones((1, 1)),
-                      B=(np.array([[1.0 - p], [p]]),), start_state=0,
-                      relations=zero_relations(1))
+        return GeoHmm(A=np.ones((1, 1)), B=(np.array([[1.0 - p], [p]]),),
+                      start_state=0, relations=zero_relations(1))
 
     closed_form = 0.5 * np.log(0.5 / 0.25) + 0.5 * np.log(0.5 / 0.75)
     est = kl_sampled(bernoulli(0.5), bernoulli(0.25), seq_length=2000,

@@ -253,6 +253,25 @@ class TestLearn:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("option", ["--sigma-x", "--sigma-y",
+                                        "--sigma-theta"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_invalid_sigma_rejected_up_front(self, tmp_path, capsys,
+                                             experience_path, option, value):
+        # nan used to end in a TypeError traceback inside tag_states, and
+        # inf in a relation-table error that named no option.
+        sigmas = {"--sigma-x": "0.5", "--sigma-y": "0.5",
+                  "--sigma-theta": "0.3", option: value}
+        code = main(["learn", str(experience_path), "-o",
+                     str(tmp_path / "m.json"), "-n", "16"]
+                    + [token for pair in sigmas.items() for token in pair])
+        assert code == EXIT_INPUT
+        field = option[2:].replace("-", "_")
+        assert capsys.readouterr().err == (
+            "error: %s must be finite and > 0, got %r\n"
+            % (field, float(value)))
+        assert not list(tmp_path.glob("m.json*"))
+
     @pytest.mark.parametrize("flags", [[], ["--no-odometry"]])
     @pytest.mark.parametrize("n_states", ["0", "-3"])
     def test_nonpositive_state_count_is_input_error(self, tmp_path, capsys,
@@ -343,6 +362,18 @@ class TestCheck:
         save_model(model.replace(relations=relations), str(bad))
         return bad
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_states", 16.9), ("obs_dims", [4.5, 4, 4]), ("start_state", 1.7),
+        ("n_states", 15)])
+    def test_model_sizes_checked_on_load(self, tmp_path, capsys,
+                                         loop_model_path, key, value):
+        data = json.loads(loop_model_path.read_text())
+        data[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["check", str(bad)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: %s" % key)
+
     def test_violations_exit_code(self, tmp_path, loop_model_path):
         bad = self.save_broken(tmp_path, loop_model_path, 0.5)
         assert main(["check", str(bad), "--level", "antisym"]) \
@@ -391,9 +422,8 @@ class TestEvalKl:
         import numpy as np
         from geohmm.model import GeoHmm
         from oracles import zero_relations
-        tiny = GeoHmm(n_states=1, obs_dims=(2,), A=np.ones((1, 1)),
-                      B=(np.array([[0.5], [0.5]]),), start_state=0,
-                      relations=zero_relations(1))
+        tiny = GeoHmm(A=np.ones((1, 1)), B=(np.array([[0.5], [0.5]]),),
+                      start_state=0, relations=zero_relations(1))
         save_model(tiny, str(small))
         assert main(["eval-kl", str(loop_model_path),
                      str(small)]) == EXIT_INPUT

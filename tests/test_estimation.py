@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from geohmm import estimation, inference, pipeline
-from geohmm import model as model_module
 from geohmm.estimation import (REL_TOL, SPREAD_DAMPING, LearnConfig, em_learn,
                                project_headings, solve_positions,
                                update_observations, update_relations_additive,
@@ -17,7 +16,7 @@ from geohmm.estimation import (REL_TOL, SPREAD_DAMPING, LearnConfig, em_learn,
 from geohmm.inference import Posteriors, forward_backward, posteriors
 from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
                           GeoHmm, RelationMatrix, check_consistency,
-                          embed_relations, natural_parameters)
+                          embed_relations)
 from geohmm.circstats import wrap_angle
 from geohmm.simgen import LoopSpec, make_loop_model, sample_sequence
 from geohmm.initialization import init_model, random_model
@@ -310,9 +309,9 @@ class TestUpdateRelationsAntisym:
         from geohmm.inference import posteriors as post_fn
         post = post_fn(trellis, model, e)
         R = update_relations_antisym(post, model.relations, mode)
-        check_model = GeoHmm(n_states=4, obs_dims=model.obs_dims, A=model.A,
-                             B=model.B, start_state=model.start_state,
-                             relations=R, mode=mode)
+        check_model = GeoHmm(A=model.A, B=model.B,
+                             start_state=model.start_state, relations=R,
+                             mode=mode)
         report = check_consistency(check_model,
                                    ConstraintLevel.ANTISYMMETRIC, 1e-9)
         assert report.consistent, report.summary()
@@ -526,9 +525,9 @@ class TestUpdateRelationsAdditive:
         from geohmm.inference import posteriors as post_fn
         post = post_fn(trellis, model, e)
         R = update_relations_additive(post, model.relations, mode)
-        check_model = GeoHmm(n_states=4, obs_dims=model.obs_dims, A=model.A,
-                             B=model.B, start_state=model.start_state,
-                             relations=R, mode=mode)
+        check_model = GeoHmm(A=model.A, B=model.B,
+                             start_state=model.start_state, relations=R,
+                             mode=mode)
         report = check_consistency(check_model, ConstraintLevel.ADDITIVE,
                                    1e-9)
         assert report.consistent, report.summary()
@@ -559,9 +558,7 @@ class TestEmLearn:
                                   consistent=True)
             seq = sample_sequence(model, 60, rng)
             start = random_geohmm(model.n_states, rng, consistent=True)
-            start = GeoHmm(n_states=model.n_states, obs_dims=model.obs_dims,
-                           A=start.A, B=start.B,
-                           start_state=model.start_state,
+            start = GeoHmm(A=start.A, B=start.B, start_state=model.start_state,
                            relations=start.relations, mode=start.mode)
             cfg = LearnConfig(constraint_level=level, max_iters=25)
             _, report = em_learn(seq, start, cfg)
@@ -663,7 +660,7 @@ class TestOneEStepPerIteration:
             for R in (model.relations, other):
                 want = (xi * reference_relation_log_density(e.readings,
                                                             R)).sum()
-                got = np.vdot(post.pair, natural_parameters(R))
+                got = np.vdot(post.pair, R.eta)
                 assert got == pytest.approx(want, rel=1e-9)
 
     def test_one_forward_backward_per_iteration(self, monkeypatch):
@@ -772,7 +769,7 @@ def lowered_candidate(post, R, rel_drop):
     s0, sx = post.pair[0], post.pair[1]
     i, j = np.unravel_index(np.argmax(s0 * (1.0 - np.eye(len(s0)))),
                             s0.shape)
-    target = rel_drop * abs(np.vdot(post.pair, natural_parameters(R)))
+    target = rel_drop * abs(np.vdot(post.pair, R.eta))
     var, g = R.var_x[i, j], sx[i, j] - R.mu_x[i, j] * s0[i, j]
     root = np.sqrt(g * g + 2.0 * s0[i, j] * var * target)
     a = 2.0 * var * target / (abs(g) + root)
@@ -803,8 +800,8 @@ class TestGemTolerance:
         model, report = em_learn(seq, start, LearnConfig(
             constraint_level=ConstraintLevel.UNCONSTRAINED, max_iters=1))
         (post, R, candidate), = made
-        eta = natural_parameters(R)
-        drop = float(np.vdot(post.pair, eta - natural_parameters(candidate)))
+        eta = R.eta
+        drop = float(np.vdot(post.pair, eta - candidate.eta))
         assert drop == pytest.approx(
             rel_drop * abs(np.vdot(post.pair, eta)), rel=1e-3)
         assert report.iterations_run == 1
@@ -974,15 +971,16 @@ class TestEStepReuse:
         # natural parameters once per relation matrix: the E-steps and the
         # GEM guard share them, and the restarts share the sequence and
         # the base relations (27 and 39 calls once, then 3 and 15).
-        calls = {"reading_features": 0, "natural_parameters": 0}
-        for name in calls:
-            original = getattr(model_module, name)
+        calls = {"features": 0, "eta": 0}
+        for cls, name in ((ExperienceSequence, "features"),
+                          (RelationMatrix, "eta")):
+            prop = getattr(cls, name)
 
-            def counted(*args, name=name, original=original):
+            def counted(obj, name=name, original=prop.func):
                 calls[name] += 1
-                return original(*args)
+                return original(obj)
 
-            monkeypatch.setattr(model_module, name, counted)
+            monkeypatch.setattr(prop, "func", counted)
         seq = sample_sequence(make_loop_model(LoopSpec()), 800,
                               np.random.default_rng(7))
         runs = learn_runs(seq, 16, LearnConfig(
@@ -990,8 +988,7 @@ class TestEStepReuse:
             max_iters=4), restarts=3, seed=5)
         steps = sum(r.report.iterations_run for r in runs)
         assert steps == 12
-        assert calls == {"reading_features": 1,
-                         "natural_parameters": 1 + steps}
+        assert calls == {"features": 1, "eta": 1 + steps}
 
 
 class TestInvalidMStepRaises:
@@ -1038,7 +1035,7 @@ def test_learn_runs_rejects_initial_of_another_size():
 class TestLearnConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"pseudocount": -0.5}, {"pseudocount": float("inf")},
-        {"pseudocount": float("nan")}, {"max_iters": -3},
+        {"pseudocount": float("nan")}, {"max_iters": -3}, {"max_iters": 2.5},
         {"density_floor": -1.0}, {"density_floor": float("nan")}])
     def test_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):

@@ -15,15 +15,14 @@ from oracles import kl_exact_small, reference_loglik, zero_relations
 def bernoulli_hmm(p):
     """Single-state model emitting 1 with probability p."""
     B = (np.array([[1.0 - p], [p]]),)
-    return GeoHmm(n_states=1, obs_dims=(2,), A=np.ones((1, 1)), B=B,
-                  start_state=0, relations=zero_relations(1))
+    return GeoHmm(A=np.ones((1, 1)), B=B, start_state=0,
+                  relations=zero_relations(1))
 
 
 def two_state_hmm(rng):
     A = rng.dirichlet(np.ones(2), size=2)
     B = (rng.dirichlet(np.ones(2), size=2).T,)
-    return GeoHmm(n_states=2, obs_dims=(2,), A=A, B=B, start_state=0,
-                  relations=zero_relations(2))
+    return GeoHmm(A=A, B=B, start_state=0, relations=zero_relations(2))
 
 
 class TestKlSampled:
@@ -37,8 +36,7 @@ class TestKlSampled:
         true = make_loop_model(LoopSpec())
         B = [b.copy() for b in true.B]
         B[0][:, 0] = [0.25, 0.25, 0.25, 0.25]
-        worse = GeoHmm(n_states=true.n_states, obs_dims=true.obs_dims,
-                       A=true.A, B=tuple(B), start_state=true.start_state,
+        worse = GeoHmm(A=true.A, B=tuple(B), start_state=true.start_state,
                        relations=true.relations, mode=true.mode)
         est = kl_sampled(true, worse, seq_length=2000, n_sequences=10,
                          rng=np.random.default_rng(1))

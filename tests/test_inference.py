@@ -12,7 +12,7 @@ from geohmm.inference import (emission_probs, forward_backward, loglik,
 from geohmm.initialization import random_model
 from geohmm.model import (VAR_FLOOR, ExperienceSequence, GeoHmm,
                           ImpossibleSequenceError, RelationMatrix,
-                          encode_symbols, relation_log_density)
+                          encode_symbols)
 from geohmm.simgen import (LoopSpec, make_loop_model, sample_observations,
                            sample_sequence)
 from oracles import (brute_force_posteriors, obs_prob, pair_statistics,
@@ -28,20 +28,20 @@ class TestObsProb:
     def test_single_dimension(self):
         model = random_geohmm(2, np.random.default_rng(0), obs_dims=(4,))
         B = (np.full((4, 2), 0.25),)
-        model = GeoHmm(n_states=2, obs_dims=(4,), A=model.A, B=B,
-                       start_state=0, relations=model.relations)
+        model = GeoHmm(A=model.A, B=B, start_state=0,
+                       relations=model.relations)
         assert obs_prob(model, 1, [2]) == 0.25
 
     def test_factored_product(self):
         B = (np.array([[0.5], [0.5]]), np.array([[0.4], [0.6]]))
-        model = GeoHmm(n_states=1, obs_dims=(2, 2), A=np.ones((1, 1)), B=B,
-                       start_state=0, relations=zero_relations(1))
+        model = GeoHmm(A=np.ones((1, 1)), B=B, start_state=0,
+                       relations=zero_relations(1))
         assert obs_prob(model, 0, [0, 0]) == pytest.approx(0.5 * 0.4)
 
     def test_one_hot_gives_indicator(self):
         B = (np.array([[1.0, 0.0], [0.0, 1.0]]),)
-        model = GeoHmm(n_states=2, obs_dims=(2,), A=np.full((2, 2), 0.5),
-                       B=B, start_state=0, relations=zero_relations(2))
+        model = GeoHmm(A=np.full((2, 2), 0.5), B=B, start_state=0,
+                       relations=zero_relations(2))
         assert obs_prob(model, 0, [0]) == 1.0
         assert obs_prob(model, 1, [0]) == 0.0
 
@@ -97,8 +97,8 @@ class TestForwardBackward:
         n, T = 3, 7
         rng = np.random.default_rng(2)
         B = (np.full((2, n), 0.5),)
-        model = GeoHmm(n_states=n, obs_dims=(2,), A=np.full((n, n), 1 / n),
-                       B=B, start_state=1, relations=zero_relations(n))
+        model = GeoHmm(A=np.full((n, n), 1 / n), B=B, start_state=1,
+                       relations=zero_relations(n))
         obs = rng.integers(0, 2, size=(T, 1))
         e = ExperienceSequence(observations=obs, readings=np.zeros((T - 1, 3)))
         trellis = forward_backward(model, e, use_odometry=False)
@@ -127,8 +127,8 @@ class TestForwardBackward:
 
     def test_impossible_sequence_names_step(self):
         B = (np.array([[1.0, 1.0], [0.0, 0.0]]),)
-        model = GeoHmm(n_states=2, obs_dims=(2,), A=np.full((2, 2), 0.5),
-                       B=B, start_state=0, relations=zero_relations(2))
+        model = GeoHmm(A=np.full((2, 2), 0.5), B=B, start_state=0,
+                       relations=zero_relations(2))
         obs = np.array([[0], [0], [1], [0]])
         e = ExperienceSequence(observations=obs, readings=np.zeros((3, 3)))
         with pytest.raises(ImpossibleSequenceError) as info:
@@ -279,8 +279,7 @@ class TestBlockedRecursion:
         no state and symbol 1 only by state 2."""
         A = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
         B = (np.array([[1.0, 1.0, 0.5], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]]),)
-        return GeoHmm(n_states=3, obs_dims=(3,), A=A, B=B, start_state=0,
-                      relations=zero_relations(3))
+        return GeoHmm(A=A, B=B, start_state=0, relations=zero_relations(3))
 
     @staticmethod
     def _outcome(fn):
@@ -341,8 +340,8 @@ class TestLoglik:
 
     def test_impossible_row_is_minus_inf_and_isolated(self):
         B = (np.array([[1.0, 1.0], [0.0, 0.0]]),)
-        model = GeoHmm(n_states=2, obs_dims=(2,), A=np.full((2, 2), 0.5),
-                       B=B, start_state=0, relations=zero_relations(2))
+        model = GeoHmm(A=np.full((2, 2), 0.5), B=B, start_state=0,
+                       relations=zero_relations(2))
         readings = np.zeros((3, 3))
         good = ExperienceSequence(observations=np.zeros((4, 1), dtype=int),
                                   readings=readings)
@@ -525,8 +524,8 @@ class TestPosteriors:
         A = model.A.copy()
         A[0, 1] *= 2.5
         A /= A.sum(axis=1, keepdims=True)
-        boosted = total_xi(GeoHmm(n_states=3, obs_dims=model.obs_dims, A=A,
-                                  B=model.B, start_state=model.start_state,
+        boosted = total_xi(GeoHmm(A=A, B=model.B,
+                                  start_state=model.start_state,
                                   relations=model.relations))
         assert boosted[0, 1] >= base[0, 1] - 1e-9
 
@@ -641,8 +640,10 @@ class TestRelationDensityProduct:
         rng = np.random.default_rng(seed)
         R = random_spread_relations(6, rng)
         readings = self.readings(R, rng, 400)
-        got = relation_log_density(readings, R)
+        e = ExperienceSequence(np.zeros((len(readings) + 1, 1), dtype=int),
+                               readings)
         want = reference_relation_log_density(readings, R)
+        got = (e.features @ R.eta.reshape(7, -1)).reshape(want.shape)
         dx, dy = readings[:, 0, None, None], readings[:, 1, None, None]
         # Rounding of the expanded squares, of the heading term and of the
         # normalizers log(2 pi var), which reach 12 at VAR_FLOOR.

@@ -147,14 +147,13 @@ class TestTagStates:
         cfg = square_walk_config()
         buckets, assignment = bucketize(readings, cfg)
         result = tag_states(readings, buckets, assignment, 4, cfg)
-        n = result.n_used
         c = result.coordinates
+        n = len(c)
         mu = embed_relations(c[:, 0], c[:, 1], c[:, 2], CoordinateMode.GLOBAL)
         rel = RelationMatrix(*mu, np.ones((n, n)), np.ones((n, n)),
                              np.ones((n, n)))
-        model = GeoHmm(n_states=n, obs_dims=(2,), A=np.full((n, n), 1 / n),
-                       B=(np.full((2, n), 0.5),), start_state=0,
-                       relations=rel)
+        model = GeoHmm(A=np.full((n, n), 1 / n), B=(np.full((2, n), 0.5),),
+                       start_state=0, relations=rel)
         report = check_consistency(model, ConstraintLevel.ADDITIVE, 1e-9)
         assert report.consistent, report.summary()
 
@@ -166,7 +165,7 @@ class TestTagStates:
         buckets, assignment = bucketize(readings, cfg)
         result = tag_states(readings, buckets, assignment, 2, cfg)
         assert len(result.state_sequence) == 4
-        assert result.n_used == 2
+        assert len(result.coordinates) == 2
         assert set(result.state_sequence) <= {0, 1}
 
 
@@ -219,7 +218,6 @@ class TestMatchesReference:
             tags = tag_states(seq.readings, buckets, assignment, 16, cfg, mode)
             want = reference_tag_states(seq.readings, want_buckets,
                                         want_assignment, 16, cfg, mode)
-            assert tags.n_used == want.n_used
             assert (tags.state_sequence.tobytes()
                     == want.state_sequence.tobytes())
             assert tags.coordinates.tobytes() == want.coordinates.tobytes()
@@ -251,7 +249,7 @@ class TestInitModel:
         model = init_model(seq, 16, default_bucket_config(seq))
         n = 16
         uniform = GeoHmm(
-            n_states=n, obs_dims=true.obs_dims, A=np.full((n, n), 1 / n),
+            A=np.full((n, n), 1 / n),
             B=tuple(np.full((k, n), 1 / k) for k in true.obs_dims),
             start_state=0, relations=zero_relations(n, var=25.0, kappa=0.5))
         ll_init = forward_backward(model, seq, use_odometry=False).loglik

@@ -70,6 +70,28 @@ class TestModelFile:
         with pytest.raises(ModelFormatError):
             model_from_dict(data)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_states", 16.9), ("n_states", 16.0), ("n_states", True),
+        ("obs_dims", [4.5, 4, 4]), ("start_state", 1.7)])
+    def test_non_integer_sizes_rejected(self, key, value):
+        # int() used to truncate them: 16.9 loaded as 16 states.
+        data = model_to_dict(make_loop_model(LoopSpec()))
+        data[key] = value
+        with pytest.raises(ModelFormatError, match="^%s: expected integers"
+                           % key):
+            model_from_dict(data)
+
+    @pytest.mark.parametrize("key, value, says", [
+        ("n_states", 15, "n_states 15 disagrees with A's 16 rows"),
+        ("obs_dims", [4, 4, 3], "obs_dims [4, 4, 3] disagrees with B's row "
+                                "counts [4, 4, 4]")])
+    def test_sizes_that_disagree_with_a_and_b_rejected(self, key, value, says):
+        data = model_to_dict(make_loop_model(LoopSpec()))
+        data[key] = value
+        with pytest.raises(ModelFormatError) as err:
+            model_from_dict(data)
+        assert str(err.value) == says
+
 
 class TestExperienceFile:
     def test_round_trip_exact(self, model, tmp_path):

@@ -10,14 +10,14 @@ from scipy.integrate import quad
 
 from geohmm.model import (ConstraintLevel, CoordinateMode, ExperienceSequence,
                           GeoHmm, RelationMatrix, _rotate_xy,
-                          check_consistency, embed_relations,
-                          relation_log_density)
+                          check_consistency, embed_relations)
+from geohmm.inference import relation_density_tensor
 from geohmm.circstats import wrap_angle
 from geohmm.simgen import LoopSpec, make_loop_model
 
-from oracles import (RelationEntry, random_geohmm, reference_check_consistency,
-                     relation_density, relation_entry, with_entries,
-                     zero_relations)
+from oracles import (RelationEntry, model_density, random_geohmm,
+                     reference_check_consistency, relation_density,
+                     relation_entry, with_entries, zero_relations)
 
 
 def simple_model(n=2, mode=CoordinateMode.GLOBAL, relations=None):
@@ -25,8 +25,7 @@ def simple_model(n=2, mode=CoordinateMode.GLOBAL, relations=None):
     B = (np.full((3, n), 1.0 / 3),)
     if relations is None:
         relations = zero_relations(n)
-    return GeoHmm(n_states=n, obs_dims=(3,), A=A, B=B, start_state=0,
-                  relations=relations, mode=mode)
+    return GeoHmm(A=A, B=B, start_state=0, relations=relations, mode=mode)
 
 
 class TestRotateXy:
@@ -55,16 +54,17 @@ class TestRotateXy:
 
 
 class TestRelationDensity:
+    # The model's reading density, through relation_density_tensor.
     def test_product_of_three_densities_at_mean(self):
         entry = RelationEntry(mu_x=1.5, mu_y=-2.0, mu_theta=0.7,
                               var_x=1.0, var_y=1.0, kappa_theta=0.0)
-        got = relation_density((1.5, -2.0, 0.7), entry)
+        got = model_density((1.5, -2.0, 0.7), entry)
         assert got == pytest.approx(0.025330, abs=5e-7)
 
     def test_circular_in_dtheta(self):
         entry = RelationEntry(0.0, 0.0, 0.4, 2.0, 3.0, 5.0)
-        at_mean = relation_density((0.0, 0.0, 0.4), entry)
-        wrapped = relation_density((0.0, 0.0, 0.4 + 2 * np.pi), entry)
+        at_mean = model_density((0.0, 0.0, 0.4), entry)
+        wrapped = model_density((0.0, 0.0, 0.4 + 2 * np.pi), entry)
         assert wrapped == pytest.approx(at_mean, rel=1e-12)
 
     def test_nonnegative_and_symmetric_in_dx(self):
@@ -72,35 +72,38 @@ class TestRelationDensity:
         rng = np.random.default_rng(2)
         for _ in range(20):
             d = rng.normal(size=3)
-            assert relation_density(d, entry) >= 0.0
-            plus = relation_density((1.0 + d[0], 0.0, 0.0), entry)
-            minus = relation_density((1.0 - d[0], 0.0, 0.0), entry)
+            assert model_density(d, entry) >= 0.0
+            plus = model_density((1.0 + d[0], 0.0, 0.0), entry)
+            minus = model_density((1.0 - d[0], 0.0, 0.0), entry)
             assert plus == pytest.approx(minus, rel=1e-12)
 
     def test_marginalizes_to_one(self):
         entry = RelationEntry(0.5, -1.0, 0.9, 0.8, 2.5, 3.0)
-        ix, _ = quad(lambda v: relation_density((v, entry.mu_y, entry.mu_theta),
-                                                entry), 0.5 - 12, 0.5 + 12)
-        iy, _ = quad(lambda v: relation_density((entry.mu_x, v, entry.mu_theta),
-                                                entry), -1 - 20, -1 + 20)
-        it, _ = quad(lambda v: relation_density((entry.mu_x, entry.mu_y, v),
-                                                entry), -np.pi, np.pi, limit=200)
-        peak = relation_density((0.5, -1.0, 0.9), entry)
+        ix, _ = quad(lambda v: model_density((v, entry.mu_y, entry.mu_theta),
+                                             entry), 0.5 - 12, 0.5 + 12)
+        iy, _ = quad(lambda v: model_density((entry.mu_x, v, entry.mu_theta),
+                                             entry), -1 - 20, -1 + 20)
+        it, _ = quad(lambda v: model_density((entry.mu_x, entry.mu_y, v),
+                                             entry), -np.pi, np.pi, limit=200)
+        peak = model_density((0.5, -1.0, 0.9), entry)
         # each 1-D slice integrates to density-of-other-two; their product
         # over the peak squared gives the full integral by independence
         assert ix * iy * it / peak ** 2 == pytest.approx(1.0, abs=1e-5)
 
     def test_entry_matches_matrix(self):
-        # relation_log_density takes one duck-typed entry as well as a
-        # whole matrix; both give the same density for each pair.
+        # Every pair's density in the tensor is the entry's density
+        # written out.
         rng = np.random.default_rng(4)
-        R = random_geohmm(4, rng).relations
-        for reading in rng.normal(size=(5, 3)):
-            table = np.exp(relation_log_density(reading, R))
+        model = random_geohmm(4, rng)
+        readings = rng.normal(size=(5, 3))
+        e = ExperienceSequence(np.zeros((6, 1), dtype=int), readings)
+        tensor = relation_density_tensor(model, e)
+        for reading, table in zip(readings, tensor):
             for i in range(4):
                 for j in range(4):
-                    got = relation_density(reading, relation_entry(R, i, j))
-                    assert got == pytest.approx(table[i, j], rel=1e-12)
+                    want = relation_density(
+                        reading, relation_entry(model.relations, i, j))
+                    assert table[i, j] == pytest.approx(want, rel=1e-12)
 
 
 class TestEmbedRelations:
@@ -219,16 +222,33 @@ class TestCheckConsistency:
 class TestValidation:
     def test_bad_transition_rows(self):
         with pytest.raises(ValueError):
-            GeoHmm(n_states=2, obs_dims=(2,), A=np.array([[0.7, 0.6],
+            GeoHmm(A=np.array([[0.7, 0.6],
                                                           [0.5, 0.5]]),
                    B=(np.full((2, 2), 0.5),), start_state=0,
                    relations=zero_relations(2))
 
     def test_bad_observation_columns(self):
         with pytest.raises(ValueError):
-            GeoHmm(n_states=2, obs_dims=(2,), A=np.full((2, 2), 0.5),
+            GeoHmm(A=np.full((2, 2), 0.5),
                    B=(np.array([[0.9, 0.2], [0.2, 0.8]]),), start_state=0,
                    relations=zero_relations(2))
+
+    def test_sizes_are_read_from_a_and_b(self):
+        model = make_loop_model(LoopSpec())
+        assert [f.name for f in fields(GeoHmm)] == [
+            "A", "B", "start_state", "relations", "mode"]
+        assert model.n_states == 16 and model.obs_dims == (4, 4, 4)
+        assert simple_model(3).obs_dims == (3,)
+
+    @pytest.mark.parametrize("A, B, says", [
+        (np.ones((1, 2)) / 2, np.ones((1, 2)), "A must be"),
+        (np.ones((0, 0)), np.ones((1, 0)), "A must be"),
+        (np.ones(1), np.ones((1, 1)), "A must be"),
+        (np.full((2, 2), 0.5), np.ones((1, 3)), "B\\[0\\] must be"),
+        (np.full((2, 2), 0.5), np.ones(2), "B\\[0\\] must be")])
+    def test_shapes_rejected(self, A, B, says):
+        with pytest.raises(ValueError, match=says):
+            GeoHmm(A=A, B=(B,), start_state=0, relations=zero_relations(2))
 
     @pytest.mark.parametrize("where", ["A", "B"])
     def test_nan_transition_row_or_observation_column_rejected(self, where):
@@ -239,8 +259,7 @@ class TestValidation:
         else:
             B[:, 1] = np.nan
         with pytest.raises(ValueError):
-            GeoHmm(n_states=2, obs_dims=(2,), A=A, B=(B,), start_state=0,
-                   relations=zero_relations(2))
+            GeoHmm(A=A, B=(B,), start_state=0, relations=zero_relations(2))
 
     @pytest.mark.parametrize("name,bad", [
         ("var_x", np.nan), ("var_x", np.inf),
@@ -304,7 +323,7 @@ class TestValidation:
                               (e.readings, seq.readings)]:
                 np.testing.assert_array_equal(got, want)
                 assert not got.flags.writeable
-            assert not hasattr(m.relations, "_eta")
+            assert "eta" not in vars(m.relations)
             assert not {"features", "symbols"} & set(vars(e))
 
     def test_callers_arrays_stay_theirs(self):

@@ -74,8 +74,7 @@ class TestSampleSequence:
         mu_x, mu_y, mu_t = embed_relations(x, y, theta, CoordinateMode.GLOBAL)
         rel = RelationMatrix(mu_x, mu_y, mu_t, np.full((n, n), 1e-6),
                              np.full((n, n), 1e-6), np.full((n, n), KAPPA_MAX))
-        model = GeoHmm(n_states=n, obs_dims=(3,), A=A, B=B, start_state=0,
-                       relations=rel)
+        model = GeoHmm(A=A, B=B, start_state=0, relations=rel)
         states, seq = sample_path(model, 30, np.random.default_rng(0))
         np.testing.assert_array_equal(states, np.arange(30) % 3)
         np.testing.assert_array_equal(seq.observations[:, 0], states)
@@ -86,8 +85,7 @@ class TestSampleSequence:
 
     def test_transition_frequencies(self):
         A = np.array([[0.7, 0.3], [0.2, 0.8]])
-        model = GeoHmm(n_states=2, obs_dims=(2,), A=A,
-                       B=(np.full((2, 2), 0.5),), start_state=0,
+        model = GeoHmm(A=A, B=(np.full((2, 2), 0.5),), start_state=0,
                        relations=zero_relations(2, var=1.0, kappa=1.0))
         T = 100_000
         states, _ = sample_path(model, T, np.random.default_rng(1))
@@ -194,7 +192,7 @@ class TestSampleObservations:
                             np.random.default_rng(seed))
             got = sample_observations(model, length, 3, rng)
             want = reference_sample_observations(model, length, 3, ref_rng)
-            assert got.shape == (3, length, model.n_obs_dims)
+            assert got.shape == (3, length, len(model.obs_dims))
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -203,8 +201,7 @@ class TestSampleObservations:
         # Dimension 0 reveals the state, so the strings show the transitions.
         A = np.array([[0.7, 0.3], [0.2, 0.8]])
         B = (np.eye(2), np.array([[0.5, 0.1], [0.3, 0.1], [0.2, 0.8]]))
-        model = GeoHmm(n_states=2, obs_dims=(2, 3), A=A, B=B, start_state=0,
-                       relations=zero_relations(2))
+        model = GeoHmm(A=A, B=B, start_state=0, relations=zero_relations(2))
         obs = sample_observations(model, 10_000, 10,
                                   np.random.default_rng(1))
         states = obs[:, :, 0]
