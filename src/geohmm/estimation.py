@@ -24,7 +24,6 @@ receive no posterior weight keep their previous parameters.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ from .circstats import (KAPPA_MAX, bessel_ratio, resultant_to_kappa,
 from .inference import Posteriors, forward_backward, posteriors
 from .model import (VAR_FLOOR, ConstraintLevel, CoordinateMode,
                     ExperienceSequence, GeoHmm, RelationMatrix, _rotate_xy,
-                    embed_relations)
+                    check_count, embed_relations)
 
 
 # Fixed tuning of the EM loop: the relative loglik gain below which a run
@@ -68,14 +67,12 @@ class LearnConfig:
 
     def __post_init__(self):
         # Messages start with the field name, which the CLI maps to its option.
-        for name in ("pseudocount", "max_iters", "density_floor"):
+        check_count("max_iters", self.max_iters)
+        for name in ("pseudocount", "density_floor"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value >= 0):
                 raise ValueError("%s must be finite and >= 0, got %r"
                                  % (name, value))
-        if not isinstance(self.max_iters, numbers.Integral):
-            raise ValueError("max_iters must be an integer, got %r"
-                             % (self.max_iters,))
 
 
 @dataclass

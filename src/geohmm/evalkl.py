@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import loglik
-from .model import GeoHmm, ImpossibleSequenceError
+from .model import GeoHmm, ImpossibleSequenceError, check_count
 from .simgen import sample_observations
 
 
@@ -51,16 +51,16 @@ def kl_sampled(true_model: GeoHmm, learned: GeoHmm, seq_length: int = 1000,
     rng.random((n, L - 1)) block of transition uniforms, then one
     rng.random((n, L, D)) block of observation uniforms. Then one
     forward-only `loglik` call scores the (n, L, D) strings under both
-    models at once. Peak memory is that call's gathered (L, 2, n, N)
-    float64 emission array, N the larger state count (about 2.6 MB at
-    n=10, L=1000, N=16), and no block products; the (n, L, D) uniforms
-    and the gathered (n, L, V) CDF rows of one alphabet of V symbols are
-    smaller. If the learned model assigns zero probability to any sampled
-    sequence, the estimate is flagged +inf. Both n_sequences and seq_length must be at least 1.
+    models at once. Peak memory, 1.3 MB at n=10, L=1000 on the loop model,
+    is the sampler's: the (n, L - 1) transition uniforms as Python floats,
+    the (n, L, D) observation uniforms and the gathered (n, L, V) CDF rows
+    of one alphabet of V symbols; loglik's 0.73 MB comes after them. If
+    the learned model assigns zero probability to any sampled sequence,
+    the estimate is flagged +inf. n_sequences and seq_length are integers
+    of at least 1.
     """
-    if n_sequences < 1 or seq_length < 1:
-        raise ValueError("n_sequences and seq_length must be at least 1, "
-                         "got %r and %r" % (n_sequences, seq_length))
+    seq_length = check_count("seq_length", seq_length, 1)
+    n_sequences = check_count("n_sequences", n_sequences, 1)
     if rng is None:
         rng = np.random.default_rng(0)
     _check_alphabets(true_model, learned)

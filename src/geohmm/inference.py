@@ -56,16 +56,16 @@ posteriors builds xi in the memory of the trellis's step operators,
 which it spends; estimation.em_learn says what each saves.
 
 loglik, which scores S strings under K models forward only, runs
-Rabiner's sequential recursion instead: T Python steps over one (K, S,
-N) stack of rows, T K S N^2 work, where a blocked scan of the batch
-costs about S T N^3. The choice follows the shape. Forward only, at
-T=1000 and N=16 (one model; medians of three runs on a 2-core VM with
-OpenBLAS), one sequence took 3.6 ms blocked against 9.0 ms sequential,
-and the batch lost from S=10 on: 20.1 against 12.9 ms at S=10, 46 against
-17 ms at S=20 and 86 against 25 ms at S=40. One long sequence whose
+Rabiner's sequential recursion instead over one (K, S, N) stack of rows,
+normalized once per CHUNK steps: T K S N^2 work, where a blocked scan of
+the batch costs about S T N^3. Forward only, at T=1000 and N=16 (one
+model; medians of three runs on a 2-core VM with OpenBLAS, the sequential
+recursion then dividing at every step), one sequence took 3.6 ms blocked
+against 9.0 ms sequential, and the batch lost from S=10 on: 20.1 against
+12.9 ms at S=10 and 86 against 25 ms at S=40. One long sequence whose
 block products the backward pass reuses thus goes blocked, a batch of
-strings sequential. Both gather their emissions from one table per model
-over the distinct symbol vectors that occur (emission_probs).
+strings sequential. Both gather their emissions from tables over the
+distinct symbol vectors that occur (emission_probs).
 """
 
 from __future__ import annotations
@@ -78,6 +78,9 @@ import numpy as np
 
 from .model import (ExperienceSequence, GeoHmm, ImpossibleSequenceError,
                     encode_symbols)
+
+CHUNK = 8                  # loglik's steps between normalizations
+CHUNK_FLOOR = 2.0**-64
 
 
 @dataclass
@@ -296,17 +299,24 @@ def loglik(models, observations) -> np.ndarray:
     strings, observations (S, T, D), under each of K models; readings
     play no part.
 
-    Rabiner's scaled forward recursion, one Python step per time step,
-    over one (K, S, N) stack of rows, N the largest state count. A model
-    with fewer states is zero-padded: a padded state has no transitions
-    in or out and emits nothing, so it holds exactly zero mass. Each step
-    is alpha @ A, times the emissions, then the row sum c_t into a (T, K,
-    S) buffer and alpha / c_t; a row scores sum_t log c_t. A row that
-    dies (some c_t zero or not finite) scores -inf and touches no other
-    row. The strings are checked and encoded once (model.encode_symbols),
-    and the emissions are one gather from the K models' (U, N) tables.
-    Peak memory is that (T, K, S, N) float64 array (2.6 MB at K=2, S=10,
-    T=1000, N=16) and a few (T, K, S) ones; no block products are formed.
+    Rabiner's scaled forward recursion over one (K, S, N) stack of rows,
+    N the largest state count, smaller models zero-padded (no transitions
+    or emissions). A step is alpha @ A times the emissions, and
+    rows are normalized once per CHUNK steps: a row whose sum s ends a
+    chunk at CHUNK_FLOOR or above adds log s to its score and is divided
+    by s. Its sum cannot rise inside a chunk (A's rows sum to 1 within
+    STOCHASTIC_TOL and no emission exceeds 1), so no entry within 2**-958
+    of the row's sum went subnormal. A row that ends a chunk below the
+    floor, or at 0, redoes it alone from the chunk's start, dividing at
+    every step, so no other row's arithmetic depends on it; one that dies
+    (a step's sum is 0) scores -inf. Each chunk gathers its emissions
+    from the K models' (U, N) tables over the encoded strings. Peak
+    memory is those tables, the (S, T) index and a few (K, S, N) stacks:
+    0.73 MB at K=2, S=10, T=1000, N=16 (the loop model and a random one
+    on its strings), where the call took 4.6 ms, 6.7 ms dividing at every
+    step (medians of 200, 2-core VM, OpenBLAS). The random model loses
+    6.3 bits a step, so 8 steps stay above 2**-64 and 16 do not: CHUNK =
+    4, 8 and 16 took 6.2, 5.0 and 16 ms, the last redoing every chunk.
     """
     models = list(models)
     obs = np.asarray(observations)
@@ -318,24 +328,37 @@ def loglik(models, observations) -> np.ndarray:
     vectors, index = encode_symbols(obs)
     tables = np.zeros((K, len(vectors), N))
     A = np.zeros((K, N, N))
-    alpha = np.zeros((K, S, N))
-    scales = np.empty((T, K, S))
+    alpha, score = np.zeros((K, S, N)), np.empty((K, S))
     for k, m in enumerate(models):
         tables[k, :, :m.n_states] = emission_probs(m, vectors, index)
         A[k, :m.n_states, :m.n_states] = m.A
         alpha[k, :, m.start_state] = 1.0
-        scales[0, k] = tables[k, index[:, 0], m.start_state]
-    # emit[t, k, s] = tables[k, index[s, t]]: one gather of table rows.
-    emit = tables[np.arange(K)[:, None], index.T[:, None, :]]
-    row, ones, col = np.empty_like(alpha), np.ones(N), scales[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(1, T):
-            np.matmul(alpha, A, out=row)
-            np.multiply(row, emit[t], out=row)
-            np.matmul(row, ones, out=scales[t])
-            np.divide(row, col[t], out=alpha)
-        live = (np.isfinite(scales) & (scales > 0.0)).all(axis=0)
-        return np.where(live, np.log(scales).sum(axis=0), -np.inf)
+        score[k] = tables[k, index[:, 0], m.start_state]
+    row, ones, ks = np.empty_like(alpha), np.ones(N), np.arange(K)[:, None]
+    with np.errstate(divide="ignore"):
+        np.log(score, out=score)
+        for t in range(1, T, CHUNK):
+            # emit[c, k, s] = tables[k, index[s, t + c]]
+            emit = tables[ks, index.T[t:t + CHUNK, None, :]]
+            start = alpha.copy()
+            for e in emit:
+                np.matmul(alpha, A, out=row)
+                np.multiply(row, e, out=alpha)
+            s = alpha @ ones
+            low = s < CHUNK_FLOOR
+            np.copyto(s, 1.0, where=low)
+            score += np.log(s)
+            alpha /= s[..., None]
+            if low.any():                 # redo the live ones step by step
+                k, i = np.nonzero(low & (score > -np.inf))
+                a, Ak, ll = start[k, i], A[k], score[k, i]
+                for e in emit[:, k, i]:
+                    a = (a[:, None, :] @ Ak)[:, 0] * e
+                    c = a @ ones
+                    ll += np.log(c)
+                    a /= np.where(c > 0.0, c, 1.0)[:, None]
+                alpha[k, i], score[k, i] = a, ll
+    return score
 
 
 def posteriors(trellis: Trellis, model: GeoHmm, e: ExperienceSequence,

@@ -20,6 +20,7 @@ import dataclasses
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,16 @@ from .circstats import (KAPPA_MAX, LOG_TWO_PI, TWO_PI, log_bessel_i0,
 VAR_FLOOR = 1e-6
 
 STOCHASTIC_TOL = 1e-9
+
+
+def check_count(name: str, value, low: int = 0) -> int:
+    """value as an int. bool and non-integral values, and values below
+    low, raise a ValueError whose message starts with name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if value < low:
+        raise ValueError("%s must be at least %d, got %r" % (name, low, value))
+    return int(value)
 
 
 class GeoHmmError(Exception):
@@ -170,7 +181,9 @@ class GeoHmm(_Rebuilt):
                 raise ValueError("%s has negative entries" % name)
             if np.max(np.abs(p.sum(axis=axis) - 1.0)) > STOCHASTIC_TOL:
                 raise ValueError("%s of %s must sum to 1" % (lines, name))
-        if not (0 <= self.start_state < n):
+        object.__setattr__(self, "start_state",
+                           check_count("start_state", self.start_state))
+        if self.start_state >= n:
             raise ValueError("start_state out of range")
         if self.relations.n_states != n:
             raise ValueError("relation matrix size mismatch")
@@ -297,10 +310,14 @@ def encode_symbols(observations) -> tuple:
     low = digits.min(axis=1, initial=0)
     digits -= low[:, None]
     radix = digits.max(axis=1, initial=0) + 1
-    codes, index = np.unique(np.ravel_multi_index(tuple(digits), radix),
-                             return_inverse=True)
-    vectors = np.stack(np.unravel_index(codes, radix), axis=1) + low
-    return vectors, index.reshape(obs.shape[:-1])
+    if math.prod(radix.tolist()) > np.iinfo(np.intp).max:
+        # The codes would overflow: sort the rows themselves, in that order.
+        vectors, index = np.unique(digits.T, axis=0, return_inverse=True)
+    else:
+        codes, index = np.unique(np.ravel_multi_index(tuple(digits), radix),
+                                 return_inverse=True)
+        vectors = np.stack(np.unravel_index(codes, radix), axis=1)
+    return vectors + low, index.reshape(obs.shape[:-1])
 
 
 def embed_relations(x, y, theta, mode: CoordinateMode) -> tuple:

@@ -17,7 +17,7 @@ import numpy as np
 from .estimation import LearnConfig, LearnReport, em_learn
 from .initialization import (BucketConfig, init_model, perturb_model,
                              random_model)
-from .model import CoordinateMode, ExperienceSequence, GeoHmm
+from .model import CoordinateMode, ExperienceSequence, GeoHmm, check_count
 
 
 @dataclass
@@ -57,10 +57,8 @@ def learn_runs(e: ExperienceSequence, n_states: int, cfg: LearnConfig,
     (baseline). Restart k draws from SeedSequence(seed).spawn(restarts)[k].
     The alphabets are e.obs_dims.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    if n_states < 1:
-        raise ValueError("n_states must be at least 1, got %d" % n_states)
+    restarts = check_count("restarts", restarts, 1)
+    n_states = check_count("n_states", n_states, 1)
     if initial is not None and initial.n_states != n_states:
         raise ValueError("the initial model has %d states, n_states is %d"
                          % (initial.n_states, n_states))

@@ -544,6 +544,16 @@ def random_geohmm(n, rng, obs_dims=(3,), mode=CoordinateMode.GLOBAL,
                   mode=mode)
 
 
+def tiny_emission_model(rng, n=3, dims=15, symbols=1000):
+    """Random n-state model over dims near-uniform alphabets of the given
+    size: every symbol vector has probability about symbols**-dims (1e-45
+    by default) from every state."""
+    A = rng.dirichlet(np.ones(n), size=n)
+    B = tuple(rng.dirichlet(np.full(symbols, 50.0), size=n).T
+              for _ in range(dims))
+    return GeoHmm(A=A, B=B, start_state=0, relations=zero_relations(n))
+
+
 def random_experience(model, T, rng):
     obs = np.stack([rng.integers(0, k, size=T) for k in model.obs_dims],
                    axis=1)

@@ -1032,13 +1032,26 @@ def test_learn_runs_rejects_initial_of_another_size():
                    restarts=2, initial=initial)
 
 
+@pytest.mark.parametrize("n_states, restarts, name", [
+    (16.0, 1, "n_states"), (True, 1, "n_states"), (0, 1, "n_states"),
+    (16, 2.0, "restarts"), (16, False, "restarts"), (16, 0, "restarts")])
+def test_learn_runs_rejects_non_integer_counts(n_states, restarts, name):
+    # Floats used to reach rng.random and end in a TypeError traceback.
+    seq = sample_sequence(make_loop_model(LoopSpec()), 20,
+                          np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^" + name):
+        learn_runs(seq, n_states, LearnConfig(use_odometry=False, max_iters=1),
+                   restarts=restarts)
+
+
 class TestLearnConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"pseudocount": -0.5}, {"pseudocount": float("inf")},
         {"pseudocount": float("nan")}, {"max_iters": -3}, {"max_iters": 2.5},
+        {"max_iters": True}, {"max_iters": float("inf")},
         {"density_floor": -1.0}, {"density_floor": float("nan")}])
     def test_rejected(self, kwargs):
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
+        with pytest.raises(ValueError, match="^" + next(iter(kwargs))):
             LearnConfig(**kwargs)
 
     def test_edges_accepted(self):

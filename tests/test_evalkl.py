@@ -9,7 +9,8 @@ from geohmm.evalkl import kl_sampled
 from geohmm.initialization import random_model
 from geohmm.model import GeoHmm
 from geohmm.simgen import LoopSpec, make_loop_model, sample_observations
-from oracles import kl_exact_small, reference_loglik, zero_relations
+from oracles import (kl_exact_small, reference_loglik, tiny_emission_model,
+                     zero_relations)
 
 
 def bernoulli_hmm(p):
@@ -73,6 +74,27 @@ class TestKlSampled:
         with pytest.raises(ValueError, match="at least 1"):
             kl_sampled(model, model, length, count, rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("name", ["seq_length", "n_sequences"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_non_integer_counts_rejected(self, name, value):
+        # 2.5 used to end in a TypeError traceback inside rng.random.
+        model = bernoulli_hmm(0.5)
+        with pytest.raises(ValueError, match="^%s must be an integer" % name):
+            kl_sampled(model, model, rng=np.random.default_rng(4),
+                       **{name: value})
+
+    def test_tiny_emission_true_model_accepts_its_own_samples(self):
+        # Each of the true model's strings has about 1e-45 per step, so
+        # loglik redoes every chunk step by step; none may score -inf.
+        rng = np.random.default_rng(21)
+        true, learned = tiny_emission_model(rng), tiny_emission_model(rng)
+        est = kl_sampled(true, learned, 30, 4, np.random.default_rng(5))
+        strings = sample_observations(true, 30, 4, np.random.default_rng(5))
+        diffs = (reference_loglik(true, strings)
+                 - reference_loglik(learned, strings)) / 30
+        assert est.n_impossible == 0
+        assert est.value == pytest.approx(diffs.mean(), rel=1e-9)
 
     def test_deterministic_given_seed(self):
         true = make_loop_model(LoopSpec())

@@ -21,7 +21,8 @@ from oracles import (brute_force_posteriors, obs_prob, pair_statistics,
                      reference_emissions, reference_pair_statistics,
                      reference_posteriors,
                      reference_relation_density_tensor,
-                     reference_relation_log_density, zero_relations)
+                     reference_relation_log_density, tiny_emission_model,
+                     zero_relations)
 
 
 class TestObsProb:
@@ -71,6 +72,17 @@ class TestObsProb:
         np.testing.assert_array_equal(
             forward_backward(model, e, use_odometry=False).emit,
             reference_emissions(model, obs[0]))
+
+    def test_encoding_beyond_int64_codes(self):
+        # 15 ranges of 1000 symbols have 1e45 codes: more than an int64
+        # holds, which used to raise in ravel_multi_index.
+        rng = np.random.default_rng(15)
+        obs = rng.integers(0, 1000, size=(2, 30, 15))
+        obs[1, :10] = obs[0, :10]
+        vectors, index = encode_symbols(obs)
+        np.testing.assert_array_equal(vectors[index], obs)
+        np.testing.assert_array_equal(
+            vectors, np.unique(obs.reshape(-1, 15), axis=0))
 
 
 class TestForwardBackward:
@@ -428,9 +440,83 @@ class TestLoglik:
             with pytest.raises(ValueError, match=message):
                 forward_backward(model, e)
 
+    # T - 1 steps: none, 1, 7, one chunk, a chunk and a step, two chunks,
+    # and 999 with a short last chunk.
+    @pytest.mark.parametrize("T", [1, 2, 8, 9, 10, 17, 1000])
+    def test_chunk_lengths_match_reference(self, T):
+        rng = np.random.default_rng(900 + T)
+        models = [random_geohmm(4, rng, obs_dims=(3, 2)),
+                  sparse_geohmm(5, rng, obs_dims=(3, 2))]
+        obs = rng.integers(0, (3, 2), size=(6, T, 2))
+        got = loglik(models, obs)
+        for k, model in enumerate(models):
+            np.testing.assert_allclose(got[k], reference_loglik(model, obs),
+                                       rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("T", [1, 2, 8, 9, 10, 17, 1000])
+    def test_tiny_emissions_score_finite(self, T):
+        # About 1e-45 per step: unnormalized, every chunk would end at 0,
+        # so each one is redone with a division at every step.
+        rng = np.random.default_rng(950 + T)
+        model = tiny_emission_model(rng)
+        assert np.prod([b.max() for b in model.B]) ** inference.CHUNK == 0.0
+        obs = sample_observations(model, T, 3, rng)
+        got = loglik([model], obs)[0]
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, reference_loglik(model, obs),
+                                   rtol=1e-12, atol=0)
+
+    def test_row_dying_at_each_chunk_offset(self):
+        # Model 1 emits symbol 2 from no state: string j carries it at
+        # offset j of the second chunk, and string CHUNK never.
+        C = inference.CHUNK
+        rng = np.random.default_rng(14)
+        models = [random_geohmm(3, rng),
+                  TestBlockedRecursion._forbidden_symbol_model()]
+        obs = rng.integers(0, 2, size=(C + 1, 1 + 3 * C, 1))
+        obs[:, :2] = 0
+        for j in range(C):
+            obs[j, 1 + C + j] = 2
+        got = loglik(models, obs)
+        for k, model in enumerate(models):
+            np.testing.assert_allclose(got[k], reference_loglik(model, obs),
+                                       rtol=1e-12, atol=0)
+        assert np.isneginf(got[1, :C]).all()
+        assert np.isfinite(got[0]).all() and np.isfinite(got[1, C])
+        np.testing.assert_array_equal(got[0], loglik(models[:1], obs)[0])
+
+    def test_low_rows_leave_ordinary_rows_bit_for_bit(self):
+        # The tiny model scores every string low, and the plain one on the
+        # tiny model's own strings is dead from step 0; the plain model's
+        # rows on its own strings are computed as if neither were there.
+        rng = np.random.default_rng(15)
+        tiny = tiny_emission_model(rng)
+        B = [np.zeros((1000, 3)) for _ in range(15)]
+        B[0][:3] = rng.dirichlet(np.ones(3), size=3).T
+        for b in B[1:]:
+            b[0] = 1.0
+        plain = GeoHmm(A=rng.dirichlet(np.ones(3), size=3), B=tuple(B),
+                       start_state=1, relations=zero_relations(3))
+        T = 40
+        ordinary = np.zeros((8, T, 15), dtype=int)
+        ordinary[..., 0] = rng.integers(0, 3, size=(8, T))
+        low = np.arange(8) % 3 == 1
+        obs = ordinary.copy()
+        obs[low] = sample_observations(tiny, T, low.sum(), rng)
+        models = [tiny, plain]
+        got = loglik(models, obs)
+        for k, model in enumerate(models):
+            np.testing.assert_allclose(got[k], reference_loglik(model, obs),
+                                       rtol=1e-12, atol=0)
+        assert np.isfinite(got[0]).all() and np.isfinite(got[1, ~low]).all()
+        assert np.isneginf(got[1, low]).all()
+        np.testing.assert_array_equal(got[1, ~low],
+                                      loglik([plain], ordinary)[0, ~low])
+
     def test_peak_memory(self):
-        # kl_sampled's call: the (T, K, S, N) emission array alone is
-        # 2.56 MB, and a per-model, per-dimension fill peaked at 4.15 MB.
+        # kl_sampled's call: (K, U, N) emission tables, the (S, T) symbol
+        # index and a few (K, S, N) stacks, 0.73 MB. The (T, K, S, N)
+        # emission array once gathered up front was 2.56 MB on its own.
         S, T = 10, 1000
         rng = np.random.default_rng(12)
         true = make_loop_model(LoopSpec())
@@ -442,7 +528,7 @@ class TestLoglik:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.2e6, peak
+        assert peak < 1.0e6, peak
 
     def test_non_integer_symbols_rejected(self):
         model = random_geohmm(2, np.random.default_rng(9))

@@ -35,6 +35,20 @@ class TestModelFile:
         loaded = load_model(str(path))
         assert_models_equal(model, loaded, tol=0.0)
 
+    def test_numpy_integer_start_state_round_trips(self, model, tmp_path):
+        # np.int64 used to build, then fail in json.dumps on save.
+        m = model.replace(start_state=np.int64(1))
+        assert type(m.start_state) is int
+        path = tmp_path / "m.json"
+        save_model(m, str(path))
+        assert_models_equal(m, load_model(str(path)))
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_start_state_that_would_not_load_is_not_built(self, model, value):
+        # True used to save as "start_state": true, which load_model refuses.
+        with pytest.raises(ValueError, match="start_state must be an integer"):
+            model.replace(start_state=value)
+
     def test_double_round_trip_is_byte_identical(self, model, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_model(model, str(p1))

@@ -240,6 +240,17 @@ class TestValidation:
         assert model.n_states == 16 and model.obs_dims == (4, 4, 4)
         assert simple_model(3).obs_dims == (3,)
 
+    @pytest.mark.parametrize("value", [1.0, True, "1", None, np.float64(1)])
+    def test_start_state_must_be_an_integer(self, value):
+        # 1.0 used to build, then fail in sample_sequence with a TypeError.
+        with pytest.raises(ValueError, match="^start_state must be an integer"):
+            make_loop_model(LoopSpec()).replace(start_state=value)
+
+    @pytest.mark.parametrize("value", [-1, 16, np.int64(-1)])
+    def test_start_state_out_of_range(self, value):
+        with pytest.raises(ValueError, match="^start_state"):
+            make_loop_model(LoopSpec()).replace(start_state=value)
+
     @pytest.mark.parametrize("A, B, says", [
         (np.ones((1, 2)) / 2, np.ones((1, 2)), "A must be"),
         (np.ones((0, 0)), np.ones((1, 0)), "A must be"),
