@@ -51,13 +51,12 @@ def kl_sampled(true_model: GeoHmm, learned: GeoHmm, seq_length: int = 1000,
     rng.random((n, L - 1)) block of transition uniforms, then one
     rng.random((n, L, D)) block of observation uniforms. Then one
     forward-only `loglik` call scores the (n, L, D) strings under both
-    models at once. Peak memory, 1.3 MB at n=10, L=1000 on the loop model,
-    is the sampler's: the (n, L - 1) transition uniforms as Python floats,
-    the (n, L, D) observation uniforms and the gathered (n, L, V) CDF rows
-    of one alphabet of V symbols; loglik's 0.73 MB comes after them. If
-    the learned model assigns zero probability to any sampled sequence,
-    the estimate is flagged +inf. n_sequences and seq_length are integers
-    of at least 1.
+    models at once. Peak memory, 1.3 MB at n=10, L=1000 on the loop
+    model, is the sampler's (n, L - 1) transition uniforms as Python
+    floats, (n, L, D) observation uniforms and gathered (n, L, V) CDF
+    rows of one V-symbol alphabet; loglik's 0.73 MB comes after. A
+    sampled string of zero probability under the learned model flags
+    the estimate +inf. n_sequences and seq_length are integers >= 1.
     """
     seq_length = check_count("seq_length", seq_length, 1)
     n_sequences = check_count("n_sequences", n_sequences, 1)

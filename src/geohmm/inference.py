@@ -56,16 +56,14 @@ posteriors builds xi in the memory of the trellis's step operators,
 which it spends; estimation.em_learn says what each saves.
 
 loglik, which scores S strings under K models forward only, runs
-Rabiner's sequential recursion instead over one (K, S, N) stack of rows,
-normalized once per CHUNK steps: T K S N^2 work, where a blocked scan of
-the batch costs about S T N^3. Forward only, at T=1000 and N=16 (one
-model; medians of three runs on a 2-core VM with OpenBLAS, the sequential
-recursion then dividing at every step), one sequence took 3.6 ms blocked
-against 9.0 ms sequential, and the batch lost from S=10 on: 20.1 against
-12.9 ms at S=10 and 86 against 25 ms at S=40. One long sequence whose
-block products the backward pass reuses thus goes blocked, a batch of
-strings sequential. Both gather their emissions from tables over the
-distinct symbol vectors that occur (emission_probs).
+Rabiner's sequential recursion over one (K, S, N) stack of rows instead,
+rescaled once per CHUNK steps: T K S N^2 work, where a blocked scan of
+the batch costs about S T N^3. At T=1000 and N=16 (one model; medians of
+three, 2-core VM, OpenBLAS, dividing at every step), one sequence took
+3.6 ms blocked against 9.0 ms sequential, a batch 20.1 against 12.9 ms
+at S=10 and 86 against 25 ms at S=40. So one long sequence, whose block
+products the backward pass reuses, goes blocked, a batch sequential;
+both gather emissions from tables over the symbol vectors that occur.
 """
 
 from __future__ import annotations
@@ -79,8 +77,8 @@ import numpy as np
 from .model import (ExperienceSequence, GeoHmm, ImpossibleSequenceError,
                     encode_symbols)
 
-CHUNK = 8                  # loglik's steps between normalizations
-CHUNK_FLOOR = 2.0**-64
+# loglik's steps per chunk, row sum at a chunk's start, least at its end
+CHUNK, CHUNK_SCALE, CHUNK_FLOOR = 8, 2.0**958, 2.0**-64
 
 
 @dataclass
@@ -300,23 +298,23 @@ def loglik(models, observations) -> np.ndarray:
     play no part.
 
     Rabiner's scaled forward recursion over one (K, S, N) stack of rows,
-    N the largest state count, smaller models zero-padded (no transitions
-    or emissions). A step is alpha @ A times the emissions, and
-    rows are normalized once per CHUNK steps: a row whose sum s ends a
-    chunk at CHUNK_FLOOR or above adds log s to its score and is divided
-    by s. Its sum cannot rise inside a chunk (A's rows sum to 1 within
-    STOCHASTIC_TOL and no emission exceeds 1), so no entry within 2**-958
-    of the row's sum went subnormal. A row that ends a chunk below the
-    floor, or at 0, redoes it alone from the chunk's start, dividing at
-    every step, so no other row's arithmetic depends on it; one that dies
-    (a step's sum is 0) scores -inf. Each chunk gathers its emissions
-    from the K models' (U, N) tables over the encoded strings. Peak
-    memory is those tables, the (S, T) index and a few (K, S, N) stacks:
-    0.73 MB at K=2, S=10, T=1000, N=16 (the loop model and a random one
-    on its strings), where the call took 4.6 ms, 6.7 ms dividing at every
-    step (medians of 200, 2-core VM, OpenBLAS). The random model loses
-    6.3 bits a step, so 8 steps stay above 2**-64 and 16 do not: CHUNK =
-    4, 8 and 16 took 6.2, 5.0 and 16 ms, the last redoing every chunk.
+    N the largest state count, smaller models zero-padded. A step is
+    alpha @ A times the emissions; once per CHUNK steps each row is
+    rescaled to sum CHUNK_SCALE, and one whose sum s ends the chunk at
+    CHUNK_FLOOR or above adds log(s / CHUNK_SCALE), an exact quotient, to
+    its score. Its sum cannot rise inside a chunk (A's rows sum to 1
+    within STOCHASTIC_TOL, no emission exceeds 1), so nothing overflows,
+    no entry within 2**-958 of its row's sum went subnormal, and a row
+    may lose 1022 bits a chunk. A row that ends a chunk below the floor,
+    or at 0, redoes it alone from the chunk's start, dividing at every
+    step, so no other row's arithmetic depends on it; one that dies (a
+    step's sum is 0) scores -inf. Peak memory is the (K, U, N) emission
+    tables, the (S, T) symbol index and a few (K, S, N) stacks: 0.73 MB
+    at K=2, S=10, T=1000, N=16. There (the loop model with a random one,
+    or with one learned in 5 EM iterations that loses up to 997 bits in
+    8 steps, on the loop model's strings; medians of 100, 2-core VM,
+    OpenBLAS) CHUNK = 4, 8, 16 and 32 took 5.9, 4.3, 3.6 and 3.3 ms, or
+    9.1, 7.8, 8.6 and 16 ms, against 5.8 and 11.1 ms dividing every step.
     """
     models = list(models)
     obs = np.asarray(observations)
@@ -326,13 +324,12 @@ def loglik(models, observations) -> np.ndarray:
     S, T, _ = obs.shape
     K, N = len(models), max((m.n_states for m in models), default=0)
     vectors, index = encode_symbols(obs)
-    tables = np.zeros((K, len(vectors), N))
-    A = np.zeros((K, N, N))
+    tables, A = np.zeros((K, len(vectors), N)), np.zeros((K, N, N))
     alpha, score = np.zeros((K, S, N)), np.empty((K, S))
     for k, m in enumerate(models):
         tables[k, :, :m.n_states] = emission_probs(m, vectors, index)
         A[k, :m.n_states, :m.n_states] = m.A
-        alpha[k, :, m.start_state] = 1.0
+        alpha[k, :, m.start_state] = CHUNK_SCALE
         score[k] = tables[k, index[:, 0], m.start_state]
     row, ones, ks = np.empty_like(alpha), np.ones(N), np.arange(K)[:, None]
     with np.errstate(divide="ignore"):
@@ -346,18 +343,19 @@ def loglik(models, observations) -> np.ndarray:
                 np.multiply(row, e, out=alpha)
             s = alpha @ ones
             low = s < CHUNK_FLOOR
+            s /= CHUNK_SCALE              # exact where s >= CHUNK_FLOOR
             np.copyto(s, 1.0, where=low)
             score += np.log(s)
-            alpha /= s[..., None]
+            alpha /= s[..., None]         # back to sum CHUNK_SCALE
             if low.any():                 # redo the live ones step by step
                 k, i = np.nonzero(low & (score > -np.inf))
-                a, Ak, ll = start[k, i], A[k], score[k, i]
+                a, Ak, ll = start[k, i] / CHUNK_SCALE, A[k], score[k, i]
                 for e in emit[:, k, i]:
                     a = (a[:, None, :] @ Ak)[:, 0] * e
                     c = a @ ones
                     ll += np.log(c)
                     a /= np.where(c > 0.0, c, 1.0)[:, None]
-                alpha[k, i], score[k, i] = a, ll
+                alpha[k, i], score[k, i] = a * CHUNK_SCALE, ll
     return score
 
 

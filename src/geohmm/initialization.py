@@ -22,7 +22,7 @@ import numpy as np
 from .circstats import (TWO_PI, mean_resultant_length, resultant_to_kappa,
                         wrap_angle)
 from .model import (CoordinateMode, ExperienceSequence, GeoHmm,
-                    RelationMatrix, _rotate_xy, check_count, embed_relations)
+                    RelationMatrix, _rotate_xy, embed_relations)
 
 SMOOTHING = 0.05
 
@@ -137,7 +137,8 @@ def tag_states(readings, buckets, assignment, n_max: int, cfg: BucketConfig,
     additivity through the per-state coordinates; (4) with no states
     left, follow the nearest populated entry outright.
     """
-    n_max = check_count("n_max", n_max, 1)
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     readings = np.asarray(readings, dtype=float).reshape(-1, 3)
     rx, ry, rtheta = (TAG_FACTOR * cfg.sigmas).tolist()
     sx, sy, stheta = cfg.sigmas.tolist()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .circstats import wrap_angle
 from .model import (CoordinateMode, ExperienceSequence, GeoHmm,
-                    RelationMatrix, check_count, embed_relations)
+                    RelationMatrix, embed_relations)
 
 OBS_OPEN, OBS_DOOR, OBS_WALL, OBS_UNKNOWN = 0, 1, 2, 3
 OBS_ALPHABET = 4
@@ -159,7 +159,8 @@ def sample_path(model: GeoHmm, length: int,
     inverse-CDF on one uniform each, so paths are identical to drawing
     every step with `rng.choice(n, p=row)`.
     """
-    length = check_count("length", length, 1)
+    if length < 1:
+        raise ValueError("length must be at least 1")
     R = model.relations
     trans_cdf = _cdf_rows(model.A).tolist()
     obs_cdf = [_cdf_rows(b.T).tolist() for b in model.B]
@@ -205,7 +206,8 @@ def sample_observations(model: GeoHmm, length: int, n: int,
     picked at once as (cdf[states] <= u).sum(-1), which is bisect_right.
     The law of the strings is sample_path's; the draws are not.
     """
-    length, n = check_count("length", length, 1), check_count("n", n, 1)
+    if length < 1 or n < 1:
+        raise ValueError("length and n must be at least 1")
     trans_cdf = _cdf_rows(model.A).tolist()
     obs_cdf = [_cdf_rows(b.T) for b in model.B]
     u_trans = rng.random((n, length - 1)).tolist()

@@ -455,15 +455,32 @@ class TestLoglik:
 
     @pytest.mark.parametrize("T", [1, 2, 8, 9, 10, 17, 1000])
     def test_tiny_emissions_score_finite(self, T):
-        # About 1e-45 per step: unnormalized, every chunk would end at 0,
-        # so each one is redone with a division at every step.
+        # About 1e-45 per step, 1196 bits a chunk: from CHUNK_SCALE every
+        # chunk ends below CHUNK_FLOOR (from 1, at 0), so each one is
+        # redone with a division at every step.
         rng = np.random.default_rng(950 + T)
         model = tiny_emission_model(rng)
-        assert np.prod([b.max() for b in model.B]) ** inference.CHUNK == 0.0
+        bits = -inference.CHUNK * np.log2([b.max() for b in model.B]).sum()
+        assert bits > np.log2(inference.CHUNK_SCALE / inference.CHUNK_FLOOR)
         obs = sample_observations(model, T, 3, rng)
         got = loglik([model], obs)[0]
         assert np.isfinite(got).all()
         np.testing.assert_allclose(got, reference_loglik(model, obs),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("T", [9, 1000])
+    def test_steep_rows_stay_exact_on_the_chunk_path(self, T):
+        # About 1e-30 per step: 700 to 900 bits a chunk, which ends far
+        # below a sum of 1 but above CHUNK_FLOOR from CHUNK_SCALE.
+        rng = np.random.default_rng(980 + T)
+        model = tiny_emission_model(rng, dims=10)
+        per_dim = np.log2([[b.min(), b.max()] for b in model.B]).sum(axis=0)
+        lost = -inference.CHUNK * per_dim
+        assert 700 < lost[1] < lost[0] < np.log2(
+            inference.CHUNK_SCALE / inference.CHUNK_FLOOR)
+        obs = sample_observations(model, T, 3, rng)
+        np.testing.assert_allclose(loglik([model], obs)[0],
+                                   reference_loglik(model, obs),
                                    rtol=1e-12, atol=0)
 
     def test_row_dying_at_each_chunk_offset(self):

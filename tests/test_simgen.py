@@ -235,15 +235,3 @@ class TestSampleObservations:
         model = make_loop_model(LoopSpec())
         with pytest.raises(ValueError, match="at least 1"):
             sample_observations(model, length, n, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("length, n", [(2.5, 1), (3, 1.0), (True, 2)])
-    def test_non_integer_sizes_rejected(self, length, n):
-        model = make_loop_model(LoopSpec())
-        with pytest.raises(ValueError, match="must be an integer"):
-            sample_observations(model, length, n, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("length", [2.5, 3.0, True])
-    def test_sample_sequence_non_integer_length_rejected(self, length):
-        with pytest.raises(ValueError, match="^length must be an integer"):
-            sample_sequence(make_loop_model(LoopSpec()), length,
-                            np.random.default_rng(0))
